@@ -46,41 +46,81 @@ Status CellSpec::validate() const {
   return Status();
 }
 
+namespace {
+
+using core::SelectionFeatures;
+
+SelectionFeatures costEdgeShort() {
+  SelectionFeatures F = SelectionFeatures::costEdge();
+  F.ShortHammocks = true;
+  return F;
+}
+
+SelectionFeatures costEdgeShortRet() {
+  SelectionFeatures F = costEdgeShort();
+  F.ReturnCfm = true;
+  return F;
+}
+
+template <SelectionFeatures (*Features)()>
+core::DivergeMap byFeatures(BenchContext &Bench,
+                            workloads::InputSetKind Input,
+                            core::SelectionStats *Stats) {
+  return Bench.select(Features(), Input, Stats);
+}
+
+} // namespace
+
+const std::vector<SelectionPreset> &harness::selectionPresets() {
+  static const std::vector<SelectionPreset> Presets = {
+      {"exact", byFeatures<SelectionFeatures::exactOnly>},
+      {"freq", byFeatures<SelectionFeatures::exactFreq>},
+      {"short", byFeatures<SelectionFeatures::exactFreqShort>},
+      {"ret", byFeatures<SelectionFeatures::exactFreqShortRet>},
+      {"all", byFeatures<SelectionFeatures::allBestHeur>},
+      {"cost-long", byFeatures<SelectionFeatures::costLong>},
+      {"cost-edge", byFeatures<SelectionFeatures::costEdge>},
+      {"cost-short", byFeatures<costEdgeShort>},
+      {"cost-ret", byFeatures<costEdgeShortRet>},
+      {"all-cost", byFeatures<SelectionFeatures::allBestCost>},
+      {"every-br",
+       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+         return core::selectEveryBranch(B.analysis(), B.profileData(In));
+       }},
+      {"random-50",
+       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+         return core::selectRandom50(B.analysis(), B.profileData(In));
+       }},
+      {"high-bp-5",
+       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+         return core::selectHighBP(B.analysis(), B.profileData(In));
+       }},
+      {"immediate",
+       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+         return core::selectImmediate(B.analysis(), B.profileData(In));
+       }},
+      {"if-else",
+       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+         return core::selectIfElse(B.analysis(), B.profileData(In),
+                                   B.options().Selection);
+       }},
+  };
+  return Presets;
+}
+
+const SelectionPreset *harness::findSelectionPreset(const std::string &Name) {
+  for (const SelectionPreset &P : selectionPresets())
+    if (Name == P.Name)
+      return &P;
+  return nullptr;
+}
+
 StatusOr<core::DivergeMap>
 harness::selectByAlgo(BenchContext &Bench, const std::string &Algo,
                       workloads::InputSetKind Input,
                       core::SelectionStats *Stats) {
-  using core::SelectionFeatures;
-  if (Algo == "exact")
-    return Bench.select(SelectionFeatures::exactOnly(), Input, Stats);
-  if (Algo == "freq")
-    return Bench.select(SelectionFeatures::exactFreq(), Input, Stats);
-  if (Algo == "short")
-    return Bench.select(SelectionFeatures::exactFreqShort(), Input, Stats);
-  if (Algo == "ret")
-    return Bench.select(SelectionFeatures::exactFreqShortRet(), Input, Stats);
-  if (Algo == "all")
-    return Bench.select(SelectionFeatures::allBestHeur(), Input, Stats);
-  if (Algo == "cost-long")
-    return Bench.select(SelectionFeatures::costLong(), Input, Stats);
-  if (Algo == "cost-edge")
-    return Bench.select(SelectionFeatures::costEdge(), Input, Stats);
-  if (Algo == "all-cost")
-    return Bench.select(SelectionFeatures::allBestCost(), Input, Stats);
-
-  const cfg::ProgramAnalysis &PA = Bench.analysis();
-  const profile::ProfileData &Prof = Bench.profileData(Input);
-  if (Algo == "every-br")
-    return core::selectEveryBranch(PA, Prof);
-  if (Algo == "random-50")
-    return core::selectRandom50(PA, Prof);
-  if (Algo == "high-bp-5")
-    return core::selectHighBP(PA, Prof);
-  if (Algo == "immediate")
-    return core::selectImmediate(PA, Prof);
-  if (Algo == "if-else")
-    return core::selectIfElse(PA, Prof, Bench.options().Selection);
-
+  if (const SelectionPreset *P = findSelectionPreset(Algo))
+    return P->Select(Bench, Input, Stats);
   return Status::notFound("unknown selection algorithm '" + Algo + "'",
                           "harness::CellRun");
 }

@@ -64,10 +64,28 @@ struct CellResult {
   double AvgCfmPoints = 0.0;
 };
 
-/// Runs the selection algorithm named by dmpc's --algo grammar (exact,
-/// freq, short, ret, all, cost-long, cost-edge, all-cost, every-br,
-/// random-50, high-bp-5, immediate, if-else).  NotFound for an unknown
-/// name.  Shared by dmpc and the serve workers: one grammar, one behavior.
+/// One named selection algorithm of dmpc's --algo grammar.  The preset
+/// table is the single list of these names: dmpc's usage text, the serve
+/// workers and the paper figures' columns all read it.
+struct SelectionPreset {
+  const char *Name;
+  /// Selects diverge branches for \p Bench, profiling on \p Input.  The
+  /// simple selectors (every-br, ...) leave \p Stats untouched.
+  core::DivergeMap (*Select)(BenchContext &Bench,
+                             workloads::InputSetKind Input,
+                             core::SelectionStats *Stats);
+};
+
+/// Every preset, in usage order: the cumulative heuristics (exact, freq,
+/// short, ret, all), the cost-benefit model (cost-long, cost-edge,
+/// cost-short, cost-ret, all-cost), then the simple selectors of Fig. 8.
+const std::vector<SelectionPreset> &selectionPresets();
+
+/// The preset named \p Name, or null.
+const SelectionPreset *findSelectionPreset(const std::string &Name);
+
+/// Runs the preset named \p Algo.  NotFound for an unknown name.  Shared
+/// by dmpc and the serve workers: one grammar, one behavior.
 StatusOr<core::DivergeMap> selectByAlgo(BenchContext &Bench,
                                         const std::string &Algo,
                                         workloads::InputSetKind Input,

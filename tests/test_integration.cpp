@@ -8,12 +8,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "harness/CellRun.h"
 #include "harness/Experiment.h"
 #include "harness/Reports.h"
 #include "profile/Emulator.h"
 #include "support/RNG.h"
 
 #include <cmath>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +56,42 @@ TEST(HarnessTest, IpcImprovementArithmetic) {
   Dmp.RetiredInstrs = 1000;
   Dmp.Cycles = 800; // IPC 1.25
   EXPECT_NEAR(ipcImprovement(Base, Dmp), 0.25, 1e-12);
+}
+
+TEST(HarnessTest, EverySelectionPresetRunsAsACell) {
+  std::set<std::string> Names;
+  for (const SelectionPreset &P : selectionPresets()) {
+    EXPECT_TRUE(Names.insert(P.Name).second) << "duplicate preset " << P.Name;
+    EXPECT_EQ(findSelectionPreset(P.Name), &P);
+    CellSpec Spec;
+    Spec.Benchmark = "mcf";
+    Spec.Algo = P.Name;
+    Spec.SimInstrs = 100'000;
+    Spec.ProfileInstrs = 400'000;
+    const StatusOr<CellResult> R = runCellSpec(Spec, nullptr);
+    ASSERT_TRUE(R.ok()) << P.Name << ": " << R.status().toString();
+    EXPECT_GT(R->Dmp.RetiredInstrs, 0u) << P.Name;
+  }
+
+  CellSpec Unknown;
+  Unknown.Benchmark = "mcf";
+  Unknown.Algo = "nope";
+  EXPECT_EQ(findSelectionPreset("nope"), nullptr);
+  EXPECT_EQ(runCellSpec(Unknown, nullptr).status().code(),
+            ErrorCode::NotFound);
+}
+
+TEST(HarnessTest, CostPresetsAddShortThenReturnCfms) {
+  BenchContext Bench(specFor("gcc"), fastOptions());
+  core::SelectionFeatures Short = core::SelectionFeatures::costEdge();
+  Short.ShortHammocks = true;
+  core::SelectionFeatures Ret = Short;
+  Ret.ReturnCfm = true;
+  const auto Run = workloads::InputSetKind::Run;
+  EXPECT_EQ(selectByAlgo(Bench, "cost-short", Run)->sortedAddrs(),
+            Bench.select(Short, Run).sortedAddrs());
+  EXPECT_EQ(selectByAlgo(Bench, "cost-ret", Run)->sortedAddrs(),
+            Bench.select(Ret, Run).sortedAddrs());
 }
 
 TEST(HarnessTest, ReportGeomeanAndRendering) {

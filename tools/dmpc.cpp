@@ -11,8 +11,9 @@
 //   dmpc <benchmark> [options]
 //
 // Options:
-//   --algo=<exact|freq|short|ret|all|cost-long|cost-edge|all-cost|
-//           every-br|random-50|high-bp-5|immediate|if-else>   (default all)
+//   --algo=<name>                 selection algorithm (default all); the
+//                                 usage text lists every name from
+//                                 harness::selectionPresets()
 //   --profile-input=<run|train>   profiling input set (default run)
 //   --max-instr=<n>               MAX_INSTR threshold (default 50)
 //   --min-merge-prob=<p>          MIN_MERGE_PROB (default 0.01)
@@ -107,6 +108,9 @@ struct CliOptions {
 };
 
 void usage() {
+  std::string Algos;
+  for (const harness::SelectionPreset &P : harness::selectionPresets())
+    Algos += (Algos.empty() ? "" : "|") + std::string(P.Name);
   std::fprintf(stderr,
                "usage: dmpc <benchmark> [--algo=...] [--profile-input=...] "
                "[--max-instr=N] [--min-merge-prob=P] [--2d-filter] "
@@ -114,7 +118,9 @@ void usage() {
                "[--no-lint] [--verify] "
                "[--inject-fault=0|1|2] [--sim-instrs=N] "
                "[--jobs=N] [--cache-dir=DIR] [--no-cache] "
-               "[--remote=SOCKET [--ping]] | --list\n");
+               "[--remote=SOCKET [--ping]] | --list\n"
+               "  --algo=<%s> (default all)\n",
+               Algos.c_str());
 }
 
 /// Strict numeric parsing: the whole value must be a number, or we fail
@@ -242,6 +248,7 @@ core::DivergeMap runSelection(harness::BenchContext &Bench,
   if (!Map.ok()) {
     std::fprintf(stderr, "error: unknown algorithm '%s'\n",
                  Opts.Algo.c_str());
+    usage();
     std::exit(exitcode::Usage);
   }
   return *std::move(Map);
