@@ -88,7 +88,7 @@ const harness::SelectionPreset &preset(const char *Name) {
 /// DMP simulation of preset \p Preset's selection, profiled on \p Input.
 sim::SimStats simulatePreset(Cell &C, const harness::SelectionPreset &P,
                              InputSetKind Input) {
-  return C.Bench.simulateWith(P.Select(C.Bench, Input, nullptr));
+  return C.Bench.simulateWith(P.Select(C.Bench, Input));
 }
 
 /// IPC improvement of preset \p Preset over the baseline.

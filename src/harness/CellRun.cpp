@@ -8,6 +8,9 @@
 
 #include "core/SimpleSelectors.h"
 #include "serialize/ProfileIO.h"
+#include "support/StringUtils.h"
+
+#include <cstring>
 
 using namespace dmp;
 using namespace dmp::harness;
@@ -64,9 +67,8 @@ SelectionFeatures costEdgeShortRet() {
 
 template <SelectionFeatures (*Features)()>
 core::DivergeMap byFeatures(BenchContext &Bench,
-                            workloads::InputSetKind Input,
-                            core::SelectionStats *Stats) {
-  return Bench.select(Features(), Input, Stats);
+                            workloads::InputSetKind Input) {
+  return Bench.select(Features(), Input);
 }
 
 } // namespace
@@ -84,23 +86,23 @@ const std::vector<SelectionPreset> &harness::selectionPresets() {
       {"cost-ret", byFeatures<costEdgeShortRet>},
       {"all-cost", byFeatures<SelectionFeatures::allBestCost>},
       {"every-br",
-       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+       [](BenchContext &B, workloads::InputSetKind In) {
          return core::selectEveryBranch(B.analysis(), B.profileData(In));
        }},
       {"random-50",
-       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+       [](BenchContext &B, workloads::InputSetKind In) {
          return core::selectRandom50(B.analysis(), B.profileData(In));
        }},
       {"high-bp-5",
-       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+       [](BenchContext &B, workloads::InputSetKind In) {
          return core::selectHighBP(B.analysis(), B.profileData(In));
        }},
       {"immediate",
-       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+       [](BenchContext &B, workloads::InputSetKind In) {
          return core::selectImmediate(B.analysis(), B.profileData(In));
        }},
       {"if-else",
-       [](BenchContext &B, workloads::InputSetKind In, core::SelectionStats *) {
+       [](BenchContext &B, workloads::InputSetKind In) {
          return core::selectIfElse(B.analysis(), B.profileData(In),
                                    B.options().Selection);
        }},
@@ -115,14 +117,60 @@ const SelectionPreset *harness::findSelectionPreset(const std::string &Name) {
   return nullptr;
 }
 
-StatusOr<core::DivergeMap>
-harness::selectByAlgo(BenchContext &Bench, const std::string &Algo,
-                      workloads::InputSetKind Input,
-                      core::SelectionStats *Stats) {
-  if (const SelectionPreset *P = findSelectionPreset(Algo))
-    return P->Select(Bench, Input, Stats);
-  return Status::notFound("unknown selection algorithm '" + Algo + "'",
-                          "harness::CellRun");
+std::string harness::selectionPresetNames() {
+  std::string Names;
+  for (const SelectionPreset &P : selectionPresets())
+    Names += (Names.empty() ? "" : "|") + std::string(P.Name);
+  return Names;
+}
+
+StatusOr<std::vector<std::string>>
+harness::parseCellFlags(int Argc, char **Argv, CellSpec &Spec) {
+  std::vector<std::string> Rest;
+  for (int I = 1; I < Argc; ++I) {
+    const std::string Arg = Argv[I];
+    auto ValueOf = [&Arg](const char *Flag) -> const char * {
+      const size_t Len = std::strlen(Flag);
+      return Arg.compare(0, Len, Flag) == 0 ? Arg.c_str() + Len : nullptr;
+    };
+    uint64_t U = 0;
+    if (const char *V = ValueOf("--algo=")) {
+      if (!findSelectionPreset(V))
+        return invalid(formatString("unknown algorithm '%s'", V));
+      Spec.Algo = V;
+    } else if (const char *V = ValueOf("--profile-input=")) {
+      if (std::strcmp(V, "run") == 0)
+        Spec.ProfileInput = workloads::InputSetKind::Run;
+      else if (std::strcmp(V, "train") == 0)
+        Spec.ProfileInput = workloads::InputSetKind::Train;
+      else
+        return invalid(formatString("invalid --profile-input '%s'", V));
+    } else if (const char *V = ValueOf("--max-instr=")) {
+      if (!parseU64(V, U) || U == 0 || U > 1'000'000)
+        return invalid(formatString("invalid --max-instr value '%s'", V));
+      Spec.MaxInstr = static_cast<unsigned>(U);
+    } else if (const char *V = ValueOf("--min-merge-prob=")) {
+      double P = 0.0;
+      if (!parseF64(V, P) || P > 1.0)
+        return invalid(formatString("invalid --min-merge-prob value '%s'", V));
+      Spec.MinMergeProb = P;
+    } else {
+      Rest.push_back(Arg);
+    }
+  }
+  return Rest;
+}
+
+ExperimentOptions
+harness::cellOptions(const CellSpec &Spec,
+                     std::shared_ptr<serialize::ArtifactCache> Cache) {
+  ExperimentOptions Options;
+  Options.Selection = Options.Selection.withMaxInstr(Spec.MaxInstr)
+                          .withMinMergeProb(Spec.MinMergeProb);
+  Options.Profile.MaxInstrs = Spec.ProfileInstrs;
+  Options.Sim.MaxInstrs = Spec.SimInstrs;
+  Options.Cache = std::move(Cache);
+  return Options;
 }
 
 StatusOr<CellResult>
@@ -131,36 +179,28 @@ harness::runCellSpec(const CellSpec &Spec,
                      std::function<void()> Progress) {
   if (Status S = Spec.validate(); !S.ok())
     return S;
-
-  const workloads::BenchmarkSpec *Bench = nullptr;
-  for (const workloads::BenchmarkSpec &S : workloads::specSuite())
-    if (Spec.Benchmark == S.Name)
-      Bench = &S;
+  const workloads::BenchmarkSpec *Bench =
+      workloads::findBenchmark(Spec.Benchmark);
   if (!Bench)
     return Status::notFound("unknown benchmark '" + Spec.Benchmark + "'",
                             "harness::CellRun");
+  const SelectionPreset *Preset = findSelectionPreset(Spec.Algo);
+  if (!Preset)
+    return Status::notFound("unknown selection algorithm '" + Spec.Algo + "'",
+                            "harness::CellRun");
 
-  // Exactly the options dmpc builds from the same command line, which is
-  // what makes local and remote digests bit-identical.
-  ExperimentOptions Options;
-  Options.Selection = Options.Selection.withMaxInstr(Spec.MaxInstr)
-                          .withMinMergeProb(Spec.MinMergeProb);
-  Options.Sim.MaxInstrs = Spec.SimInstrs;
+  // The options dmpc builds from the same spec, which is what makes local
+  // and remote digests bit-identical.
+  ExperimentOptions Options = cellOptions(Spec, std::move(Cache));
   Options.Sim.Progress = std::move(Progress);
-  Options.Profile.MaxInstrs = Spec.ProfileInstrs;
-  Options.Cache = std::move(Cache);
-
   try {
     BenchContext Context(*Bench, Options);
-    StatusOr<core::DivergeMap> Map =
-        selectByAlgo(Context, Spec.Algo, Spec.ProfileInput);
-    if (!Map.ok())
-      return Map.status();
+    const core::DivergeMap Map = Preset->Select(Context, Spec.ProfileInput);
     CellResult Result;
     Result.Baseline = Context.baseline();
-    Result.Dmp = Context.simulateWith(*Map);
-    Result.DivergeBranches = Map->size();
-    Result.AvgCfmPoints = Map->avgCfmPoints();
+    Result.Dmp = Context.simulateWith(Map);
+    Result.DivergeBranches = Map.size();
+    Result.AvgCfmPoints = Map.avgCfmPoints();
     return Result;
   } catch (const StatusError &E) {
     return E.status();

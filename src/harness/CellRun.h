@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-cell engine entry point that both local `dmpc` and the
-/// `dmp::serve` worker processes call, so a campaign computed remotely is
-/// the *same computation* as a local one — not a reimplementation that
-/// happens to agree.  A CellSpec names one (benchmark, selection
-/// configuration) unit; runCellSpec() executes the canonical paper pipeline
+/// The one cell vocabulary.  A CellSpec names one (benchmark, selection
+/// configuration) unit; `dmpc`, `dmp_lint` and the `dmp::serve` workers all
+/// build it with the same flag grammar (parseCellFlags), the same preset
+/// table (selectionPresets) and the same options (cellOptions), so a
+/// campaign computed remotely is the *same computation* as a local one —
+/// not a reimplementation that happens to agree.  runCellSpec() executes
+/// the canonical paper pipeline
 ///
-///   profile(input) -> selectByAlgo(...) -> simulate baseline + DMP
+///   profile(input) -> findSelectionPreset(algo)->Select -> simulate
+///   baseline + DMP
 ///
 /// and returns a CellResult whose canonical byte encoding (and hence its
 /// SHA-256 digest, cellResultDigest()) is a pure function of the spec: any
@@ -37,9 +40,9 @@
 
 namespace dmp::harness {
 
-/// One (benchmark, configuration) unit of remotely-executable work, in the
-/// vocabulary of dmpc's command line.  Defaults match dmpc's defaults so a
-/// bare `dmpc <bench> --simulate` and a bare remote submit agree.
+/// One (benchmark, configuration) unit of remotely-executable work.  The
+/// defaults are every front end's defaults, so a bare `dmpc <bench>
+/// --simulate`, a bare `dmp_lint <bench>` and a bare remote submit agree.
 struct CellSpec {
   std::string Benchmark;
   std::string Algo = "all";
@@ -64,16 +67,14 @@ struct CellResult {
   double AvgCfmPoints = 0.0;
 };
 
-/// One named selection algorithm of dmpc's --algo grammar.  The preset
-/// table is the single list of these names: dmpc's usage text, the serve
-/// workers and the paper figures' columns all read it.
+/// One named selection algorithm of the --algo grammar.  The preset table
+/// is the single list of these names: the usage text of dmpc and dmp_lint,
+/// the serve workers and the paper figures' columns all read it.
 struct SelectionPreset {
   const char *Name;
-  /// Selects diverge branches for \p Bench, profiling on \p Input.  The
-  /// simple selectors (every-br, ...) leave \p Stats untouched.
+  /// Selects diverge branches for \p Bench, profiling on \p Input.
   core::DivergeMap (*Select)(BenchContext &Bench,
-                             workloads::InputSetKind Input,
-                             core::SelectionStats *Stats);
+                             workloads::InputSetKind Input);
 };
 
 /// Every preset, in usage order: the cumulative heuristics (exact, freq,
@@ -84,12 +85,22 @@ const std::vector<SelectionPreset> &selectionPresets();
 /// The preset named \p Name, or null.
 const SelectionPreset *findSelectionPreset(const std::string &Name);
 
-/// Runs the preset named \p Algo.  NotFound for an unknown name.  Shared
-/// by dmpc and the serve workers: one grammar, one behavior.
-StatusOr<core::DivergeMap> selectByAlgo(BenchContext &Bench,
-                                        const std::string &Algo,
-                                        workloads::InputSetKind Input,
-                                        core::SelectionStats *Stats = nullptr);
+/// Every preset name, in usage order, joined by '|'.
+std::string selectionPresetNames();
+
+/// Consumes the cell flags every front end shares — --algo=<preset>,
+/// --profile-input=<run|train>, --max-instr=<n> and --min-merge-prob=<p> —
+/// from Argv[1..Argc) into \p Spec, and returns the other arguments in
+/// order.  A bad value, an unknown preset name included, is an Invariant
+/// status whose message the tools print after "error: ".
+StatusOr<std::vector<std::string>> parseCellFlags(int Argc, char **Argv,
+                                                  CellSpec &Spec);
+
+/// The options a cell of \p Spec runs under: its selection thresholds and
+/// its profile and simulation budgets, with \p Cache (nullable) behind the
+/// profile and simulation stages.
+ExperimentOptions cellOptions(const CellSpec &Spec,
+                              std::shared_ptr<serialize::ArtifactCache> Cache);
 
 /// The full profile -> select -> simulate pipeline for one cell.  \p Cache
 /// (nullable) backs the profile and simulation stages; results are

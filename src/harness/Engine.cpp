@@ -7,6 +7,7 @@
 #include "harness/Engine.h"
 
 #include "support/ExitCodes.h"
+#include "support/StringUtils.h"
 
 #include <csignal>
 #include <cstdio>
@@ -77,9 +78,8 @@ EngineOptions EngineOptions::parseOrExit(int Argc, char **Argv) {
   };
   auto ParseU64 = [&](const char *Flag, const char *V, uint64_t Min,
                       uint64_t Max) -> uint64_t {
-    char *End = nullptr;
-    const unsigned long long N = std::strtoull(V, &End, 10);
-    if (End == V || *End != '\0' || N < Min || N > Max) {
+    uint64_t N = 0;
+    if (!parseU64(V, N) || N < Min || N > Max) {
       std::fprintf(stderr, "error: invalid %s value '%s'\n", Flag, V);
       printUsage(Argv[0], stderr);
       std::exit(exitcode::Usage);
@@ -109,9 +109,8 @@ EngineOptions EngineOptions::parseOrExit(int Argc, char **Argv) {
       continue;
     }
     if (const char *V = flagValue("--deadline", I, Argc, Argv)) {
-      char *End = nullptr;
-      const double Sec = std::strtod(V, &End);
-      if (End == V || *End != '\0' || !(Sec > 0.0))
+      double Sec = 0.0;
+      if (!parseF64(V, Sec) || !(Sec > 0.0))
         UsageError("error: invalid --deadline value '%s'\n", V);
       Opts.DeadlineSeconds = Sec;
       continue;

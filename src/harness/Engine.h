@@ -264,21 +264,6 @@ public:
     return Results;
   }
 
-  /// Per-benchmark convenience: a single-config matrix, flattened.
-  template <typename R>
-  std::vector<StatusOr<R>>
-  runPerBenchmark(const std::vector<workloads::BenchmarkSpec> &Specs,
-                  const std::function<R(Cell &)> &Fn,
-                  const CellNeeds &Needs = CellNeeds()) {
-    std::vector<std::vector<StatusOr<R>>> Matrix =
-        runMatrix<R>(Specs, 1, Fn, Needs);
-    std::vector<StatusOr<R>> Flat;
-    Flat.reserve(Matrix.size());
-    for (std::vector<StatusOr<R>> &Row : Matrix)
-      Flat.push_back(std::move(Row[0]));
-    return Flat;
-  }
-
   /// The journal for matrix \p MatrixName under this engine's --journal
   /// campaign, or null when journaling is off or the cache is disabled.
   /// The engine owns the journal; pointers stay valid for its lifetime.

@@ -6,6 +6,8 @@
 
 #include "support/StringUtils.h"
 
+#include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -48,4 +50,30 @@ std::vector<std::string> dmp::splitString(const std::string &Text,
     Parts.push_back(Text.substr(Start, Pos - Start));
     Start = Pos + 1;
   }
+}
+
+bool dmp::parseU64(const std::string &Text, uint64_t &Out) {
+  // from_chars takes no sign or whitespace for an unsigned type.
+  uint64_t Value = 0;
+  const char *End = Text.data() + Text.size();
+  const auto [Ptr, Err] = std::from_chars(Text.data(), End, Value);
+  if (Err != std::errc() || Ptr != End)
+    return false;
+  Out = Value;
+  return true;
+}
+
+bool dmp::parseF64(const std::string &Text, double &Out) {
+  // from_chars would take a leading '-' and inf/nan: require a digit or
+  // the decimal point up front.
+  if (Text.empty() || !(std::isdigit(static_cast<unsigned char>(Text[0])) ||
+                        Text[0] == '.'))
+    return false;
+  double Value = 0.0;
+  const char *End = Text.data() + Text.size();
+  const auto [Ptr, Err] = std::from_chars(Text.data(), End, Value);
+  if (Err != std::errc() || Ptr != End)
+    return false;
+  Out = Value;
+  return true;
 }

@@ -294,10 +294,16 @@ const std::vector<BenchmarkSpec> &workloads::specSuite() {
   return Suite;
 }
 
-Workload workloads::buildByName(const std::string &Name) {
+const BenchmarkSpec *workloads::findBenchmark(const std::string &Name) {
   for (const BenchmarkSpec &Spec : specSuite())
     if (Name == Spec.Name)
-      return buildBenchmark(Spec);
+      return &Spec;
+  return nullptr;
+}
+
+Workload workloads::buildByName(const std::string &Name) {
+  if (const BenchmarkSpec *Spec = findBenchmark(Name))
+    return buildBenchmark(*Spec);
   std::fprintf(stderr, "unknown benchmark: %s\n", Name.c_str());
   std::abort();
 }

@@ -38,6 +38,11 @@ enum class InputSetKind {
   Train, ///< Profiling-only alternative input (train stand-in).
 };
 
+/// "run" or "train", as command lines and reports spell \p Kind.
+inline const char *inputSetName(InputSetKind Kind) {
+  return Kind == InputSetKind::Train ? "train" : "run";
+}
+
 /// Composition recipe of one benchmark.
 struct BenchmarkSpec {
   const char *Name;
@@ -91,6 +96,9 @@ Workload buildBenchmark(const BenchmarkSpec &Spec);
 
 /// The 17-benchmark suite, in Table 2 order.
 const std::vector<BenchmarkSpec> &specSuite();
+
+/// The suite benchmark named \p Name, or null.
+const BenchmarkSpec *findBenchmark(const std::string &Name);
 
 /// Builds a suite benchmark by name; aborts on unknown names.
 Workload buildByName(const std::string &Name);

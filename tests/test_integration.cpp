@@ -32,9 +32,8 @@ ExperimentOptions fastOptions() {
 }
 
 const workloads::BenchmarkSpec &specFor(const std::string &Name) {
-  for (const auto &Spec : workloads::specSuite())
-    if (Name == Spec.Name)
-      return Spec;
+  if (const workloads::BenchmarkSpec *Spec = workloads::findBenchmark(Name))
+    return *Spec;
   ADD_FAILURE() << "unknown benchmark " << Name;
   static workloads::BenchmarkSpec Dummy;
   return Dummy;
@@ -88,9 +87,13 @@ TEST(HarnessTest, CostPresetsAddShortThenReturnCfms) {
   core::SelectionFeatures Ret = Short;
   Ret.ReturnCfm = true;
   const auto Run = workloads::InputSetKind::Run;
-  EXPECT_EQ(selectByAlgo(Bench, "cost-short", Run)->sortedAddrs(),
+  const SelectionPreset *CostShort = findSelectionPreset("cost-short");
+  const SelectionPreset *CostRet = findSelectionPreset("cost-ret");
+  ASSERT_NE(CostShort, nullptr);
+  ASSERT_NE(CostRet, nullptr);
+  EXPECT_EQ(CostShort->Select(Bench, Run).sortedAddrs(),
             Bench.select(Short, Run).sortedAddrs());
-  EXPECT_EQ(selectByAlgo(Bench, "cost-ret", Run)->sortedAddrs(),
+  EXPECT_EQ(CostRet->Select(Bench, Run).sortedAddrs(),
             Bench.select(Ret, Run).sortedAddrs());
 }
 

@@ -8,15 +8,12 @@
 #include "support/MathExtras.h"
 #include "support/RNG.h"
 #include "support/Saturating.h"
-#include "support/Statistic.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace dmp;
@@ -133,48 +130,6 @@ TEST(MathExtrasTest, GeomeanAndMean) {
   EXPECT_DOUBLE_EQ(safeDiv(6.0, 3.0), 2.0);
 }
 
-TEST(StatisticTest, CountersAccumulateAndIterateInOrder) {
-  StatisticSet Stats;
-  Stats.counter("fetch.cycles") += 10;
-  Stats.add("retired", 5);
-  Stats.counter("fetch.cycles") += 1;
-  EXPECT_EQ(Stats.get("fetch.cycles"), 11u);
-  EXPECT_EQ(Stats.get("retired"), 5u);
-  EXPECT_EQ(Stats.get("missing"), 0u);
-  ASSERT_EQ(Stats.entries().size(), 2u);
-  EXPECT_EQ(Stats.entries()[0].first, "fetch.cycles");
-  Stats.clear();
-  EXPECT_EQ(Stats.get("fetch.cycles"), 0u);
-  EXPECT_EQ(Stats.entries().size(), 2u);
-}
-
-TEST(StatisticTest, ConcurrentIncrementsAndRegistrations) {
-  // Parallel experiment tasks bump counters on a shared set while new
-  // counters register; no increment may be lost and no reference may dangle
-  // (the seed's vector storage invalidated references on growth).
-  StatisticSet Stats;
-  std::atomic<uint64_t> &Shared = Stats.counter("shared");
-  constexpr int NumThreads = 8;
-  constexpr uint64_t PerThread = 10'000;
-  std::vector<std::thread> Threads;
-  for (int T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&Stats, &Shared, T] {
-      const std::string Mine = "thread." + std::to_string(T);
-      for (uint64_t I = 0; I < PerThread; ++I) {
-        Shared.fetch_add(1, std::memory_order_relaxed);
-        Stats.add(Mine, 1);
-        // Register fresh names mid-flight to force registry growth.
-        if (I % 1000 == 0)
-          Stats.counter(Mine + "." + std::to_string(I));
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Stats.get("shared"), NumThreads * PerThread);
-  for (int T = 0; T < NumThreads; ++T)
-    EXPECT_EQ(Stats.get("thread." + std::to_string(T)), PerThread);
-}
-
 TEST(HistogramTest, BasicMoments) {
   Histogram H;
   EXPECT_EQ(H.average(), 0.0);
@@ -203,6 +158,37 @@ TEST(StringUtilsTest, SplitString) {
   EXPECT_EQ(Parts[0], "a");
   EXPECT_EQ(Parts[2], "");
   EXPECT_EQ(Parts[3], "c");
+}
+
+TEST(StringUtilsTest, ParseU64IsStrict) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseU64("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseU64("18446744073709551615", V));
+  EXPECT_EQ(V, ~uint64_t{0});
+  // strtoull would take every one of these (a '-' even negates).
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                          "18446744073709551616", "1.0"}) {
+    V = 7;
+    EXPECT_FALSE(parseU64(Bad, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, 7u) << "'" << Bad << "'";
+  }
+}
+
+TEST(StringUtilsTest, ParseF64IsStrict) {
+  double V = 7.0;
+  EXPECT_TRUE(parseF64("0.25", V));
+  EXPECT_DOUBLE_EQ(V, 0.25);
+  EXPECT_TRUE(parseF64(".5", V));
+  EXPECT_DOUBLE_EQ(V, 0.5);
+  EXPECT_TRUE(parseF64("1e-3", V));
+  EXPECT_DOUBLE_EQ(V, 1e-3);
+  for (const char *Bad : {"", "-0.5", "+0.5", " 0.5", "0.5 ", "0.5x", "inf",
+                          "nan", "0x1p3", "1e999"}) {
+    V = 7.0;
+    EXPECT_FALSE(parseF64(Bad, V)) << "'" << Bad << "'";
+    EXPECT_DOUBLE_EQ(V, 7.0) << "'" << Bad << "'";
+  }
 }
 
 TEST(TableTest, RendersAlignedColumns) {

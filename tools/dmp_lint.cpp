@@ -16,8 +16,8 @@
 // Options:
 //   --all                        lint every benchmark of the suite (the
 //                                default when no benchmark is named)
-//   --algo=<...>                 selection algorithm (dmpc's names;
-//                                default all)
+//   --algo=<...>                 selection algorithm (a name from
+//                                harness::selectionPresets(); default all)
 //   --profile-input=<run|train>  profiling input set (default run)
 //   --map=FILE                   lint FILE as the annotation set for the
 //                                (single) named benchmark; also checks the
@@ -47,13 +47,12 @@
 #include "analyze/Analyze.h"
 #include "bench/BenchJson.h"
 #include "core/AnnotationIO.h"
-#include "core/SimpleSelectors.h"
 #include "dataflow/Meldability.h"
-#include "harness/Experiment.h"
+#include "harness/CellRun.h"
 #include "support/ExitCodes.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -68,13 +67,11 @@ namespace {
 struct CliOptions {
   std::vector<std::string> Benchmarks;
   bool All = false;
-  std::string Algo = "all";
-  workloads::InputSetKind ProfileInput = workloads::InputSetKind::Run;
+  /// --algo, --profile-input, --max-instr, --min-merge-prob and
+  /// --profile-instrs; the benchmark comes from Benchmarks.
+  harness::CellSpec Cell;
   std::string MapFile;
   bool MachineFormat = false;
-  uint64_t ProfileInstrs = 4'000'000;
-  unsigned MaxInstr = 50;
-  double MinMergeProb = 0.01;
   bool WarningsAsErrors = false;
   bool MeldReport = false;
   bool Json = false;
@@ -87,7 +84,9 @@ void usage() {
                "[--profile-input=run|train] [--map=FILE] "
                "[--format=text|machine] [--profile-instrs=N] "
                "[--max-instr=N] [--min-merge-prob=P] [--werror] "
-               "[--meld-report] [--json] [--help]\n");
+               "[--meld-report] [--json] [--help]\n"
+               "  --algo=<%s> (default all)\n",
+               harness::selectionPresetNames().c_str());
 }
 
 void help() {
@@ -102,8 +101,8 @@ void help() {
       "\n"
       "Options:\n"
       "  --all                        lint every benchmark of the suite\n"
-      "  --algo=<name>                selection algorithm (dmpc's names;\n"
-      "                               default all)\n"
+      "  --algo=<name>                selection algorithm (default all),\n"
+      "                               one of %s\n"
       "  --profile-input=<run|train>  profiling input set (default run)\n"
       "  --map=FILE                   lint FILE as the annotation set for\n"
       "                               the (single) named benchmark\n"
@@ -133,32 +132,21 @@ void help() {
       "  1  gating diagnostics: at least one error-severity finding, or\n"
       "     any warning when --werror is set\n"
       "  2  usage error: unknown option/benchmark/algorithm, invalid\n"
-      "     option value, or unreadable --map file\n");
-}
-
-bool parseU64(const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  return End != V && *End == '\0';
+      "     option value, or unreadable --map file\n",
+      harness::selectionPresetNames().c_str());
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
+  StatusOr<std::vector<std::string>> Args =
+      harness::parseCellFlags(Argc, Argv, Opts.Cell);
+  if (!Args.ok()) {
+    std::fprintf(stderr, "error: %s\n", Args.status().message().c_str());
+    return false;
+  }
+  for (const std::string &Arg : *Args) {
     uint64_t U = 0;
     if (Arg == "--all") {
       Opts.All = true;
-    } else if (Arg.rfind("--algo=", 0) == 0) {
-      Opts.Algo = Arg.substr(7);
-    } else if (Arg.rfind("--profile-input=", 0) == 0) {
-      const std::string V = Arg.substr(16);
-      if (V == "train")
-        Opts.ProfileInput = workloads::InputSetKind::Train;
-      else if (V != "run") {
-        std::fprintf(stderr, "error: invalid --profile-input '%s'\n",
-                     V.c_str());
-        return false;
-      }
     } else if (Arg.rfind("--map=", 0) == 0) {
       Opts.MapFile = Arg.substr(6);
       if (Opts.MapFile.empty()) {
@@ -174,28 +162,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
     } else if (Arg.rfind("--profile-instrs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 17, U) || U == 0) {
+      if (!parseU64(Arg.substr(17), U) || U == 0) {
         std::fprintf(stderr, "error: invalid --profile-instrs value '%s'\n",
                      Arg.c_str() + 17);
         return false;
       }
-      Opts.ProfileInstrs = U;
-    } else if (Arg.rfind("--max-instr=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 12, U) || U == 0 || U > 1'000'000) {
-        std::fprintf(stderr, "error: invalid --max-instr value '%s'\n",
-                     Arg.c_str() + 12);
-        return false;
-      }
-      Opts.MaxInstr = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--min-merge-prob=", 0) == 0) {
-      char *End = nullptr;
-      const double P = std::strtod(Arg.c_str() + 17, &End);
-      if (End == Arg.c_str() + 17 || *End != '\0' || P < 0.0 || P > 1.0) {
-        std::fprintf(stderr, "error: invalid --min-merge-prob value '%s'\n",
-                     Arg.c_str() + 17);
-        return false;
-      }
-      Opts.MinMergeProb = P;
+      Opts.Cell.ProfileInstrs = U;
     } else if (Arg == "--werror") {
       Opts.WarningsAsErrors = true;
     } else if (Arg == "--meld-report") {
@@ -226,46 +198,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     return false;
   }
   return true;
-}
-
-core::DivergeMap runSelection(harness::BenchContext &Bench,
-                              const CliOptions &Opts, bool &Ok) {
-  using core::SelectionFeatures;
-  Ok = true;
-  const auto Input = Opts.ProfileInput;
-  if (Opts.Algo == "exact")
-    return Bench.select(SelectionFeatures::exactOnly(), Input);
-  if (Opts.Algo == "freq")
-    return Bench.select(SelectionFeatures::exactFreq(), Input);
-  if (Opts.Algo == "short")
-    return Bench.select(SelectionFeatures::exactFreqShort(), Input);
-  if (Opts.Algo == "ret")
-    return Bench.select(SelectionFeatures::exactFreqShortRet(), Input);
-  if (Opts.Algo == "all")
-    return Bench.select(SelectionFeatures::allBestHeur(), Input);
-  if (Opts.Algo == "cost-long")
-    return Bench.select(SelectionFeatures::costLong(), Input);
-  if (Opts.Algo == "cost-edge")
-    return Bench.select(SelectionFeatures::costEdge(), Input);
-  if (Opts.Algo == "all-cost")
-    return Bench.select(SelectionFeatures::allBestCost(), Input);
-
-  const auto &PA = Bench.analysis();
-  const auto &Prof = Bench.profileData(Input);
-  if (Opts.Algo == "every-br")
-    return core::selectEveryBranch(PA, Prof);
-  if (Opts.Algo == "random-50")
-    return core::selectRandom50(PA, Prof);
-  if (Opts.Algo == "high-bp-5")
-    return core::selectHighBP(PA, Prof);
-  if (Opts.Algo == "immediate")
-    return core::selectImmediate(PA, Prof);
-  if (Opts.Algo == "if-else")
-    return core::selectIfElse(PA, Prof, Bench.options().Selection);
-
-  std::fprintf(stderr, "error: unknown algorithm '%s'\n", Opts.Algo.c_str());
-  Ok = false;
-  return core::DivergeMap();
 }
 
 /// Appends one diagnostics element to the --json snapshot's per-workload
@@ -301,11 +233,8 @@ void appendJsonWorkload(bench::BenchJson &Json,
 bool lintBenchmark(const workloads::BenchmarkSpec &Spec,
                    const CliOptions &Opts, bool &UsageError,
                    bench::BenchJson *Json, bool First) {
-  harness::ExperimentOptions Options;
-  Options.Profile.MaxInstrs = Opts.ProfileInstrs;
-  Options.Selection = Options.Selection.withMaxInstr(Opts.MaxInstr)
-                          .withMinMergeProb(Opts.MinMergeProb);
-  harness::BenchContext Bench(Spec, Options);
+  const harness::CellSpec &Cell = Opts.Cell;
+  harness::BenchContext Bench(Spec, harness::cellOptions(Cell, nullptr));
 
   analyze::DiagnosticSink Sink;
   core::DivergeMap Map;
@@ -330,12 +259,9 @@ bool lintBenchmark(const workloads::BenchmarkSpec &Spec,
       return false;
     }
   } else {
-    bool AlgoOk = true;
-    Map = runSelection(Bench, Opts, AlgoOk);
-    if (!AlgoOk) {
-      UsageError = true;
-      return false;
-    }
+    // parseCellFlags admits only preset names.
+    Map = harness::findSelectionPreset(Cell.Algo)->Select(Bench,
+                                                          Cell.ProfileInput);
   }
 
   if (Opts.MeldReport) {
@@ -354,7 +280,7 @@ bool lintBenchmark(const workloads::BenchmarkSpec &Spec,
   analyze::AnalysisInput Input;
   Input.P = Bench.workload().Prog.get();
   Input.PA = &Bench.analysis();
-  Input.Profile = &Bench.profileData(Opts.ProfileInput).Edges;
+  Input.Profile = &Bench.profileData(Cell.ProfileInput).Edges;
   Input.Annotations = &Map;
   analyze::lintAll(Input, &Sink);
 
@@ -394,10 +320,7 @@ int main(int Argc, char **Argv) {
       Specs.push_back(&Spec);
   } else {
     for (const std::string &Name : Opts.Benchmarks) {
-      const workloads::BenchmarkSpec *Found = nullptr;
-      for (const auto &Spec : workloads::specSuite())
-        if (Name == Spec.Name)
-          Found = &Spec;
+      const workloads::BenchmarkSpec *Found = workloads::findBenchmark(Name);
       if (Found == nullptr) {
         std::fprintf(stderr, "error: unknown benchmark '%s'\n", Name.c_str());
         return exitcode::Usage;
@@ -409,10 +332,9 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<bench::BenchJson> Json;
   if (Opts.Json) {
     Json = std::make_unique<bench::BenchJson>("lint");
-    Json->string("algo", Opts.Algo);
+    Json->string("algo", Opts.Cell.Algo);
     Json->string("profile_input",
-                 Opts.ProfileInput == workloads::InputSetKind::Train ? "train"
-                                                                     : "run");
+                 workloads::inputSetName(Opts.Cell.ProfileInput));
     Json->boolean("werror", Opts.WarningsAsErrors);
     Json->beginArray("workloads");
   }

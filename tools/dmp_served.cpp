@@ -44,10 +44,10 @@
 #include "serve/Server.h"
 #include "serve/WorkerPool.h"
 #include "support/ExitCodes.h"
+#include "support/StringUtils.h"
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace dmp;
@@ -76,12 +76,6 @@ void usage() {
                "[--max-conns=N] [--no-durable] [--quiet]\n");
 }
 
-bool parseU64(const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  return End != V && *End == '\0';
-}
-
 bool parseArgs(int Argc, char **Argv, DaemonOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
@@ -89,7 +83,7 @@ bool parseArgs(int Argc, char **Argv, DaemonOptions &Opts) {
     if (Arg.rfind("--socket=", 0) == 0) {
       Opts.Socket = Arg.substr(9);
     } else if (Arg.rfind("--workers=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 10, U) || U > 64) {
+      if (!parseU64(Arg.substr(10), U) || U > 64) {
         std::fprintf(stderr, "error: invalid --workers value '%s'\n",
                      Arg.c_str() + 10);
         return false;
@@ -104,14 +98,14 @@ bool parseArgs(int Argc, char **Argv, DaemonOptions &Opts) {
     } else if (Arg == "--no-cache") {
       Opts.UseCache = false;
     } else if (Arg.rfind("--max-jobs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 11, U) || U == 0 || U > 100'000) {
+      if (!parseU64(Arg.substr(11), U) || U == 0 || U > 100'000) {
         std::fprintf(stderr, "error: invalid --max-jobs value '%s'\n",
                      Arg.c_str() + 11);
         return false;
       }
       Opts.MaxJobs = static_cast<unsigned>(U);
     } else if (Arg.rfind("--max-cells=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 12, U) || U == 0 ||
+      if (!parseU64(Arg.substr(12), U) || U == 0 ||
           U > serve::kMaxCellsPerSubmit) {
         std::fprintf(stderr, "error: invalid --max-cells value '%s'\n",
                      Arg.c_str() + 12);
@@ -119,21 +113,21 @@ bool parseArgs(int Argc, char **Argv, DaemonOptions &Opts) {
       }
       Opts.MaxCells = static_cast<unsigned>(U);
     } else if (Arg.rfind("--cell-attempts=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 16, U) || U == 0 || U > 100) {
+      if (!parseU64(Arg.substr(16), U) || U == 0 || U > 100) {
         std::fprintf(stderr, "error: invalid --cell-attempts value '%s'\n",
                      Arg.c_str() + 16);
         return false;
       }
       Opts.CellAttempts = static_cast<unsigned>(U);
     } else if (Arg.rfind("--cell-wall-ms=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 15, U) || U > 86'400'000) {
+      if (!parseU64(Arg.substr(15), U) || U > 86'400'000) {
         std::fprintf(stderr, "error: invalid --cell-wall-ms value '%s'\n",
                      Arg.c_str() + 15);
         return false;
       }
       Opts.CellWallMs = static_cast<unsigned>(U);
     } else if (Arg.rfind("--max-conns=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 12, U) || U == 0 || U > 100'000) {
+      if (!parseU64(Arg.substr(12), U) || U == 0 || U > 100'000) {
         std::fprintf(stderr, "error: invalid --max-conns value '%s'\n",
                      Arg.c_str() + 12);
         return false;

@@ -85,11 +85,9 @@ using namespace dmp;
 namespace {
 
 struct CliOptions {
-  std::string Benchmark;
-  std::string Algo = "all";
-  workloads::InputSetKind ProfileInput = workloads::InputSetKind::Run;
-  unsigned MaxInstr = 50;
-  double MinMergeProb = 0.01;
+  /// The cell: benchmark, --algo, --profile-input, --max-instr,
+  /// --min-merge-prob and --sim-instrs.
+  harness::CellSpec Cell;
   bool TwoDFilter = false;
   bool EmitMap = false;
   bool DumpProgram = false;
@@ -99,7 +97,6 @@ struct CliOptions {
   bool LintGate = true;
   bool Verify = false;
   unsigned InjectFault = 0;
-  uint64_t SimInstrs = 1'200'000;
   unsigned Jobs = exec::ThreadPool::defaultThreadCount();
   std::string CacheDir = harness::EngineOptions::defaultCacheDir();
   bool UseCache = true;
@@ -108,9 +105,6 @@ struct CliOptions {
 };
 
 void usage() {
-  std::string Algos;
-  for (const harness::SelectionPreset &P : harness::selectionPresets())
-    Algos += (Algos.empty() ? "" : "|") + std::string(P.Name);
   std::fprintf(stderr,
                "usage: dmpc <benchmark> [--algo=...] [--profile-input=...] "
                "[--max-instr=N] [--min-merge-prob=P] [--2d-filter] "
@@ -120,66 +114,31 @@ void usage() {
                "[--jobs=N] [--cache-dir=DIR] [--no-cache] "
                "[--remote=SOCKET [--ping]] | --list\n"
                "  --algo=<%s> (default all)\n",
-               Algos.c_str());
-}
-
-/// Strict numeric parsing: the whole value must be a number, or we fail
-/// the command line instead of sweeping a silently-mangled threshold.
-bool parseU64(const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  return End != V && *End == '\0';
-}
-
-bool parseF64(const char *V, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(V, &End);
-  return End != V && *End == '\0';
+               harness::selectionPresetNames().c_str());
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
+  StatusOr<std::vector<std::string>> Args =
+      harness::parseCellFlags(Argc, Argv, Opts.Cell);
+  if (!Args.ok()) {
+    std::fprintf(stderr, "error: %s\n", Args.status().message().c_str());
+    return false;
+  }
+  for (const std::string &Arg : *Args) {
     uint64_t U = 0;
     if (Arg == "--list") {
       for (const auto &Spec : workloads::specSuite())
         std::printf("%s\n", Spec.Name);
       std::exit(0);
-    } else if (Arg.rfind("--algo=", 0) == 0) {
-      Opts.Algo = Arg.substr(7);
-    } else if (Arg.rfind("--profile-input=", 0) == 0) {
-      const std::string V = Arg.substr(16);
-      if (V == "train")
-        Opts.ProfileInput = workloads::InputSetKind::Train;
-      else if (V != "run") {
-        std::fprintf(stderr, "error: invalid --profile-input '%s'\n",
-                     V.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--max-instr=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 12, U) || U == 0 || U > 1'000'000) {
-        std::fprintf(stderr, "error: invalid --max-instr value '%s'\n",
-                     Arg.c_str() + 12);
-        return false;
-      }
-      Opts.MaxInstr = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--min-merge-prob=", 0) == 0) {
-      double P = 0.0;
-      if (!parseF64(Arg.c_str() + 17, P) || P < 0.0 || P > 1.0) {
-        std::fprintf(stderr, "error: invalid --min-merge-prob value '%s'\n",
-                     Arg.c_str() + 17);
-        return false;
-      }
-      Opts.MinMergeProb = P;
     } else if (Arg.rfind("--sim-instrs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 13, U) || U == 0) {
+      if (!parseU64(Arg.substr(13), U) || U == 0) {
         std::fprintf(stderr, "error: invalid --sim-instrs value '%s'\n",
                      Arg.c_str() + 13);
         return false;
       }
-      Opts.SimInstrs = U;
+      Opts.Cell.SimInstrs = U;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 7, U) || U == 0 || U > 1024) {
+      if (!parseU64(Arg.substr(7), U) || U == 0 || U > 1024) {
         std::fprintf(stderr, "error: invalid --jobs value '%s'\n",
                      Arg.c_str() + 7);
         return false;
@@ -218,7 +177,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--verify") {
       Opts.Verify = true;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 15, U) || U > 2) {
+      if (!parseU64(Arg.substr(15), U) || U > 2) {
         std::fprintf(stderr, "error: invalid --inject-fault value '%s'\n",
                      Arg.c_str() + 15);
         return false;
@@ -227,31 +186,24 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown option %s\n", Arg.c_str());
       return false;
-    } else if (Opts.Benchmark.empty()) {
-      Opts.Benchmark = Arg;
+    } else if (Opts.Cell.Benchmark.empty()) {
+      Opts.Cell.Benchmark = Arg;
     } else {
       return false;
     }
   }
   // --ping is a daemon probe, not a cell run: no benchmark needed.
-  return !Opts.Benchmark.empty() || Opts.Ping;
+  return !Opts.Cell.Benchmark.empty() || Opts.Ping;
 }
 
-/// Runs the requested selection algorithm via the shared per-cell entry
-/// point (harness::selectByAlgo), so dmpc and the serve workers parse one
-/// grammar and run one implementation.
-core::DivergeMap runSelection(harness::BenchContext &Bench,
-                              const CliOptions &Opts,
-                              core::SelectionStats &Stats) {
-  StatusOr<core::DivergeMap> Map =
-      harness::selectByAlgo(Bench, Opts.Algo, Opts.ProfileInput, &Stats);
-  if (!Map.ok()) {
-    std::fprintf(stderr, "error: unknown algorithm '%s'\n",
-                 Opts.Algo.c_str());
-    usage();
-    std::exit(exitcode::Usage);
-  }
-  return *std::move(Map);
+/// The selection summary line, identical for local and remote runs.
+void printSelection(const harness::CellSpec &Cell, size_t Branches,
+                    double AvgCfmPoints) {
+  std::printf("%s: algo=%s profile=%s -> %zu diverge branches "
+              "(avg %.2f CFM points)\n",
+              Cell.Benchmark.c_str(), Cell.Algo.c_str(),
+              workloads::inputSetName(Cell.ProfileInput), Branches,
+              AvgCfmPoints);
 }
 
 void printSimReport(const sim::SimStats &Base, const sim::SimStats &Dmp) {
@@ -305,14 +257,7 @@ int runPing(const CliOptions &Opts) {
 /// same report a local --simulate run prints, including the stats digest —
 /// which must come back bit-identical to local execution.
 int runRemote(const CliOptions &Opts) {
-  harness::CellSpec Spec;
-  Spec.Benchmark = Opts.Benchmark;
-  Spec.Algo = Opts.Algo;
-  Spec.ProfileInput = Opts.ProfileInput;
-  Spec.MaxInstr = Opts.MaxInstr;
-  Spec.MinMergeProb = Opts.MinMergeProb;
-  Spec.SimInstrs = Opts.SimInstrs;
-  if (Status S = Spec.validate(); !S.ok()) {
+  if (Status S = Opts.Cell.validate(); !S.ok()) {
     std::fprintf(stderr, "error: %s\n", S.toString().c_str());
     return exitcode::Usage;
   }
@@ -323,7 +268,7 @@ int runRemote(const CliOptions &Opts) {
     return exitcode::Failure;
   }
   serve::SubmitRequest Req;
-  Req.Cells.push_back(Spec);
+  Req.Cells.push_back(Opts.Cell);
   // runCampaign rides through daemon blips and restarts: reconnect under
   // deterministic backoff, epoch check, idempotent resubmit.
   StatusOr<serve::FetchReplyData> Reply = Client.runCampaign(Req);
@@ -346,13 +291,7 @@ int runRemote(const CliOptions &Opts) {
     return exitcode::Failure;
   }
 
-  std::printf("%s: algo=%s profile=%s -> %llu diverge branches "
-              "(avg %.2f CFM points)\n",
-              Opts.Benchmark.c_str(), Opts.Algo.c_str(),
-              Opts.ProfileInput == workloads::InputSetKind::Run ? "run"
-                                                                : "train",
-              static_cast<unsigned long long>(Cell->DivergeBranches),
-              Cell->AvgCfmPoints);
+  printSelection(Opts.Cell, Cell->DivergeBranches, Cell->AvgCfmPoints);
   printSimReport(Cell->Baseline, Cell->Dmp);
   std::printf("digest  : %s\n",
               harness::cellResultDigest(*Cell).hex().c_str());
@@ -377,13 +316,11 @@ int main(int Argc, char **Argv) {
     return runPing(Opts);
   }
 
-  const workloads::BenchmarkSpec *Spec = nullptr;
-  for (const auto &S : workloads::specSuite())
-    if (Opts.Benchmark == S.Name)
-      Spec = &S;
+  const harness::CellSpec &Cell = Opts.Cell;
+  const workloads::BenchmarkSpec *Spec = workloads::findBenchmark(Cell.Benchmark);
   if (!Spec) {
     std::fprintf(stderr, "error: unknown benchmark '%s' (try --list)\n",
-                 Opts.Benchmark.c_str());
+                 Cell.Benchmark.c_str());
     return exitcode::Usage;
   }
 
@@ -400,31 +337,24 @@ int main(int Argc, char **Argv) {
     return runRemote(Opts);
   }
 
-  harness::ExperimentOptions Options;
-  Options.Selection =
-      Options.Selection.withMaxInstr(Opts.MaxInstr)
-          .withMinMergeProb(Opts.MinMergeProb);
-  Options.Sim.MaxInstrs = Opts.SimInstrs;
-  if (Opts.UseCache)
-    Options.Cache = std::make_shared<serialize::ArtifactCache>(Opts.CacheDir);
+  const harness::ExperimentOptions Options = harness::cellOptions(
+      Cell, Opts.UseCache
+                     ? std::make_shared<serialize::ArtifactCache>(Opts.CacheDir)
+                     : nullptr);
   harness::BenchContext Bench(*Spec, Options);
 
   if (Opts.DumpProgram)
     std::printf("%s\n", ir::printProgram(*Bench.workload().Prog).c_str());
 
-  core::SelectionStats Stats;
-  core::DivergeMap Map = runSelection(Bench, Opts, Stats);
-  std::printf("%s: algo=%s profile=%s -> %zu diverge branches "
-              "(avg %.2f CFM points)\n",
-              Opts.Benchmark.c_str(), Opts.Algo.c_str(),
-              Opts.ProfileInput == workloads::InputSetKind::Run ? "run"
-                                                                : "train",
-              Map.size(), Map.avgCfmPoints());
+  // parseCellFlags admits only preset names.
+  core::DivergeMap Map =
+      harness::findSelectionPreset(Cell.Algo)->Select(Bench, Cell.ProfileInput);
+  printSelection(Cell, Map.size(), Map.avgCfmPoints());
 
   if (Opts.TwoDFilter) {
     const profile::TwoDProfileData TwoD = profile::collectTwoDProfile(
         *Bench.workload().Prog,
-        Bench.workload().buildImage(Opts.ProfileInput));
+        Bench.workload().buildImage(Cell.ProfileInput));
     size_t Dropped = 0;
     Map = profile::filterAlwaysEasyBranches(Map, TwoD, &Dropped);
     std::printf("2D-profiling filter dropped %zu always-easy branches; %zu "
@@ -437,7 +367,7 @@ int main(int Argc, char **Argv) {
 
   if (Opts.DumpDot) {
     cfg::DotOptions DotOpts;
-    const auto &Prof = Bench.profileData(Opts.ProfileInput);
+    const auto &Prof = Bench.profileData(Cell.ProfileInput);
     DotOpts.Edges = &Prof.Edges;
     DotOpts.Diverge = &Map;
     for (const auto &F : Bench.workload().Prog->functions())
@@ -451,7 +381,7 @@ int main(int Argc, char **Argv) {
     analyze::AnalysisInput LintInput;
     LintInput.P = Bench.workload().Prog.get();
     LintInput.PA = &Bench.analysis();
-    LintInput.Profile = &Bench.profileData(Opts.ProfileInput).Edges;
+    LintInput.Profile = &Bench.profileData(Cell.ProfileInput).Edges;
     LintInput.Annotations = &Map;
     analyze::DiagnosticSink Sink;
     const Status LintStatus = analyze::lintAll(LintInput, &Sink);
@@ -460,7 +390,7 @@ int main(int Argc, char **Argv) {
     if (Opts.LintOnly) {
       if (!Sink.empty())
         std::fprintf(stderr, "%s", Sink.renderText().c_str());
-      std::printf("lint: %s %s\n", Opts.Benchmark.c_str(),
+      std::printf("lint: %s %s\n", Cell.Benchmark.c_str(),
                   Sink.summaryLine().c_str());
       return LintStatus.ok() ? exitcode::Ok : exitcode::Failure;
     }
@@ -487,7 +417,7 @@ int main(int Argc, char **Argv) {
 
   if (Opts.Verify) {
     check::OracleOptions OracleOpts;
-    OracleOpts.MaxInstrs = Opts.SimInstrs;
+    OracleOpts.MaxInstrs = Cell.SimInstrs;
     OracleOpts.InjectFault = Opts.InjectFault;
     const check::OracleReport Report = check::runOracle(
         *Bench.workload().Prog, Bench.analysis(),
@@ -498,11 +428,11 @@ int main(int Argc, char **Argv) {
                   Leg.Errors.empty() ? "ok" : "FAILED");
     if (!Report.ok()) {
       std::fprintf(stderr, "%s", Report.summary().c_str());
-      std::fprintf(stderr, "verify: %s FAILED\n", Opts.Benchmark.c_str());
+      std::fprintf(stderr, "verify: %s FAILED\n", Cell.Benchmark.c_str());
       return exitcode::Failure;
     }
     std::printf("verify: %s ok (all legs match the reference emulator)\n",
-                Opts.Benchmark.c_str());
+                Cell.Benchmark.c_str());
   }
 
   if (guard::interrupted()) {

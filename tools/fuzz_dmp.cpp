@@ -59,9 +59,9 @@
 #include "serialize/Hash.h"
 #include "serialize/ProfileIO.h"
 #include "support/ExitCodes.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -94,34 +94,28 @@ void usage() {
                "[--selfcheck-determinism] [--time-budget=SEC]\n");
 }
 
-bool parseU64(const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  return End != V && *End == '\0';
-}
-
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   for (int I = 1; I < Argc; ++I) {
     const std::string Arg = Argv[I];
     uint64_t U = 0;
     if (Arg.rfind("--seeds=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 8, U) || U == 0)
+      if (!parseU64(Arg.substr(8), U) || U == 0)
         return false;
       Opts.Seeds = U;
     } else if (Arg.rfind("--start-seed=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 13, U))
+      if (!parseU64(Arg.substr(13), U))
         return false;
       Opts.StartSeed = U;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 7, U) || U == 0 || U > 1024)
+      if (!parseU64(Arg.substr(7), U) || U == 0 || U > 1024)
         return false;
       Opts.Jobs = static_cast<unsigned>(U);
     } else if (Arg.rfind("--max-instrs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 13, U) || U == 0)
+      if (!parseU64(Arg.substr(13), U) || U == 0)
         return false;
       Opts.MaxInstrs = U;
     } else if (Arg.rfind("--fault=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 8, U) || U > 2)
+      if (!parseU64(Arg.substr(8), U) || U > 2)
         return false;
       Opts.Fault = static_cast<unsigned>(U);
     } else if (Arg == "--expect-divergence") {
@@ -137,9 +131,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--selfcheck-determinism") {
       Opts.SelfcheckDeterminism = true;
     } else if (Arg.rfind("--time-budget=", 0) == 0) {
-      char *End = nullptr;
-      const double Sec = std::strtod(Arg.c_str() + 14, &End);
-      if (End == Arg.c_str() + 14 || *End != '\0' || Sec <= 0)
+      double Sec = 0.0;
+      if (!parseF64(Arg.substr(14), Sec) || Sec <= 0)
         return false;
       Opts.TimeBudgetSeconds = Sec;
     } else {
