@@ -279,8 +279,9 @@ public:
 
   /// "jobs=N cache=DIR hits=H misses=M stores=S corrupt=C store-failures=F
   /// orphans-reaped=O evicted=E lock-contention=L retries=R failed-cells=X
-  /// cancelled=Z resumed=Y" for driver footers (cache fields omitted with
-  /// cache=off).
+  /// cancelled=Z resumed=Y sims=N memo-hits=M" for driver footers (cache
+  /// fields omitted with cache=off).  sims counts the DMP simulations the
+  /// contexts ran, memo-hits the simulateWith calls their memos answered.
   std::string statsLine() const;
 
   /// "" when no cell failed, else one indented line per failure for
@@ -394,7 +395,7 @@ private:
   uint64_t RaiseSigintAfterCells = 0;
   std::atomic<bool> SigintRaised{false};
   std::shared_ptr<const fault::Injector> Faults;
-  std::mutex ContextsMutex;
+  mutable std::mutex ContextsMutex;
   std::map<std::string, std::unique_ptr<BenchContext>> Contexts;
   std::mutex JournalsMutex;
   std::map<std::string, std::unique_ptr<CampaignJournal>> Journals;

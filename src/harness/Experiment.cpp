@@ -84,23 +84,70 @@ harness::profileCacheKey(const workloads::BenchmarkSpec &Spec,
   return H.finish();
 }
 
+namespace {
+
+/// simCacheKey over already-encoded annotations (\p DivergeBytes, null for
+/// the baseline), so the memo and the cache key share one encoding.
+serialize::Digest simKey(const workloads::BenchmarkSpec &Spec,
+                         const sim::SimConfig &Config,
+                         const void *DivergeBytes, size_t DivergeSize,
+                         const core::SelectionConfig *Selection,
+                         uint32_t SchemaVersion) {
+  serialize::Hasher H;
+  H.update(std::string(DivergeBytes ? "dmp-sim-key" : "dmp-baseline-key"));
+  H.updateU64(SchemaVersion);
+  hashSpec(H, Spec);
+  hashSimConfig(H, Config);
+  if (DivergeBytes)
+    H.update(DivergeBytes, DivergeSize);
+  if (Selection)
+    hashSelectionConfig(H, *Selection);
+  return H.finish();
+}
+
+/// First byte of every memo key: which stage the key names.  A DMP sim
+/// key continues with the encoded annotations.
+constexpr char kRunProfileKey = 'r';
+constexpr char kTrainProfileKey = 't';
+constexpr char kBaselineKey = 'b';
+constexpr char kDmpSimKey = 's';
+
+std::vector<uint8_t> encodeStage(const profile::ProfileData &Data) {
+  return serialize::encodeProfileData(Data);
+}
+
+std::vector<uint8_t> encodeStage(const sim::SimStats &Stats) {
+  return serialize::encodeSimStats(Stats);
+}
+
+/// Decodes a cached profile (\p Faults may shim the decode).
+Status decodeStage(const fault::Injector *Faults, const serialize::Digest &Key,
+                   const std::vector<uint8_t> &Blob,
+                   profile::ProfileData &Data) {
+  if (Faults)
+    if (Status Fault = Faults->check(fault::Site::ProfileDecode, Key.hex());
+        !Fault.ok())
+      return Fault;
+  return serialize::decodeProfileData(Blob, Data);
+}
+
+Status decodeStage(const fault::Injector *, const serialize::Digest &,
+                   const std::vector<uint8_t> &Blob, sim::SimStats &Stats) {
+  return serialize::decodeSimStats(Blob, Stats);
+}
+
+} // namespace
+
 serialize::Digest harness::simCacheKey(const workloads::BenchmarkSpec &Spec,
                                        const sim::SimConfig &Config,
                                        const core::DivergeMap *Diverge,
                                        const core::SelectionConfig *Selection,
                                        uint32_t SchemaVersion) {
-  serialize::Hasher H;
-  H.update(std::string(Diverge ? "dmp-sim-key" : "dmp-baseline-key"));
-  H.updateU64(SchemaVersion);
-  hashSpec(H, Spec);
-  hashSimConfig(H, Config);
-  if (Diverge) {
-    const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(*Diverge);
-    H.update(Bytes.data(), Bytes.size());
-  }
-  if (Selection)
-    hashSelectionConfig(H, *Selection);
-  return H.finish();
+  if (!Diverge)
+    return simKey(Spec, Config, nullptr, 0, Selection, SchemaVersion);
+  const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(*Diverge);
+  return simKey(Spec, Config, Bytes.data(), Bytes.size(), Selection,
+                SchemaVersion);
 }
 
 BenchContext::BenchContext(const workloads::BenchmarkSpec &Spec,
@@ -110,76 +157,105 @@ BenchContext::BenchContext(const workloads::BenchmarkSpec &Spec,
   RunImage = W.buildImage(workloads::InputSetKind::Run);
 }
 
-const profile::ProfileData &
-BenchContext::profileData(workloads::InputSetKind Kind) {
-  std::lock_guard<std::mutex> Lock(LazyMutex);
-  auto &Slot =
-      Kind == workloads::InputSetKind::Run ? RunProfile : TrainProfile;
-  if (Slot)
-    return *Slot;
-
-  serialize::Digest Key;
-  if (Options.Cache) {
-    Key = profileCacheKey(Spec, Kind, Options.Profile);
-    if (auto Blob = Options.Cache->load(Key)) {
-      profile::ProfileData Data;
-      const Status Fault =
-          Options.Faults
-              ? Options.Faults->check(fault::Site::ProfileDecode, Key.hex())
-              : Status();
-      if (Fault.ok() && serialize::decodeProfileData(*Blob, Data).ok()) {
-        Slot = std::move(Data);
-        return *Slot;
+template <typename V, typename KeyFn, typename ComputeFn>
+const V &BenchContext::stage(const std::string &MemoKey, const KeyFn &CacheKey,
+                             const ComputeFn &Compute, bool *Hit) const {
+  std::promise<StageValue> Promise;
+  std::shared_future<StageValue> Future;
+  bool Owner = false;
+  {
+    std::lock_guard<std::mutex> Lock(MemoMutex);
+    auto [It, Inserted] = Memo.try_emplace(MemoKey);
+    if (Inserted)
+      It->second = Promise.get_future().share();
+    Future = It->second;
+    Owner = Inserted;
+  }
+  if (Hit)
+    *Hit = !Owner;
+  if (Owner) {
+    // Unpublishes a failed computation before its waiters wake, so no
+    // later request can pick up the failed future: the next one recomputes.
+    const auto Unpublish = [&] {
+      std::lock_guard<std::mutex> Lock(MemoMutex);
+      Memo.erase(MemoKey);
+    };
+    try {
+      serialize::Digest Key;
+      V Value;
+      bool Cached = false;
+      if (Options.Cache) {
+        Key = CacheKey();
+        // An undecodable (or fault-shimmed) blob falls through to a
+        // recompute, whose store rewrites it in the current format.
+        if (auto Blob = Options.Cache->load(Key))
+          Cached = decodeStage(Options.Faults.get(), Key, *Blob, Value).ok();
       }
-      // Undecodable (or fault-shimmed) blob: fall through and recompute;
-      // the store below rewrites it in the current format.
+      if (!Cached) {
+        Value = Compute();
+        if (Options.Cache)
+          Options.Cache->store(Key, encodeStage(Value));
+      }
+      Promise.set_value(std::move(Value));
+    } catch (const StatusError &E) {
+      // Waiters get the Status and each throws an exception of its own.
+      Unpublish();
+      Promise.set_value(E.status());
+      throw;
+    } catch (...) {
+      Unpublish();
+      Promise.set_exception(std::current_exception());
+      throw;
     }
   }
+  // The memo keeps the shared state alive for the context's lifetime.
+  const StageValue &Value = Future.get();
+  if (const Status *Failure = std::get_if<Status>(&Value))
+    throw StatusError(*Failure);
+  return std::get<V>(Value);
+}
 
-  const std::vector<int64_t> Image =
-      Kind == workloads::InputSetKind::Run ? RunImage : W.buildImage(Kind);
-  Slot = profile::collectProfile(*W.Prog, *PA, Image, Options.Profile);
-  if (Options.Cache)
-    Options.Cache->store(Key, serialize::encodeProfileData(*Slot));
-  return *Slot;
+const profile::ProfileData &
+BenchContext::profileData(workloads::InputSetKind Kind) {
+  const bool IsRun = Kind == workloads::InputSetKind::Run;
+  return stage<profile::ProfileData>(
+      std::string(1, IsRun ? kRunProfileKey : kTrainProfileKey),
+      [&] { return profileCacheKey(Spec, Kind, Options.Profile); },
+      [&] {
+        return profile::collectProfile(*W.Prog, *PA,
+                                       IsRun ? RunImage : W.buildImage(Kind),
+                                       Options.Profile);
+      });
 }
 
 const sim::SimStats &BenchContext::baseline() {
-  std::lock_guard<std::mutex> Lock(LazyMutex);
-  if (BaselineStats)
-    return *BaselineStats;
-
-  serialize::Digest Key;
-  if (Options.Cache) {
-    Key = simCacheKey(Spec, Options.Sim, nullptr);
-    if (auto Blob = Options.Cache->load(Key)) {
-      sim::SimStats Stats;
-      if (serialize::decodeSimStats(*Blob, Stats).ok()) {
-        BaselineStats = Stats;
-        return *BaselineStats;
-      }
-    }
-  }
-
-  BaselineStats = sim::simulateBaseline(*W.Prog, RunImage, Options.Sim);
-  if (Options.Cache)
-    Options.Cache->store(Key, serialize::encodeSimStats(*BaselineStats));
-  return *BaselineStats;
+  return stage<sim::SimStats>(
+      std::string(1, kBaselineKey),
+      [&] { return simCacheKey(Spec, Options.Sim, nullptr); },
+      [&] { return sim::simulateBaseline(*W.Prog, RunImage, Options.Sim); });
 }
 
 sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const {
-  serialize::Digest Key;
-  if (Options.Cache) {
-    Key = simCacheKey(Spec, Options.Sim, &Diverge, &Options.Selection);
-    if (auto Blob = Options.Cache->load(Key)) {
-      sim::SimStats Stats;
-      if (serialize::decodeSimStats(*Blob, Stats).ok())
-        return Stats;
-    }
+  std::string MemoKey(1, kDmpSimKey);
+  {
+    const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(Diverge);
+    MemoKey.append(Bytes.begin(), Bytes.end());
   }
-  sim::SimStats Stats = sim::simulateDmp(*W.Prog, Diverge, RunImage, Options.Sim);
-  if (Options.Cache)
-    Options.Cache->store(Key, serialize::encodeSimStats(Stats));
+  bool Hit = false;
+  const sim::SimStats &Stats = stage<sim::SimStats>(
+      MemoKey,
+      [&] {
+        return simKey(Spec, Options.Sim, MemoKey.data() + 1,
+                      MemoKey.size() - 1, &Options.Selection,
+                      serialize::kCacheSchemaVersion);
+      },
+      [&] {
+        DmpSims.fetch_add(1, std::memory_order_relaxed);
+        return sim::simulateDmp(*W.Prog, Diverge, RunImage, Options.Sim);
+      },
+      &Hit);
+  if (Hit)
+    MemoHits.fetch_add(1, std::memory_order_relaxed);
   return Stats;
 }
 

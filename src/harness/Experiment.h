@@ -21,9 +21,18 @@
 /// profiled once ever — across benches and dmpc invocations — and a warm
 /// cache replays bit-identical results.
 ///
-/// A BenchContext is safe to share between concurrent experiment tasks:
-/// the lazy profile/baseline stages are guarded by a mutex, and everything
-/// else is read-only after construction.
+/// A BenchContext is safe to share between concurrent experiment tasks.
+/// Every stage — profile(run), profile(train), the baseline and each DMP
+/// simulation — goes through one in-flight memo keyed by the stage (a DMP
+/// simulation by the exact serialize::encodeDivergeMap bytes of its
+/// annotations).  The first request for a key computes it (around the
+/// artifact cache when one is configured); concurrent requests for the same
+/// key wait for that computation; later requests read the result without
+/// touching the simulator or the cache.  A computation that throws (e.g. a
+/// ResourceExhausted cell watchdog or a guard cancellation) is erased from
+/// the memo before its failure reaches every waiter, so a failure is
+/// never replayed: the next request recomputes.  Everything else is
+/// read-only after construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,11 +47,16 @@
 #include "serialize/ProfileIO.h"
 #include "sim/SimConfig.h"
 #include "sim/Simulator.h"
+#include "support/Status.h"
 #include "workloads/SpecSuite.h"
 
+#include <atomic>
+#include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <string>
+#include <unordered_map>
+#include <variant>
 
 namespace dmp::harness {
 
@@ -110,7 +124,8 @@ public:
   /// Baseline simulation on the run input (cached).
   const sim::SimStats &baseline();
 
-  /// DMP simulation on the run input with the given annotations.
+  /// DMP simulation on the run input with the given annotations
+  /// (memoized by annotation content).
   sim::SimStats simulateWith(const core::DivergeMap &Diverge) const;
 
   /// Convenience: select with \p Features (profiling on \p ProfileInput)
@@ -124,18 +139,38 @@ public:
                           workloads::InputSetKind ProfileInput,
                           core::SelectionStats *Stats = nullptr);
 
+  /// DMP simulations this context ran (memo and cache misses).
+  uint64_t dmpSims() const { return DmpSims.load(std::memory_order_relaxed); }
+  /// simulateWith calls answered by the memo instead.
+  uint64_t memoHits() const {
+    return MemoHits.load(std::memory_order_relaxed);
+  }
+
 private:
+  /// A stage's value, or the Status its computation failed with.
+  using StageValue =
+      std::variant<Status, profile::ProfileData, sim::SimStats>;
+
+  /// The value of stage \p MemoKey: memoized, or computed once by the
+  /// artifact-cache steps (see the file comment).  \p Hit, when given,
+  /// reports a memo hit.
+  template <typename V, typename KeyFn, typename ComputeFn>
+  const V &stage(const std::string &MemoKey, const KeyFn &CacheKey,
+                 const ComputeFn &Compute, bool *Hit = nullptr) const;
+
   ExperimentOptions Options;
   workloads::BenchmarkSpec Spec;
   workloads::Workload W;
   std::unique_ptr<cfg::ProgramAnalysis> PA;
   std::vector<int64_t> RunImage;
 
-  // Lazily computed stages, guarded for concurrent experiment tasks.
-  std::mutex LazyMutex;
-  std::optional<profile::ProfileData> RunProfile;
-  std::optional<profile::ProfileData> TrainProfile;
-  std::optional<sim::SimStats> BaselineStats;
+  mutable std::mutex MemoMutex;
+  /// Stage key -> its (possibly in-flight) value.  Entries are erased only
+  /// by a failed computation, so a successful value's address is stable.
+  mutable std::unordered_map<std::string, std::shared_future<StageValue>>
+      Memo;
+  mutable std::atomic<uint64_t> DmpSims{0};
+  mutable std::atomic<uint64_t> MemoHits{0};
 };
 
 /// Percent IPC improvement of \p Dmp over \p Base (0.204 = +20.4%).

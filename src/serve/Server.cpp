@@ -315,6 +315,7 @@ void Server::recoverJobs() {
     J.ReqKey = Key;
     J.ReqDeadlineSeconds = Record->Request.DeadlineSeconds;
     J.Durable = true;
+    J.Submitters = 0;
     J.Cells.resize(Record->Request.Cells.size());
     uint64_t Resumed = 0;
     for (size_t I = 0; I < J.Cells.size(); ++I) {
@@ -1013,6 +1014,7 @@ void Server::handleFrame(Conn &C, const Frame &F) {
     if (auto Dup = ActiveByKey.find(Key.hex()); Dup != ActiveByKey.end()) {
       if (Job *Existing = findJob(Dup->second)) {
         CtrDeduped.fetch_add(1, std::memory_order_relaxed);
+        ++Existing->Submitters;
         queueFrame(C, MsgType::SubmitOk,
                    encodeSubmitOk(Existing->Id,
                                   static_cast<uint32_t>(
@@ -1187,11 +1189,17 @@ void Server::handleFrame(Conn &C, const Frame &F) {
                                        "serve::Server"));
         return;
       }
-      if (J->Durable && Store)
-        if (Status S = Store->markAcked(J->ReqKey); !S.ok())
-          log("ack persist failed: " + S.toString());
-      forgetJob(Id);
-      log("job " + std::to_string(Id) + " acked");
+      if (J->Submitters > 1) {
+        --J->Submitters;
+        log("job " + std::to_string(Id) + " acked; " +
+            std::to_string(J->Submitters) + " submitter(s) still to ack");
+      } else {
+        if (J->Durable && Store)
+          if (Status S = Store->markAcked(J->ReqKey); !S.ok())
+            log("ack persist failed: " + S.toString());
+        forgetJob(Id);
+        log("job " + std::to_string(Id) + " acked");
+      }
     }
     // An unknown id still gets AckOk: acks are idempotent, and the job may
     // simply predate a restart the client is cleaning up after.

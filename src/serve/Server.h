@@ -185,6 +185,11 @@ private:
     /// The submit's deadline budget, kept to rebuild the durable record.
     double ReqDeadlineSeconds = 0.0;
     bool Durable = false;
+    /// Submits this job answers that have not been acked yet: the creating
+    /// submit plus one per deduped submit (a recovered job starts at 0,
+    /// until its client's resubmit dedups onto it).  Only the last ack
+    /// forgets the job, so one client's ack cannot drop it for another.
+    unsigned Submitters = 1;
     bool Fetched = false;
     bool Cancelled = false;
     bool InQueue = false;

@@ -8,14 +8,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "guard/Guard.h"
 #include "harness/CellRun.h"
 #include "harness/Experiment.h"
 #include "harness/Reports.h"
 #include "profile/Emulator.h"
+#include "serialize/ProfileIO.h"
 #include "support/RNG.h"
 
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <set>
+#include <thread>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +30,8 @@ using namespace dmp;
 using namespace dmp::harness;
 
 namespace {
+
+using workloads::InputSetKind;
 
 ExperimentOptions fastOptions() {
   ExperimentOptions Options;
@@ -37,6 +46,40 @@ const workloads::BenchmarkSpec &specFor(const std::string &Name) {
   ADD_FAILURE() << "unknown benchmark " << Name;
   static workloads::BenchmarkSpec Dummy;
   return Dummy;
+}
+
+/// \p Map with its annotations inserted in descending address order.
+core::DivergeMap reinserted(const core::DivergeMap &Map) {
+  std::vector<uint32_t> Addrs = Map.sortedAddrs();
+  core::DivergeMap Out;
+  for (auto It = Addrs.rbegin(); It != Addrs.rend(); ++It)
+    Out.add(*It, *Map.find(*It));
+  return Out;
+}
+
+/// Runs \p Body(I) for I in [0, N) on N threads released together.
+template <typename Fn> void onThreads(unsigned N, const Fn &Body) {
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I < N; ++I)
+    Threads.emplace_back([&, I] {
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      Body(I);
+    });
+  Go.store(true, std::memory_order_release);
+  for (std::thread &T : Threads)
+    T.join();
+}
+
+/// The status a simulateWith call threw, or Ok when it returned.
+Status simStatus(const BenchContext &Bench, const core::DivergeMap &Map) {
+  try {
+    Bench.simulateWith(Map);
+    return Status();
+  } catch (const StatusError &E) {
+    return E.status();
+  }
 }
 
 } // namespace
@@ -107,6 +150,148 @@ TEST(HarnessTest, ReportGeomeanAndRendering) {
   const std::string Text = Report.render("title");
   EXPECT_NE(Text.find("geomean"), std::string::npos);
   EXPECT_NE(Text.find("+10.0%"), std::string::npos);
+}
+
+// BenchContext computes every stage once through an in-flight memo: equal
+// annotation sets share one simulation, concurrent requests wait for it,
+// and failed or cancelled computations are recomputed, never replayed.
+
+TEST(BenchContextMemo, EqualMapsFromManyThreadsSimulateOnce) {
+  BenchContext Bench(specFor("li"), fastOptions());
+  const core::DivergeMap Map =
+      Bench.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run);
+  ASSERT_GT(Map.size(), 1u);
+  const core::DivergeMap Reordered = reinserted(Map);
+
+  constexpr unsigned N = 8;
+  std::vector<std::vector<uint8_t>> Results(N);
+  onThreads(N, [&](unsigned I) {
+    Results[I] =
+        serialize::encodeSimStats(Bench.simulateWith(I % 2 ? Reordered : Map));
+  });
+  EXPECT_EQ(Bench.dmpSims(), 1u);
+  EXPECT_EQ(Bench.memoHits(), N - 1);
+
+  BenchContext Fresh(specFor("li"), fastOptions());
+  const std::vector<uint8_t> Expected =
+      serialize::encodeSimStats(Fresh.simulateWith(Map));
+  for (unsigned I = 0; I < N; ++I)
+    EXPECT_EQ(Results[I], Expected) << "thread " << I;
+}
+
+TEST(BenchContextMemo, DistinctMapsDoNotCollide) {
+  BenchContext Bench(specFor("gcc"), fastOptions());
+  const core::DivergeMap Exact =
+      Bench.select(core::SelectionFeatures::exactOnly(), InputSetKind::Run);
+  const core::DivergeMap Cost =
+      Bench.select(core::SelectionFeatures::allBestCost(), InputSetKind::Run);
+  ASSERT_NE(serialize::encodeDivergeMap(Exact),
+            serialize::encodeDivergeMap(Cost));
+
+  std::vector<std::vector<uint8_t>> Results(4);
+  onThreads(4, [&](unsigned I) {
+    Results[I] =
+        serialize::encodeSimStats(Bench.simulateWith(I % 2 ? Cost : Exact));
+  });
+  EXPECT_EQ(Bench.dmpSims(), 2u);
+  EXPECT_EQ(Bench.memoHits(), 2u);
+
+  BenchContext Fresh(specFor("gcc"), fastOptions());
+  EXPECT_EQ(Results[0], serialize::encodeSimStats(Fresh.simulateWith(Exact)));
+  EXPECT_EQ(Results[1], serialize::encodeSimStats(Fresh.simulateWith(Cost)));
+}
+
+TEST(BenchContextMemo, BudgetFailureReachesEveryWaiterAndIsRecomputed) {
+  ExperimentOptions Options = fastOptions();
+  Options.Sim.WatchdogInstrBudget = 2000;
+  BenchContext Bench(specFor("mcf"), Options);
+  const core::DivergeMap Map =
+      Bench.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run);
+
+  constexpr unsigned N = 6;
+  std::vector<Status> Statuses(N);
+  onThreads(N, [&](unsigned I) { Statuses[I] = simStatus(Bench, Map); });
+  for (unsigned I = 0; I < N; ++I)
+    EXPECT_EQ(Statuses[I].code(), ErrorCode::ResourceExhausted)
+        << "thread " << I << ": " << Statuses[I].toString();
+
+  // Not replayed: the next request runs the simulator again.
+  const uint64_t Sims = Bench.dmpSims();
+  EXPECT_GE(Sims, 1u);
+  EXPECT_EQ(simStatus(Bench, Map).code(), ErrorCode::ResourceExhausted);
+  EXPECT_EQ(Bench.dmpSims(), Sims + 1);
+}
+
+TEST(BenchContextMemo, DrainedSimIsNotMemoized) {
+  guard::CancelToken Token;
+  ExperimentOptions Options = fastOptions();
+  Options.Sim.Cancel = &Token;
+  BenchContext Bench(specFor("mcf"), Options);
+  const core::DivergeMap Map =
+      Bench.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run);
+
+  Token.cancel();
+  const Status Drained = simStatus(Bench, Map);
+  EXPECT_EQ(Drained.code(), ErrorCode::Cancelled);
+  EXPECT_EQ(Drained.origin(), "guard");
+
+  Token.reset();
+  const sim::SimStats Stats = Bench.simulateWith(Map);
+  EXPECT_EQ(Bench.dmpSims(), 2u);
+  EXPECT_EQ(Bench.memoHits(), 0u);
+  BenchContext Fresh(specFor("mcf"), fastOptions());
+  EXPECT_EQ(serialize::encodeSimStats(Stats),
+            serialize::encodeSimStats(Fresh.simulateWith(Map)));
+}
+
+TEST(BenchContextMemo, ConcurrentStagesMatchSerialOnes) {
+  BenchContext Parallel(specFor("twolf"), fastOptions());
+  std::vector<uint8_t> Run, Train, Base;
+  onThreads(3, [&](unsigned I) {
+    if (I == 0)
+      Run = serialize::encodeProfileData(
+          Parallel.profileData(InputSetKind::Run));
+    else if (I == 1)
+      Train = serialize::encodeProfileData(
+          Parallel.profileData(InputSetKind::Train));
+    else
+      Base = serialize::encodeSimStats(Parallel.baseline());
+  });
+
+  BenchContext Serial(specFor("twolf"), fastOptions());
+  EXPECT_EQ(Run, serialize::encodeProfileData(
+                     Serial.profileData(InputSetKind::Run)));
+  EXPECT_EQ(Train, serialize::encodeProfileData(
+                       Serial.profileData(InputSetKind::Train)));
+  EXPECT_EQ(Base, serialize::encodeSimStats(Serial.baseline()));
+  EXPECT_NE(Run, Train);
+  // Later requests read the memo: the same objects, not recomputations.
+  EXPECT_EQ(&Parallel.baseline(), &Parallel.baseline());
+  EXPECT_EQ(&Parallel.profileData(InputSetKind::Train),
+            &Parallel.profileData(InputSetKind::Train));
+}
+
+TEST(BenchContextMemo, MemoHitSkipsTheArtifactCache) {
+  const std::filesystem::path Dir =
+      std::filesystem::temp_directory_path() /
+      ("dmp-memo-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(Dir);
+  ExperimentOptions Options = fastOptions();
+  Options.Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
+  BenchContext Bench(specFor("li"), Options);
+  const core::DivergeMap Map =
+      Bench.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run);
+
+  const sim::SimStats First = Bench.simulateWith(Map);
+  const uint64_t Loads = Options.Cache->hits() + Options.Cache->misses();
+  const uint64_t Stores = Options.Cache->stores();
+  const sim::SimStats Second = Bench.simulateWith(Map);
+  EXPECT_EQ(Options.Cache->hits() + Options.Cache->misses(), Loads);
+  EXPECT_EQ(Options.Cache->stores(), Stores);
+  EXPECT_EQ(serialize::encodeSimStats(First),
+            serialize::encodeSimStats(Second));
+  EXPECT_EQ(Bench.memoHits(), 1u);
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(IntegrationTest, HeadlineClaimHolds) {

@@ -669,6 +669,43 @@ TEST_F(ServeInProcTest, ResubmitDedupsOntoTheSameJob) {
   EXPECT_NE(*Different, *First);
 }
 
+TEST_F(ServeInProcTest, OneClientsAckKeepsADedupedJobForTheOther) {
+  // Two clients submit the same cell: the second submit dedups onto the
+  // first job.  The first client's ack must not drop the job the second
+  // client is still waiting on.
+  start();
+  Client A = connected();
+  Client B = connected();
+  SubmitRequest Req;
+  Req.Cells.push_back(smallSpec());
+  StatusOr<uint64_t> JobA = A.submit(Req);
+  StatusOr<uint64_t> JobB = B.submit(Req);
+  ASSERT_TRUE(JobA.ok() && JobB.ok());
+  ASSERT_EQ(*JobA, *JobB);
+  while (true) {
+    StatusOr<JobStatusReply> S = A.status(*JobA);
+    ASSERT_TRUE(S.ok());
+    if (S->State == JobState::Done)
+      break;
+    ::usleep(2000);
+  }
+  StatusOr<FetchReplyData> ReplyA = A.fetch(*JobA);
+  ASSERT_TRUE(ReplyA.ok()) << ReplyA.status().toString();
+  ASSERT_TRUE(A.ack(*JobA).ok());
+
+  StatusOr<JobStatusReply> S = B.status(*JobB);
+  ASSERT_TRUE(S.ok()) << S.status().toString();
+  EXPECT_EQ(S->State, JobState::Done);
+  StatusOr<FetchReplyData> ReplyB = B.fetch(*JobB);
+  ASSERT_TRUE(ReplyB.ok()) << ReplyB.status().toString();
+  ASSERT_TRUE(ReplyA->Cells[0].ok() && ReplyB->Cells[0].ok());
+  EXPECT_EQ(harness::cellResultDigest(*ReplyB->Cells[0]).hex(),
+            harness::cellResultDigest(*ReplyA->Cells[0]).hex());
+  // The last submitter's ack releases the job.
+  ASSERT_TRUE(B.ack(*JobB).ok());
+  EXPECT_EQ(B.fetch(*JobB).status().code(), ErrorCode::NotFound);
+}
+
 TEST_F(ServeInProcTest, PongCarriesANonzeroEpoch) {
   start();
   Client C = connected();
