@@ -5,14 +5,17 @@
 // Measures how fast the engine itself runs — not what it computes — and
 // writes BENCH_throughput.json, the committed perf baseline for the fast
 // paths (predecoded emulator dispatch, block-batched Emulator::run, the
-// flattened DmpCore hot loop):
+// correct-path recorder and the DmpCore replay):
 //
 //   * emu-MIPS for all three functional stepping modes, per workload:
 //     run() (block-batched), step() (predecoded per-step), and
 //     stepReference() (the original IR-dispatch interpreter the fast paths
 //     are differentially tested against);
-//   * sim-MIPS: retired instructions per second of the cycle-level DmpCore
-//     in the baseline (Table 1) configuration;
+//   * sim-MIPS: retired instructions per second of a standalone baseline
+//     simulation in the Table 1 configuration — recordCorrectPath plus one
+//     DmpCore replay — and its two halves, trace-MIPS (the recording) and
+//     replay-MIPS (the replay every further simulation of the same run
+//     input pays);
 //   * the 17-cell campaign digest (the same campaign BENCH_serve.json
 //     pins), so a throughput optimization that changes *results* shows up
 //     in this file's diff, not just in test failures.
@@ -31,6 +34,7 @@
 #include "profile/Emulator.h"
 #include "serialize/Hash.h"
 #include "serialize/ProfileIO.h"
+#include "sim/CorrectPathTrace.h"
 #include "sim/DmpCore.h"
 #include "sim/FinalState.h"
 #include "sim/SimConfig.h"
@@ -115,6 +119,8 @@ struct WorkloadResult {
   double EmuStep = 0.0;
   double EmuRef = 0.0;
   double Sim = 0.0;
+  double Trace = 0.0;
+  double Replay = 0.0;
   double SimIpc = 0.0;
   // Instructions actually executed per leg (a workload may halt before the
   // budget), for the aggregate instrs/sec computation.
@@ -126,6 +132,8 @@ struct WorkloadResult {
   double EmuStepSec = 0.0;
   double EmuRefSec = 0.0;
   double SimSec = 0.0;
+  double TraceSec = 0.0;
+  double ReplaySec = 0.0;
 };
 
 /// The suite plus a synthetic long-run variant: a loop-heavy composition
@@ -158,7 +166,8 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   const std::vector<int64_t> Image =
       W.buildImage(workloads::InputSetKind::Run);
 
-  double BestRun = 1e30, BestStep = 1e30, BestRef = 1e30, BestSim = 1e30;
+  double BestRun = 1e30, BestStep = 1e30, BestRef = 1e30, BestSim = 1e30,
+         BestTrace = 1e30, BestReplay = 1e30;
   for (unsigned Rep = 0; Rep < Opts.Reps; ++Rep) {
     // Leg 1: block-batched run().
     {
@@ -199,33 +208,45 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       R.RefInstrs = Emu.executedCount();
       BestRef = std::min(BestRef, Sec);
     }
-    // Leg 4: the cycle simulator, baseline configuration.
+    // Leg 4: the cycle simulator, baseline configuration: the recording,
+    // then one replay of it.
     {
       sim::SimConfig Cfg;
       Cfg.MaxInstrs = Opts.SimInstrs;
-      sim::DmpCore Core(*W.Prog, /*Diverge=*/nullptr, Cfg);
       const auto T0 = Clock::now();
-      const sim::SimStats Stats = Core.run(Image);
-      const double Sec = secondsSince(T0);
+      const sim::CorrectPathTrace Trace =
+          sim::recordCorrectPath(*W.Prog, Image, Cfg);
+      const double TraceSec = secondsSince(T0);
+      const auto T1 = Clock::now();
+      const sim::SimStats Stats =
+          sim::DmpCore(*W.Prog, /*Diverge=*/nullptr, Cfg).run(Trace);
+      const double ReplaySec = secondsSince(T1);
       R.SimInstrs = Stats.RetiredInstrs;
       R.SimIpc = Stats.ipc();
-      BestSim = std::min(BestSim, Sec);
+      BestSim = std::min(BestSim, TraceSec + ReplaySec);
+      BestTrace = std::min(BestTrace, TraceSec);
+      BestReplay = std::min(BestReplay, ReplaySec);
     }
   }
   R.EmuRunSec = BestRun;
   R.EmuStepSec = BestStep;
   R.EmuRefSec = BestRef;
   R.SimSec = BestSim;
+  R.TraceSec = BestTrace;
+  R.ReplaySec = BestReplay;
   R.EmuRun = mips(R.EmuInstrs, BestRun);
   R.EmuStep = mips(R.EmuInstrs, BestStep);
   R.EmuRef = mips(R.RefInstrs, BestRef);
   R.Sim = mips(R.SimInstrs, BestSim);
+  R.Trace = mips(R.SimInstrs, BestTrace);
+  R.Replay = mips(R.SimInstrs, BestReplay);
   return R;
 }
 
 /// One sanity pass of the digest-identity contract inside the bench itself:
-/// the simulator fed by the fast emulator and by the reference interpreter
-/// must produce byte-identical stats and retired state.  Cheap (one small
+/// the correct path recorded by the fast emulator and by the reference
+/// interpreter must replay to byte-identical stats, with identical retired
+/// state.  Cheap (one small
 /// workload) — the exhaustive version lives in tests/test_throughput_diff.
 bool verifyEmuModeIdentity() {
   const workloads::Workload W = workloads::buildByName("mcf");
@@ -234,12 +255,14 @@ bool verifyEmuModeIdentity() {
   sim::SimConfig Cfg;
   Cfg.MaxInstrs = 100'000;
   sim::FinalState FastState, RefState;
-  sim::DmpCore Fast(*W.Prog, nullptr, Cfg);
   const sim::SimStats FastStats =
-      Fast.run(Image, &FastState, sim::DmpCore::EmuMode::Fast);
-  sim::DmpCore Ref(*W.Prog, nullptr, Cfg);
+      sim::DmpCore(*W.Prog, nullptr, Cfg)
+          .run(sim::recordCorrectPath(*W.Prog, Image, Cfg, &FastState,
+                                      sim::EmuMode::Fast));
   const sim::SimStats RefStats =
-      Ref.run(Image, &RefState, sim::DmpCore::EmuMode::Reference);
+      sim::DmpCore(*W.Prog, nullptr, Cfg)
+          .run(sim::recordCorrectPath(*W.Prog, Image, Cfg, &RefState,
+                                      sim::EmuMode::Reference));
   if (serialize::encodeSimStats(FastStats) !=
           serialize::encodeSimStats(RefStats) ||
       FastState.MemoryFingerprint != RefState.MemoryFingerprint ||
@@ -279,11 +302,13 @@ struct Aggregate {
   double EmuStep = 0.0;
   double EmuRef = 0.0;
   double Sim = 0.0;
+  double Trace = 0.0;
+  double Replay = 0.0;
 };
 
 Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
   uint64_t EmuI = 0, RefI = 0, SimI = 0;
-  double RunS = 0, StepS = 0, RefS = 0, SimS = 0;
+  double RunS = 0, StepS = 0, RefS = 0, SimS = 0, TraceS = 0, ReplayS = 0;
   for (const WorkloadResult &R : Results) {
     EmuI += R.EmuInstrs;
     RefI += R.RefInstrs;
@@ -292,12 +317,16 @@ Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
     StepS += R.EmuStepSec;
     RefS += R.EmuRefSec;
     SimS += R.SimSec;
+    TraceS += R.TraceSec;
+    ReplayS += R.ReplaySec;
   }
   Aggregate A;
   A.EmuRun = mips(EmuI, RunS);
   A.EmuStep = mips(EmuI, StepS);
   A.EmuRef = mips(RefI, RefS);
   A.Sim = mips(SimI, SimS);
+  A.Trace = mips(SimI, TraceS);
+  A.Replay = mips(SimI, ReplayS);
   return A;
 }
 
@@ -317,6 +346,8 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
   J.number("emu_step_mips", A.EmuStep, 1);
   J.number("emu_ref_mips", A.EmuRef, 1);
   J.number("sim_mips", A.Sim, 1);
+  J.number("trace_mips", A.Trace, 1);
+  J.number("replay_mips", A.Replay, 1);
   J.number("emu_speedup_vs_ref", A.EmuRef > 0 ? A.EmuRun / A.EmuRef : 0.0,
            2);
   J.endObject();
@@ -328,6 +359,8 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
     J.number("emu_step_mips", R.EmuStep, 1);
     J.number("emu_ref_mips", R.EmuRef, 1);
     J.number("sim_mips", R.Sim, 1);
+    J.number("trace_mips", R.Trace, 1);
+    J.number("replay_mips", R.Replay, 1);
     J.number("sim_ipc", R.SimIpc, 3);
     J.endElement();
   }
@@ -382,6 +415,8 @@ int checkAgainst(const std::string &Path, const Aggregate &A,
       {"emu_step_mips", A.EmuStep},
       {"emu_ref_mips", A.EmuRef},
       {"sim_mips", A.Sim},
+      {"trace_mips", A.Trace},
+      {"replay_mips", A.Replay},
   };
   int Rc = exitcode::Ok;
   for (const auto &[Key, Measured] : Gates) {
@@ -426,8 +461,9 @@ int main(int Argc, char **Argv) {
     Results.push_back(measureWorkload(W, Opts));
     const WorkloadResult &R = Results.back();
     std::printf("  %-8s emu run %7.1f  step %7.1f  ref %7.1f  sim %6.1f "
-                "MIPS\n",
-                R.Name.c_str(), R.EmuRun, R.EmuStep, R.EmuRef, R.Sim);
+                "(trace %6.1f  replay %6.1f) MIPS\n",
+                R.Name.c_str(), R.EmuRun, R.EmuStep, R.EmuRef, R.Sim, R.Trace,
+                R.Replay);
   }
 
   const Aggregate A = aggregate(Results);

@@ -302,12 +302,13 @@ CampaignCounters ExperimentEngine::campaign() const {
 
 std::string ExperimentEngine::statsLine() const {
   const CampaignCounters Counters = campaign();
-  unsigned long long Sims = 0, MemoHits = 0;
+  unsigned long long Sims = 0, MemoHits = 0, Traces = 0;
   {
     std::lock_guard<std::mutex> Lock(ContextsMutex);
     for (const auto &[Name, Context] : Contexts) {
       Sims += Context->dmpSims();
       MemoHits += Context->memoHits();
+      Traces += Context->traces();
     }
   }
   char Line[768];
@@ -317,7 +318,7 @@ std::string ExperimentEngine::statsLine() const {
         "jobs=%u cache=%s hits=%llu misses=%llu stores=%llu corrupt=%llu "
         "store-failures=%llu orphans-reaped=%llu evicted=%llu "
         "lock-contention=%llu retries=%llu failed-cells=%llu "
-        "cancelled=%llu resumed=%llu sims=%llu memo-hits=%llu",
+        "cancelled=%llu resumed=%llu sims=%llu memo-hits=%llu traces=%llu",
         Pool.threadCount(), C->dir().c_str(),
         static_cast<unsigned long long>(C->hits()),
         static_cast<unsigned long long>(C->misses()),
@@ -331,18 +332,18 @@ std::string ExperimentEngine::statsLine() const {
         static_cast<unsigned long long>(Counters.CellsFailed),
         static_cast<unsigned long long>(Counters.CellsCancelled),
         static_cast<unsigned long long>(Counters.CellsResumed), Sims,
-        MemoHits);
+        MemoHits, Traces);
   } else {
     std::snprintf(
         Line, sizeof(Line),
         "jobs=%u cache=off retries=%llu failed-cells=%llu cancelled=%llu "
-        "resumed=%llu sims=%llu memo-hits=%llu",
+        "resumed=%llu sims=%llu memo-hits=%llu traces=%llu",
         Pool.threadCount(),
         static_cast<unsigned long long>(Counters.TransientRetries),
         static_cast<unsigned long long>(Counters.CellsFailed),
         static_cast<unsigned long long>(Counters.CellsCancelled),
         static_cast<unsigned long long>(Counters.CellsResumed), Sims,
-        MemoHits);
+        MemoHits, Traces);
   }
   return Line;
 }

@@ -279,9 +279,10 @@ public:
 
   /// "jobs=N cache=DIR hits=H misses=M stores=S corrupt=C store-failures=F
   /// orphans-reaped=O evicted=E lock-contention=L retries=R failed-cells=X
-  /// cancelled=Z resumed=Y sims=N memo-hits=M" for driver footers (cache
-  /// fields omitted with cache=off).  sims counts the DMP simulations the
-  /// contexts ran, memo-hits the simulateWith calls their memos answered.
+  /// cancelled=Z resumed=Y sims=N memo-hits=M traces=T" for driver footers
+  /// (cache fields omitted with cache=off).  sims counts the DMP
+  /// simulations the contexts ran, memo-hits the simulateWith calls their
+  /// memos answered, traces the correct paths they recorded.
   std::string statsLine() const;
 
   /// "" when no cell failed, else one indented line per failure for

@@ -109,6 +109,7 @@ serialize::Digest simKey(const workloads::BenchmarkSpec &Spec,
 /// key continues with the encoded annotations.
 constexpr char kRunProfileKey = 'r';
 constexpr char kTrainProfileKey = 't';
+constexpr char kTraceKey = 'c';
 constexpr char kBaselineKey = 'b';
 constexpr char kDmpSimKey = 's';
 
@@ -118,6 +119,10 @@ std::vector<uint8_t> encodeStage(const profile::ProfileData &Data) {
 
 std::vector<uint8_t> encodeStage(const sim::SimStats &Stats) {
   return serialize::encodeSimStats(Stats);
+}
+
+std::vector<uint8_t> encodeStage(const sim::CorrectPathTrace &Trace) {
+  return serialize::encodeCorrectPathTrace(Trace);
 }
 
 /// Decodes a cached profile (\p Faults may shim the decode).
@@ -136,6 +141,12 @@ Status decodeStage(const fault::Injector *, const serialize::Digest &,
   return serialize::decodeSimStats(Blob, Stats);
 }
 
+Status decodeStage(const fault::Injector *, const serialize::Digest &,
+                   const std::vector<uint8_t> &Blob,
+                   sim::CorrectPathTrace &Trace) {
+  return serialize::decodeCorrectPathTrace(Blob, Trace);
+}
+
 } // namespace
 
 serialize::Digest harness::simCacheKey(const workloads::BenchmarkSpec &Spec,
@@ -148,6 +159,17 @@ serialize::Digest harness::simCacheKey(const workloads::BenchmarkSpec &Spec,
   const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(*Diverge);
   return simKey(Spec, Config, Bytes.data(), Bytes.size(), Selection,
                 SchemaVersion);
+}
+
+serialize::Digest harness::traceCacheKey(const workloads::BenchmarkSpec &Spec,
+                                         const sim::SimConfig &Config,
+                                         uint32_t SchemaVersion) {
+  serialize::Hasher H;
+  H.update(std::string("dmp-trace-key"));
+  H.updateU64(SchemaVersion);
+  hashSpec(H, Spec);
+  hashSimConfig(H, Config);
+  return H.finish();
 }
 
 BenchContext::BenchContext(const workloads::BenchmarkSpec &Spec,
@@ -228,11 +250,21 @@ BenchContext::profileData(workloads::InputSetKind Kind) {
       });
 }
 
+const sim::CorrectPathTrace &BenchContext::trace() const {
+  return stage<sim::CorrectPathTrace>(
+      std::string(1, kTraceKey),
+      [&] { return traceCacheKey(Spec, Options.Sim); },
+      [&] {
+        Traces.fetch_add(1, std::memory_order_relaxed);
+        return sim::recordCorrectPath(*W.Prog, RunImage, Options.Sim);
+      });
+}
+
 const sim::SimStats &BenchContext::baseline() {
   return stage<sim::SimStats>(
       std::string(1, kBaselineKey),
       [&] { return simCacheKey(Spec, Options.Sim, nullptr); },
-      [&] { return sim::simulateBaseline(*W.Prog, RunImage, Options.Sim); });
+      [&] { return sim::simulateBaseline(*W.Prog, trace(), Options.Sim); });
 }
 
 sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const {
@@ -251,7 +283,7 @@ sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const 
       },
       [&] {
         DmpSims.fetch_add(1, std::memory_order_relaxed);
-        return sim::simulateDmp(*W.Prog, Diverge, RunImage, Options.Sim);
+        return sim::simulateDmp(*W.Prog, Diverge, trace(), Options.Sim);
       },
       &Hit);
   if (Hit)

@@ -6,29 +6,33 @@
 ///
 /// \file
 /// BenchContext: one benchmark prepared for experiments — the built program,
-/// its CFG analyses, lazily collected profiles for both input sets, and a
-/// cached baseline simulation.  All benches and examples run through this,
-/// so identical stages are computed once per benchmark.
+/// its CFG analyses, lazily collected profiles for both input sets, the
+/// recorded correct path of the run input, and a cached baseline
+/// simulation.  All benches and examples run through this, so identical
+/// stages are computed once per benchmark.
 ///
 /// The canonical paper pipeline is:
 ///   profile(input) -> selectDivergeBranches(...) -> simulateDmp(run input)
-/// compared against simulateBaseline(run input).
+/// compared against simulateBaseline(run input).  Both simulations replay
+/// one sim::CorrectPathTrace of the run input, recorded once per context
+/// (sim/DmpCore.h explains why the replay is exact).
 ///
-/// When ExperimentOptions::Cache is set, profiles and simulation results
-/// are additionally backed by the content-addressed artifact cache: the
+/// When ExperimentOptions::Cache is set, profiles, traces and simulation
+/// results are additionally backed by the content-addressed artifact cache: the
 /// cache key digests the workload spec, input set, and profiler/simulator
 /// config (see the *CacheKey functions), so each (benchmark, input) cell is
 /// profiled once ever — across benches and dmpc invocations — and a warm
 /// cache replays bit-identical results.
 ///
 /// A BenchContext is safe to share between concurrent experiment tasks.
-/// Every stage — profile(run), profile(train), the baseline and each DMP
-/// simulation — goes through one in-flight memo keyed by the stage (a DMP
-/// simulation by the exact serialize::encodeDivergeMap bytes of its
-/// annotations).  The first request for a key computes it (around the
-/// artifact cache when one is configured); concurrent requests for the same
-/// key wait for that computation; later requests read the result without
-/// touching the simulator or the cache.  A computation that throws (e.g. a
+/// Every stage — profile(run), profile(train), the correct-path trace, the
+/// baseline and each DMP simulation — goes through one in-flight memo
+/// keyed by the stage (a DMP simulation by the exact
+/// serialize::encodeDivergeMap bytes of its annotations).  The first
+/// request for a key computes it (around the artifact cache when one is
+/// configured); concurrent requests for the same key wait for that
+/// computation; later requests read the result without touching the
+/// simulator or the cache.  A computation that throws (e.g. a
 /// ResourceExhausted cell watchdog or a guard cancellation) is erased from
 /// the memo before its failure reaches every waiter, so a failure is
 /// never replayed: the next request recomputes.  Everything else is
@@ -106,6 +110,13 @@ simCacheKey(const workloads::BenchmarkSpec &Spec, const sim::SimConfig &Config,
             const core::SelectionConfig *Selection = nullptr,
             uint32_t SchemaVersion = serialize::kCacheSchemaVersion);
 
+/// Cache key for the correct-path trace of \p Spec's run input under
+/// \p Config (every field, so any configuration change re-records).
+serialize::Digest
+traceCacheKey(const workloads::BenchmarkSpec &Spec,
+              const sim::SimConfig &Config,
+              uint32_t SchemaVersion = serialize::kCacheSchemaVersion);
+
 /// One benchmark, prepared once, simulated many times.
 class BenchContext {
 public:
@@ -120,6 +131,10 @@ public:
   /// Profile collected on the given input set (cached in-memory and, when
   /// an artifact cache is configured, on disk).
   const profile::ProfileData &profileData(workloads::InputSetKind Kind);
+
+  /// The recorded correct path of the run input under options().Sim, which
+  /// the baseline and every DMP simulation replay (cached).
+  const sim::CorrectPathTrace &trace() const;
 
   /// Baseline simulation on the run input (cached).
   const sim::SimStats &baseline();
@@ -145,11 +160,13 @@ public:
   uint64_t memoHits() const {
     return MemoHits.load(std::memory_order_relaxed);
   }
+  /// Correct-path traces this context recorded (memo and cache misses).
+  uint64_t traces() const { return Traces.load(std::memory_order_relaxed); }
 
 private:
   /// A stage's value, or the Status its computation failed with.
-  using StageValue =
-      std::variant<Status, profile::ProfileData, sim::SimStats>;
+  using StageValue = std::variant<Status, profile::ProfileData, sim::SimStats,
+                                  sim::CorrectPathTrace>;
 
   /// The value of stage \p MemoKey: memoized, or computed once by the
   /// artifact-cache steps (see the file comment).  \p Hit, when given,
@@ -171,6 +188,7 @@ private:
       Memo;
   mutable std::atomic<uint64_t> DmpSims{0};
   mutable std::atomic<uint64_t> MemoHits{0};
+  mutable std::atomic<uint64_t> Traces{0};
 };
 
 /// Percent IPC improvement of \p Dmp over \p Base (0.204 = +20.4%).

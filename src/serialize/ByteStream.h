@@ -57,6 +57,10 @@ public:
     Buffer.insert(Buffer.end(), Bytes, Bytes + Size);
   }
 
+  /// Reserves room for \p Size more bytes, so a payload of known size is
+  /// written into one exact allocation.
+  void reserve(size_t Size) { Buffer.reserve(Buffer.size() + Size); }
+
   const std::vector<uint8_t> &bytes() const { return Buffer; }
   std::vector<uint8_t> take() { return std::move(Buffer); }
 
@@ -109,6 +113,9 @@ public:
     Pos += static_cast<size_t>(Len);
     return S;
   }
+
+  /// Reads \p N raw bytes into \p Out (zeros after a short read).
+  void readBytes(void *Out, size_t N) { readRaw(Out, N); }
 
   bool ok() const { return !Error; }
   size_t remaining() const { return Size - Pos; }

@@ -307,3 +307,49 @@ Status serialize::decodeSimStats(const std::vector<uint8_t> &Blob,
   Stats = S;
   return Status();
 }
+
+//===----------------------------------------------------------------------===//
+// CorrectPathTrace
+//===----------------------------------------------------------------------===//
+
+std::vector<uint8_t>
+serialize::encodeCorrectPathTrace(const sim::CorrectPathTrace &T) {
+  ByteWriter W;
+  W.reserve(8 + 6 * 8 + T.Branches.size() + 4 * T.Events.size());
+  writeHeader(W, ArtifactKind::CorrectPathTrace);
+  for (uint64_t F : {T.Instrs, T.IL1Misses, T.DL1Misses, T.L2Misses})
+    W.writeU64(F);
+  W.writeU64(T.Branches.size());
+  W.writeBytes(T.Branches.data(), T.Branches.size());
+  W.writeU64(T.Events.size());
+  for (uint32_t E : T.Events)
+    W.writeU32(E);
+  return W.take();
+}
+
+Status serialize::decodeCorrectPathTrace(const std::vector<uint8_t> &Blob,
+                                         sim::CorrectPathTrace &Trace) {
+  ByteReader R(Blob);
+  if (Status S = readHeader(R, ArtifactKind::CorrectPathTrace); !S.ok())
+    return S;
+  sim::CorrectPathTrace T;
+  for (uint64_t *F : {&T.Instrs, &T.IL1Misses, &T.DL1Misses, &T.L2Misses})
+    *F = R.readU64();
+  const uint64_t NumBranches = R.readU64();
+  if (!R.ok() || NumBranches > R.remaining())
+    return corrupt("correct-path trace branch records truncated");
+  T.Branches.resize(NumBranches);
+  R.readBytes(T.Branches.data(), NumBranches);
+  const uint64_t NumEvents = R.readU64();
+  if (!R.ok() || NumEvents > R.remaining() / 4)
+    return corrupt("correct-path trace events truncated");
+  T.Events.resize(NumEvents);
+  for (uint32_t &E : T.Events)
+    E = R.readU32();
+  if (Status St = finishDecode(R); !St.ok())
+    return St;
+  if (NumBranches > T.Instrs)
+    return corrupt("correct-path trace has more branches than instructions");
+  Trace = std::move(T);
+  return Status();
+}

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Versioned binary (de)serialization for the three cacheable artifact
+/// Versioned binary (de)serialization for the four cacheable artifact
 /// kinds of the experiment pipeline:
 ///
 ///  - profile::ProfileData   (edge + branch-misprediction + loop profiles),
 ///  - core::DivergeMap       (diverge-branch annotation sets),
-///  - sim::SimStats          (one simulation's counters).
+///  - sim::SimStats          (one simulation's counters),
+///  - sim::CorrectPathTrace  (one recorded correct path, replayed by every
+///                            simulation of a (program, input, config)).
 ///
 /// Every payload starts with a per-kind tag and format version; readers
 /// reject unknown tags and version mismatches with a one-line diagnostic
@@ -28,6 +30,7 @@
 #include "core/DivergeInfo.h"
 #include "profile/Profiler.h"
 #include "serialize/ByteStream.h"
+#include "sim/CorrectPathTrace.h"
 #include "sim/SimStats.h"
 #include "support/Status.h"
 
@@ -52,6 +55,7 @@ enum class ArtifactKind : uint32_t {
   Profile = 0x50524F46,   // "PROF"
   DivergeMap = 0x444D4150, // "DMAP"
   SimStats = 0x53494D53,  // "SIMS"
+  CorrectPathTrace = 0x43505452, // "CPTR"
 };
 
 // Decoders return a Corrupt Status (origin "serialize::ProfileIO", message
@@ -67,6 +71,10 @@ Status decodeDivergeMap(const std::vector<uint8_t> &Blob,
 
 std::vector<uint8_t> encodeSimStats(const sim::SimStats &Stats);
 Status decodeSimStats(const std::vector<uint8_t> &Blob, sim::SimStats &Stats);
+
+std::vector<uint8_t> encodeCorrectPathTrace(const sim::CorrectPathTrace &Trace);
+Status decodeCorrectPathTrace(const std::vector<uint8_t> &Blob,
+                              sim::CorrectPathTrace &Trace);
 
 } // namespace dmp::serialize
 

@@ -7,7 +7,6 @@
 #include "sim/DmpCore.h"
 
 #include "sim/WrongPathWalker.h"
-#include "support/MathExtras.h"
 
 #include <algorithm>
 
@@ -17,21 +16,27 @@ using namespace dmp::sim;
 
 DmpCore::DmpCore(const Program &P, const core::DivergeMap *Diverge,
                  const SimConfig &Config)
-    : P(P), Diverge(Diverge), Config(Config),
-      DmpEnabled(Config.EnableDmp && Diverge != nullptr),
+    : P(P), Code(profile::DecodedProgram::of(P)), Diverge(Diverge),
+      Config(Config), DmpEnabled(Config.EnableDmp && Diverge != nullptr),
+      NeedsPredictor(DmpEnabled && Diverge->size() != 0),
       FetchWidth(Config.FetchWidth), RetireWidth(Config.RetireWidth),
       MaxNtBranches(Config.MaxNotTakenBranchesPerFetch),
       FrontEndDepth(Config.FrontEndDepth), RobSize(Config.RobSize),
-      FetchLineShift(log2Floor(Config.Memory.LineBytes)),
-      IL1Latency(Config.Memory.IL1Latency),
-      Predictor(uarch::createPredictor(Config.Predictor)),
-      Confidence(Config.ConfIndexBits, Config.ConfHistoryBits,
-                 Config.ConfThreshold),
-      Btb(Config.BtbEntries), Ras(Config.RasEntries), Memory(Config.Memory),
+      FetchL2Penalty(Config.Memory.L2Latency),
+      FetchMemPenalty(Config.Memory.L2Latency + Config.Memory.MemoryLatency),
+      LoadDL1Latency(Config.Memory.DL1Latency),
+      LoadL2Latency(Config.Memory.DL1Latency + Config.Memory.L2Latency),
+      LoadMemLatency(Config.Memory.DL1Latency + Config.Memory.L2Latency +
+                     Config.Memory.MemoryLatency),
+      Predictor(NeedsPredictor ? uarch::createPredictor(Config.Predictor)
+                               : nullptr),
       IssuePorts(Config.IssueWidth), RobRetireRing(Config.RobSize, 0) {
   for (unsigned OpVal = 0; OpVal < NumOpcodeValues; ++OpVal)
     OpLatency[OpVal] = static_cast<uint8_t>(
         Config.latencyFor(static_cast<Opcode>(OpVal)));
+  // Write latency is hidden by the store buffer.
+  OpLatency[static_cast<unsigned>(Opcode::Store)] = 1;
+  CallStack.reserve(64);
 }
 
 //===----------------------------------------------------------------------===//
@@ -62,23 +67,21 @@ void DmpCore::consumeFetchSlots(unsigned Count) {
   }
 }
 
-uint64_t DmpCore::fetchInstr(const profile::DynInstr &D, bool PredictedTaken) {
+uint64_t DmpCore::fetchInstr(Opcode Op, bool PredictedTaken, unsigned Events) {
   // ROB back-pressure: instruction i cannot fetch before instruction
   // i - RobSize retires.
   const uint64_t RobGate = RobRetireRing[RobCursor];
   if (RobGate > FetchCycle)
     redirectFetch(RobGate);
 
-  // I-cache: charge the miss latency when crossing into a new line.
-  const uint64_t Line = (static_cast<uint64_t>(D.Addr) * 4) >> FetchLineShift;
-  if (Line != CurrentFetchLine) {
-    CurrentFetchLine = Line;
-    const unsigned Lat = Memory.fetchLatency(static_cast<uint64_t>(D.Addr) * 4);
-    if (Lat > IL1Latency) {
-      FetchCycle += Lat - IL1Latency;
-      SlotsUsed = 0;
-      NtBranchesThisCycle = 0;
-    }
+  // I-cache: the recorder charged the line once, when fetch crossed into
+  // it; a miss costs the L2 or memory latency beyond the IL1 hit.
+  if (DMP_UNLIKELY(Events & (evBit(CorrectPathTrace::FetchL2) |
+                             evBit(CorrectPathTrace::FetchMem)))) {
+    FetchCycle += (Events & evBit(CorrectPathTrace::FetchL2)) ? FetchL2Penalty
+                                                              : FetchMemPenalty;
+    SlotsUsed = 0;
+    NtBranchesThisCycle = 0;
   }
 
   if (SlotsUsed >= FetchWidth) {
@@ -87,7 +90,6 @@ uint64_t DmpCore::fetchInstr(const profile::DynInstr &D, bool PredictedTaken) {
     NtBranchesThisCycle = 0;
   }
 
-  const Opcode Op = D.I->Op;
   const bool IsCondBr = Op == Opcode::CondBr;
   if (IsCondBr && !PredictedTaken) {
     if (NtBranchesThisCycle >= MaxNtBranches) {
@@ -116,13 +118,9 @@ uint64_t DmpCore::fetchInstr(const profile::DynInstr &D, bool PredictedTaken) {
                              Op == Opcode::Ret;
   if (TakenTransfer) {
     SlotsUsed = FetchWidth; // group break
-    if (Op != Opcode::Ret) {
-      uint32_t Target = 0;
-      if (!Btb.lookup(D.Addr, Target)) {
-        ++Stats.BtbMissBubbles;
-        ++FetchCycle;
-      }
-      Btb.update(D.Addr, D.NextAddr);
+    if (Events & evBit(CorrectPathTrace::BtbMiss)) {
+      ++Stats.BtbMissBubbles;
+      ++FetchCycle;
     }
   }
   return Assigned;
@@ -132,34 +130,27 @@ uint64_t DmpCore::fetchInstr(const profile::DynInstr &D, bool PredictedTaken) {
 // Dataflow schedule
 //===----------------------------------------------------------------------===//
 
-uint64_t DmpCore::scheduleInstr(const profile::DynInstr &D,
-                                uint64_t FetchedAt) {
-  const Instruction &I = *D.I;
-  const Opcode Op = I.Op;
+uint64_t DmpCore::scheduleInstr(const profile::DecodedInstr &D,
+                                uint64_t FetchedAt, unsigned Events) {
+  const Opcode Op = D.Op;
   uint64_t Ready = FetchedAt + FrontEndDepth;
-  if (readsSrc1(Op) && I.Src1 != RegZero)
-    Ready = std::max(Ready, RegReady[I.Src1]);
-  if (readsSrc2(Op) && I.Src2 != RegZero)
-    Ready = std::max(Ready, RegReady[I.Src2]);
+  if (readsSrc1(Op) && D.Src1 != RegZero)
+    Ready = std::max(Ready, RegReady[D.Src1]);
+  if (readsSrc2(Op) && D.Src2 != RegZero)
+    Ready = std::max(Ready, RegReady[D.Src2]);
 
   const uint64_t ExecStart = IssuePorts.reserve(Ready);
 
   unsigned Latency;
-  switch (Op) {
-  case Opcode::Load:
-    Latency = Memory.loadLatency(D.MemAddr * 8);
-    break;
-  case Opcode::Store:
-    Memory.storeAccess(D.MemAddr * 8);
-    Latency = 1;
-    break;
-  default:
+  if (Op == Opcode::Load)
+    Latency = (Events & evBit(CorrectPathTrace::LoadL2))    ? LoadL2Latency
+              : (Events & evBit(CorrectPathTrace::LoadMem)) ? LoadMemLatency
+                                                            : LoadDL1Latency;
+  else
     Latency = OpLatency[static_cast<unsigned>(Op)];
-    break;
-  }
   const uint64_t Done = ExecStart + Latency;
   if (writesRegister(Op))
-    RegReady[I.Dst] = Done;
+    RegReady[D.Dst] = Done;
   return Done;
 }
 
@@ -225,16 +216,15 @@ void DmpCore::insertSelectUops(unsigned Count, uint64_t AtCycle) {
 }
 
 void DmpCore::enterHammockDpred(const core::DivergeAnnotation &Ann,
-                                const profile::DynInstr &D,
-                                uint64_t FetchedAt, uint64_t DoneCycle,
-                                bool Mispredicted) {
+                                const Retired &R, uint64_t FetchedAt,
+                                uint64_t DoneCycle, bool Mispredicted) {
   Ep = DpredEpisode();
   Ep.Active = true;
   Ep.Ann = &Ann;
   Ep.ResolveCycle = DoneCycle;
   Ep.BranchMispredicted = Mispredicted;
   Ep.AlwaysPredicated = Ann.AlwaysPredicate;
-  Ep.EntryCallDepth = CallDepth;
+  Ep.EntryCallDepth = CallStack.size();
 
   ++Stats.DpredEntries;
   if (Ann.AlwaysPredicate)
@@ -246,8 +236,7 @@ void DmpCore::enterHammockDpred(const core::DivergeAnnotation &Ann,
   // can only fetch until the diverge branch resolves, at roughly half the
   // front-end bandwidth (the two paths alternate), so the walk is bounded
   // by both the window budget and the resolution-time fetch budget.
-  const uint32_t WrongStart =
-      D.Taken ? D.Addr + 1 : D.I->Target->getStartAddr();
+  const uint32_t WrongStart = R.taken() ? R.Addr + 1 : R.D->Target;
   const uint64_t CyclesToResolve =
       DoneCycle > FetchedAt ? DoneCycle - FetchedAt : 1;
   const unsigned FetchBudget = static_cast<unsigned>(std::min<uint64_t>(
@@ -265,20 +254,19 @@ void DmpCore::enterHammockDpred(const core::DivergeAnnotation &Ann,
 }
 
 void DmpCore::enterLoopDpred(const core::DivergeAnnotation &Ann,
-                             const profile::DynInstr &D, uint64_t FetchedAt,
-                             uint64_t DoneCycle, bool Mispredicted) {
+                             const Retired &R, uint64_t DoneCycle,
+                             bool Mispredicted) {
   Ep = DpredEpisode();
   Ep.Active = true;
   Ep.IsLoop = true;
   Ep.Ann = &Ann;
   Ep.ResolveCycle = DoneCycle;
   Ep.BranchMispredicted = Mispredicted;
-  Ep.LoopBranchAddr = D.Addr;
+  Ep.LoopBranchAddr = R.Addr;
   ++Stats.DpredEntries;
   ++Stats.DpredEntriesLoop;
   if (!Mispredicted)
     ++Stats.DpredWastedEntries;
-  (void)FetchedAt;
 }
 
 void DmpCore::checkDpredProgress(uint32_t Addr) {
@@ -327,40 +315,41 @@ void DmpCore::endDpredAtResolve() {
   Ep.Active = false;
 }
 
-bool DmpCore::handleLoopIteration(const profile::DynInstr &D,
-                                  uint64_t FetchedAt, uint64_t DoneCycle,
-                                  bool PredictedTaken) {
+void DmpCore::trainPredictor(const Retired &R) {
+  if (NeedsPredictor)
+    Predictor->replayUpdate(R.Addr, R.taken(),
+                            R.Bits & CorrectPathTrace::Trained);
+}
+
+void DmpCore::handleLoopIteration(const Retired &R, uint64_t FetchedAt,
+                                  uint64_t DoneCycle) {
   assert(Ep.Active && Ep.IsLoop && "loop iteration without loop episode");
 
   ++Stats.CondBranches;
-  const bool Mispredicted = PredictedTaken != D.Taken;
+  const bool Mispredicted = R.predictedTaken() != R.taken();
   if (Mispredicted)
     ++Stats.Mispredictions;
-  const bool LowConf = Confidence.isLowConfidence(D.Addr);
-  if (LowConf) {
+  if (R.Bits & CorrectPathTrace::LowConf) {
     ++Stats.LowConfBranches;
     if (Mispredicted)
       ++Stats.LowConfMispredicted;
   }
 
-  Predictor->update(D.Addr, D.Taken);
-  Confidence.update(D.Addr, !Mispredicted, D.Taken);
-
-  classifyLoopInstance(D, FetchedAt, DoneCycle, PredictedTaken);
-  return true;
+  // The iteration trains before classifyLoopInstance walks extra iterations.
+  trainPredictor(R);
+  classifyLoopInstance(R, FetchedAt, DoneCycle);
 }
 
-void DmpCore::classifyLoopInstance(const profile::DynInstr &D,
-                                   uint64_t FetchedAt, uint64_t DoneCycle,
-                                   bool PredictedTaken) {
+void DmpCore::classifyLoopInstance(const Retired &R, uint64_t FetchedAt,
+                                   uint64_t DoneCycle) {
   const core::DivergeAnnotation &Ann = *Ep.Ann;
   ++Ep.IterCount;
   // Select-µops after each predicated iteration (Section 5.1).
   consumeFetchSlots(Ann.LoopSelectUops);
   Stats.SelectUops += Ann.LoopSelectUops;
 
-  const bool StayActual = (D.Taken == Ann.LoopStayTaken);
-  const bool StayPred = (PredictedTaken == Ann.LoopStayTaken);
+  const bool StayActual = (R.taken() == Ann.LoopStayTaken);
+  const bool StayPred = (R.predictedTaken() == Ann.LoopStayTaken);
 
   if (StayActual && StayPred) {
     // Keep iterating under predication; bound the episode by the window.
@@ -385,9 +374,7 @@ void DmpCore::classifyLoopInstance(const profile::DynInstr &D,
     // The program exits here but the predictor keeps iterating: fetch the
     // extra predicated iterations; they become NOPs (late exit) unless the
     // predictor never exits (no exit -> flush).
-    const uint32_t StayTarget = Ann.LoopStayTaken
-                                    ? D.I->Target->getStartAddr()
-                                    : D.Addr + 1;
+    const uint32_t StayTarget = Ann.LoopStayTaken ? R.D->Target : R.Addr + 1;
     const unsigned ItersLeft =
         Config.MaxLoopDpredIters > Ep.IterCount
             ? Config.MaxLoopDpredIters - Ep.IterCount
@@ -399,7 +386,7 @@ void DmpCore::classifyLoopInstance(const profile::DynInstr &D,
     const unsigned FetchBudget = static_cast<unsigned>(std::min<uint64_t>(
         Config.MaxDpredInstrs, CyclesToResolve * Config.FetchWidth));
     const ExtraIterResult Extra = walkExtraIterations(
-        P, *Predictor, StayTarget, D.Addr, Ann.LoopStayTaken, ItersLeft,
+        P, *Predictor, StayTarget, R.Addr, Ann.LoopStayTaken, ItersLeft,
         FetchBudget);
     if (Extra.PredictedExit) {
       ++Stats.LoopLateExit;
@@ -432,14 +419,14 @@ void DmpCore::classifyLoopInstance(const profile::DynInstr &D,
 // Branch handling
 //===----------------------------------------------------------------------===//
 
-void DmpCore::handleCondBranch(const profile::DynInstr &D, uint64_t FetchedAt,
-                               uint64_t DoneCycle, bool PredictedTaken) {
+void DmpCore::handleCondBranch(const Retired &R, uint64_t FetchedAt,
+                               uint64_t DoneCycle) {
   ++Stats.CondBranches;
-  const bool Mispredicted = PredictedTaken != D.Taken;
+  const bool Mispredicted = R.predictedTaken() != R.taken();
   if (Mispredicted)
     ++Stats.Mispredictions;
 
-  const bool LowConf = Confidence.isLowConfidence(D.Addr);
+  const bool LowConf = R.Bits & CorrectPathTrace::LowConf;
   if (LowConf) {
     ++Stats.LowConfBranches;
     if (Mispredicted)
@@ -447,17 +434,17 @@ void DmpCore::handleCondBranch(const profile::DynInstr &D, uint64_t FetchedAt,
   }
 
   const core::DivergeAnnotation *Ann =
-      (DmpEnabled && !Ep.Active) ? Diverge->find(D.Addr) : nullptr;
+      (DmpEnabled && !Ep.Active) ? Diverge->find(R.Addr) : nullptr;
 
   if (Ann && (LowConf || Ann->AlwaysPredicate)) {
     // Enter dpred-mode instead of risking (or suffering) a flush.
     if (Ann->Kind == core::DivergeKind::Loop) {
-      enterLoopDpred(*Ann, D, FetchedAt, DoneCycle, Mispredicted);
+      enterLoopDpred(*Ann, R, DoneCycle, Mispredicted);
       // The entry instance may itself exit the loop: classify it so a
       // mispredicted entry pays the correct early/late/no-exit outcome.
-      classifyLoopInstance(D, FetchedAt, DoneCycle, PredictedTaken);
+      classifyLoopInstance(R, FetchedAt, DoneCycle);
     } else {
-      enterHammockDpred(*Ann, D, FetchedAt, DoneCycle, Mispredicted);
+      enterHammockDpred(*Ann, R, FetchedAt, DoneCycle, Mispredicted);
     }
   } else if (Mispredicted) {
     ++Stats.Flushes;
@@ -470,128 +457,160 @@ void DmpCore::handleCondBranch(const profile::DynInstr &D, uint64_t FetchedAt,
     }
   }
 
-  Predictor->update(D.Addr, D.Taken);
-  Confidence.update(D.Addr, !Mispredicted, D.Taken);
+  // The branch trains after the hammock walk and the loop-entry walk.
+  trainPredictor(R);
 }
 
 //===----------------------------------------------------------------------===//
 // Main loop
 //===----------------------------------------------------------------------===//
 
-SimStats DmpCore::run(const std::vector<int64_t> &MemoryImage,
-                      FinalState *FinalStateOut, EmuMode Mode) {
-  profile::Emulator Emu(P, MemoryImage);
-  profile::DynInstr D;
-  const bool UseReference = Mode == EmuMode::Reference;
-  const uint64_t MaxInstrs = Config.MaxInstrs;
-  const uint64_t Watchdog = Config.WatchdogInstrBudget;
-  const guard::CancelToken *const Cancel = Config.Cancel;
-  const std::function<void()> &Progress = Config.Progress;
-  const bool HaveProgress = static_cast<bool>(Progress);
+namespace {
 
-  while (Emu.executedCount() < MaxInstrs &&
-         (UseReference ? Emu.stepReference(D) : Emu.step(D))) {
-    // Guard checks first, so a runaway or cancelled cell aborts at a point
-    // that depends only on the retired-instruction count — deterministic
-    // for the watchdog across any --jobs value, and never a hang for
-    // either.  The abort is a StatusError; TaskGraph::runAll turns it into
-    // the cell's Status and reports render the cell as a "--" gap.
-    if (Watchdog && Emu.executedCount() > Watchdog)
-      throw StatusError(Status::resourceExhausted(
-          "simulation exceeded watchdog budget of " +
-              std::to_string(Watchdog) + " instructions",
-          "sim::DmpCore"));
-    if ((Cancel || HaveProgress) &&
-        (Emu.executedCount() % kCancelPollInstrs) == 0) {
-      if (Progress)
-        Progress();
-      if (Cancel) {
-        const Status S = Cancel->check("sim::DmpCore");
-        if (!S.ok())
-          throw StatusError(S);
-      }
+/// Reads a trace's Events stream one instruction at a time.
+class EventReader {
+public:
+  explicit EventReader(const std::vector<uint32_t> &Events)
+      : It(Events.data()), End(Events.data() + Events.size()) {
+    seek();
+  }
+
+  /// The event mask (1 << code) of instruction \p Index; instructions must
+  /// be visited in order.
+  DMP_ALWAYS_INLINE unsigned at(uint64_t Index) {
+    if (DMP_LIKELY(Index != NextIndex))
+      return 0;
+    unsigned Mask = 0;
+    do {
+      Mask |= 1u << (*It & 0xFF);
+      ++It;
+      seek();
+    } while (NextIndex == Index);
+    return Mask;
+  }
+
+private:
+  /// Advances NextIndex to the next real (non-Skip) event at or after It.
+  void seek() {
+    for (; It != End; ++It) {
+      NextIndex += *It >> 8;
+      if ((*It & 0xFF) != CorrectPathTrace::Skip)
+        return;
     }
-    // Retired-store probe: the store has executed, so the value written is
-    // exactly what memory now holds at the effective address.  Only
-    // correct-path (retired) instructions pass through this loop — the
-    // wrong path of a dpred episode is walked statically and never touches
-    // Emu — so the sequence recorded here is the architectural store order.
-    const Opcode Op = D.I->Op;
-    if (FinalStateOut && Op == Opcode::Store)
-      FinalStateOut->Stores.push_back(
-          {D.Addr, D.MemAddr, Emu.memWord(D.MemAddr)});
+    NextIndex = ~0ull;
+  }
+
+  const uint32_t *It;
+  const uint32_t *const End;
+  uint64_t NextIndex = 0;
+};
+
+StatusError corruptTrace(const char *What) {
+  return StatusError(
+      Status::invariant(std::string("correct-path trace ") + What,
+                        "sim::DmpCore"));
+}
+
+} // namespace
+
+SimStats DmpCore::run(const CorrectPathTrace &Trace) {
+  if (Trace.Instrs > Config.MaxInstrs)
+    throw corruptTrace("is longer than the run's instruction budget");
+  RunGuard Guard(Config);
+  EventReader Events(Trace.Events);
+  const uint8_t *Branch = Trace.Branches.data();
+  const uint8_t *const BranchEnd = Branch + Trace.Branches.size();
+  const profile::DecodedInstr *const Decoded = Code.data();
+  const uint64_t N = Trace.Instrs;
+  Retired R;
+  R.Addr = P.getMain()->getEntryAddr();
+
+  for (uint64_t Index = 0; Index < N; ++Index) {
+    Guard.retired(Index + 1);
+    const profile::DecodedInstr &D = Decoded[R.Addr];
+    R.D = &D;
+    const Opcode Op = D.Op;
+    const unsigned Ev = Events.at(Index);
 
     if (Ep.Active && !Ep.IsLoop)
-      checkDpredProgress(D.Addr);
+      checkDpredProgress(R.Addr);
 
-    bool PredictedTaken = false;
-    if (Op == Opcode::CondBr)
-      PredictedTaken = Predictor->predict(D.Addr);
+    if (Op == Opcode::CondBr) {
+      if (DMP_UNLIKELY(Branch == BranchEnd))
+        throw corruptTrace("has fewer branch records than its path");
+      R.Bits = *Branch++;
+    }
 
-    const uint64_t FetchedAt = fetchInstr(D, PredictedTaken);
-    const uint64_t Done = scheduleInstr(D, FetchedAt);
+    const uint64_t FetchedAt = fetchInstr(Op, R.predictedTaken(), Ev);
+    const uint64_t Done = scheduleInstr(D, FetchedAt, Ev);
 
     if (Ep.Active) {
       ++Ep.CorrectFetched;
       ++Stats.UsefulDpredInstrs;
       if (!Ep.IsLoop && writesRegister(Op))
-        Ep.WrittenRegs.insert(D.I->Dst);
+        Ep.WrittenRegs.insert(D.Dst);
     }
 
+    uint32_t Next = R.Addr + 1;
     switch (Op) {
     case Opcode::CondBr:
-      if (Ep.Active && Ep.IsLoop && D.Addr == Ep.LoopBranchAddr)
-        handleLoopIteration(D, FetchedAt, Done, PredictedTaken);
+      if (Ep.Active && Ep.IsLoop && R.Addr == Ep.LoopBranchAddr)
+        handleLoopIteration(R, FetchedAt, Done);
       else
-        handleCondBranch(D, FetchedAt, Done, PredictedTaken);
+        handleCondBranch(R, FetchedAt, Done);
+      if (R.taken())
+        Next = D.Target;
+      break;
+    case Opcode::Jmp:
+      Next = D.Target;
       break;
     case Opcode::Call:
-      Ras.push(D.Addr + 1);
-      ++CallDepth;
+      CallStack.push_back(R.Addr + 1);
+      Next = D.Target;
       break;
     case Opcode::Ret: {
-      if (CallDepth > 0) {
-        const size_t DepthBefore = CallDepth;
-        --CallDepth;
-        const uint32_t Predicted = Ras.pop();
-        if (Predicted != D.NextAddr) {
-          ++Stats.RasMispredicts;
-          ++Stats.Flushes;
-          redirectFetch(Done + 1);
-          if (Ep.Active) {
-            ++Stats.DpredAborted;
-            Ep.Active = false;
-          }
-        }
-        if (Ep.Active && !Ep.IsLoop && hasReturnCfm() &&
-            DepthBefore == Ep.EntryCallDepth)
-          Ep.MergePendingAfterRet = true;
+      if (CallStack.empty()) {
+        // Ret in main halts the program.
+        if (Index + 1 != N)
+          throw corruptTrace("continues past the program's halt");
+        break;
       }
+      const size_t DepthBefore = CallStack.size();
+      Next = CallStack.back();
+      CallStack.pop_back();
+      if (Ev & evBit(CorrectPathTrace::RasMiss)) {
+        ++Stats.RasMispredicts;
+        ++Stats.Flushes;
+        redirectFetch(Done + 1);
+        if (Ep.Active) {
+          ++Stats.DpredAborted;
+          Ep.Active = false;
+        }
+      }
+      if (Ep.Active && !Ep.IsLoop && hasReturnCfm() &&
+          DepthBefore == Ep.EntryCallDepth)
+        Ep.MergePendingAfterRet = true;
       break;
     }
+    case Opcode::Halt:
+      if (Index + 1 != N)
+        throw corruptTrace("continues past the program's halt");
+      break;
     default:
       break;
     }
 
     retireInstr(Done);
     ++Stats.RetiredInstrs;
+    R.Addr = Next;
   }
+  if (Branch != BranchEnd)
+    throw corruptTrace("has more branch records than its path");
 
   Stats.Cycles = std::max(LastRetireCycle, FetchCycle) + 1;
-  Stats.IL1Misses = Memory.il1().missCount();
-  Stats.DL1Misses = Memory.dl1().missCount();
-  Stats.L2Misses = Memory.l2().missCount();
+  Stats.IL1Misses = Trace.IL1Misses;
+  Stats.DL1Misses = Trace.DL1Misses;
+  Stats.L2Misses = Trace.L2Misses;
   Stats.DpredActiveAtEnd = Ep.Active ? 1 : 0;
-
-  if (FinalStateOut) {
-    captureArchState(Emu, *FinalStateOut);
-    // Canary fault injection (oracle self-tests only): corrupt the
-    // *extracted* state so dmp::check can prove it detects retired-state
-    // divergence without planting a real bug in the model.
-    if (Config.InjectFault == 1 && !FinalStateOut->Stores.empty())
-      FinalStateOut->Stores.erase(FinalStateOut->Stores.begin());
-    else if (Config.InjectFault == 2)
-      FinalStateOut->Regs[1] ^= 1;
-  }
   return Stats;
 }

@@ -11,13 +11,29 @@
 /// predication with the early/late/no-exit taxonomy of Section 5.1).
 ///
 /// Modeling approach (DESIGN.md Section 5): trace-driven timing with
-/// execution-driven outcomes.  The correct-path instruction stream comes
-/// from the functional emulator; timing is computed with a dataflow
-/// scheduling model (in-order fetch and retire, dataflow-limited issue
-/// bounded by issue width); the wrong path of a dynamically predicated
-/// branch is fetched explicitly by walking the program with the live branch
-/// predictor, because its fetch/execute bandwidth cost is precisely the
-/// dpred overhead the paper's cost model reasons about.
+/// execution-driven outcomes, split in two halves.
+///
+///  - recordCorrectPath (sim/CorrectPathTrace.h) runs the functional
+///    emulator and every structure only correct-path instructions touch —
+///    the perceptron's predict and train decision, the JRS confidence
+///    estimator, the BTB, the RAS and the I/D/L2 caches — once per
+///    (program, input, configuration), and emits a compact trace.
+///  - DmpCore::run replays that trace: it walks the predecoded program by
+///    PC and runs only the timing model (in-order fetch and retire,
+///    dataflow-limited issue bounded by issue width) and the dpred
+///    episodes.  The wrong path of a dynamically predicated branch is
+///    fetched explicitly by walking the program with the live branch
+///    predictor, because its fetch/execute bandwidth cost is precisely the
+///    dpred overhead the paper's cost model reasons about.
+///
+/// Why the replay is exact: no recorded structure is touched on the wrong
+/// path — the wrong-path walks only *read* the predictor.  So the replay
+/// keeps a live predictor that applies only the recorded training
+/// (BranchPredictor::replayUpdate) at the points where the simulator always
+/// trained it: the hammock walk and the loop-entry walk happen before the
+/// branch trains, and a loop iteration trains before classifyLoopInstance
+/// walks.  One trace serves
+/// the baseline and every DivergeMap with byte-identical statistics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,18 +42,14 @@
 
 #include "core/DivergeInfo.h"
 #include "ir/Opcode.h"
-#include "profile/Emulator.h"
+#include "profile/DecodedProgram.h"
+#include "sim/CorrectPathTrace.h"
 #include "sim/CycleResource.h"
-#include "sim/FinalState.h"
 #include "sim/RegSet.h"
 #include "sim/SimConfig.h"
 #include "sim/SimStats.h"
 #include "support/Compiler.h"
-#include "uarch/BTB.h"
 #include "uarch/BranchPredictor.h"
-#include "uarch/Cache.h"
-#include "uarch/ConfidenceEstimator.h"
-#include "uarch/ReturnAddressStack.h"
 
 #include <memory>
 #include <vector>
@@ -52,28 +64,36 @@ public:
   DmpCore(const ir::Program &P, const core::DivergeMap *Diverge,
           const SimConfig &Config);
 
-  /// Which functional stepping path feeds the timing model.  Timing and
-  /// statistics are identical either way (the digest-identity contract,
-  /// DESIGN.md); Reference exists so differential tests can drive the whole
-  /// simulator from the independent interpreter and compare digests.
-  enum class EmuMode { Fast, Reference };
-
-  /// Runs the program on \p MemoryImage until Halt or Config.MaxInstrs and
-  /// returns the statistics.  When \p FinalStateOut is non-null it receives
-  /// the retired architectural state (registers, memory fingerprint, and
-  /// the in-order retired-store sequence) — the observable the dmp::check
-  /// differential oracle compares against the reference emulator.
-  SimStats run(const std::vector<int64_t> &MemoryImage,
-               FinalState *FinalStateOut = nullptr,
-               EmuMode Mode = EmuMode::Fast);
+  /// Replays \p Trace — recorded by recordCorrectPath for this program and
+  /// a configuration with the same correct-path front end — through the
+  /// timing model and returns the statistics.  Honours Config's watchdog,
+  /// Cancel and Progress (see RunGuard).
+  SimStats run(const CorrectPathTrace &Trace);
 
 private:
+  /// One retired instruction as the replay sees it.
+  struct Retired {
+    uint32_t Addr = 0;
+    const profile::DecodedInstr *D = nullptr;
+    /// CondBr only: its CorrectPathTrace::BranchBit flags.
+    uint8_t Bits = 0;
+
+    bool taken() const { return Bits & CorrectPathTrace::Taken; }
+    bool predictedTaken() const { return Bits & CorrectPathTrace::Predicted; }
+  };
+
+  /// Bits of the per-instruction event mask: 1 << CorrectPathTrace code.
+  static constexpr unsigned evBit(CorrectPathTrace::EventCode Code) {
+    return 1u << Code;
+  }
+
   // -- Fetch engine -------------------------------------------------------
-  /// Assigns a fetch cycle to the next correct-path instruction at \p Addr.
-  /// Handles fetch width, taken-branch group breaks, the not-taken-branch
-  /// limit, I-cache misses, and BTB bubbles.
-  DMP_ALWAYS_INLINE uint64_t fetchInstr(const profile::DynInstr &D,
-                                        bool PredictedTaken);
+  /// Assigns a fetch cycle to the next correct-path instruction.  Handles
+  /// fetch width, taken-branch group breaks, the not-taken-branch limit,
+  /// I-cache misses, and BTB bubbles (\p Events: the instruction's event
+  /// mask).
+  DMP_ALWAYS_INLINE uint64_t fetchInstr(ir::Opcode Op, bool PredictedTaken,
+                                        unsigned Events);
 
   /// Moves the fetch cursor to \p Cycle (redirect); resets group state.
   void redirectFetch(uint64_t Cycle);
@@ -84,8 +104,9 @@ private:
   // -- Dataflow schedule ---------------------------------------------------
   /// Schedules execution of \p D fetched at \p FetchCycle; returns the
   /// completion (resolution) cycle.
-  DMP_ALWAYS_INLINE uint64_t scheduleInstr(const profile::DynInstr &D,
-                                           uint64_t FetchCycle);
+  DMP_ALWAYS_INLINE uint64_t scheduleInstr(const profile::DecodedInstr &D,
+                                           uint64_t FetchCycle,
+                                           unsigned Events);
 
   /// Charges issue bandwidth for \p Ops speculative wrong-path operations
   /// fetched around \p FetchCycle.
@@ -102,8 +123,11 @@ private:
   DMP_ALWAYS_INLINE uint64_t retireInstr(uint64_t DoneCycle);
 
   // -- Branch handling -----------------------------------------------------
-  void handleCondBranch(const profile::DynInstr &D, uint64_t FetchCycle,
-                        uint64_t DoneCycle, bool PredictedTaken);
+  void handleCondBranch(const Retired &R, uint64_t FetchCycle,
+                        uint64_t DoneCycle);
+  /// Trains the live predictor with \p R's recorded outcome (only the
+  /// wrong-path walks read it, so a run without diverge branches skips it).
+  void trainPredictor(const Retired &R);
 
   // -- dpred-mode ----------------------------------------------------------
   struct DpredEpisode {
@@ -126,22 +150,20 @@ private:
     unsigned IterCount = 0;
   };
 
-  void enterHammockDpred(const core::DivergeAnnotation &Ann,
-                         const profile::DynInstr &D, uint64_t FetchCycle,
-                         uint64_t DoneCycle, bool Mispredicted);
-  void enterLoopDpred(const core::DivergeAnnotation &Ann,
-                      const profile::DynInstr &D, uint64_t FetchCycle,
+  void enterHammockDpred(const core::DivergeAnnotation &Ann, const Retired &R,
+                         uint64_t FetchCycle, uint64_t DoneCycle,
+                         bool Mispredicted);
+  void enterLoopDpred(const core::DivergeAnnotation &Ann, const Retired &R,
                       uint64_t DoneCycle, bool Mispredicted);
   /// Handles a re-fetch of the loop diverge branch during loop dpred-mode.
-  /// Returns true when the generic branch handling must be skipped.
-  bool handleLoopIteration(const profile::DynInstr &D, uint64_t FetchCycle,
-                           uint64_t DoneCycle, bool PredictedTaken);
+  void handleLoopIteration(const Retired &R, uint64_t FetchCycle,
+                           uint64_t DoneCycle);
   /// Classifies one predicated loop-branch instance (Section 5.1 taxonomy:
   /// continue / correct / early-exit / late-exit / no-exit) and ends the
   /// episode when terminal.  Called for the entry instance and for every
   /// subsequent instance.
-  void classifyLoopInstance(const profile::DynInstr &D, uint64_t FetchCycle,
-                            uint64_t DoneCycle, bool PredictedTaken);
+  void classifyLoopInstance(const Retired &R, uint64_t FetchCycle,
+                            uint64_t DoneCycle);
   /// Checks hammock-mode merge/termination before fetching the instruction
   /// at \p Addr.
   void checkDpredProgress(uint32_t Addr);
@@ -154,9 +176,13 @@ private:
 
   // -- Members -------------------------------------------------------------
   const ir::Program &P;
+  const profile::DecodedProgram &Code;
   const core::DivergeMap *Diverge;
   SimConfig Config;
   bool DmpEnabled;
+  /// Only the wrong-path walks read the predictor, so it is kept live only
+  /// when some branch can enter dpred-mode.
+  bool NeedsPredictor;
 
   // Invariant configuration, copied out of Config at construction so the
   // per-instruction paths read it from the same cache lines as the fetch
@@ -166,10 +192,13 @@ private:
   const unsigned MaxNtBranches;
   const unsigned FrontEndDepth;
   const uint32_t RobSize;
-  /// log2 of the I-cache line size (power of two, enforced by uarch::Cache),
-  /// so the per-fetch line computation is a shift instead of a divide.
-  const unsigned FetchLineShift;
-  const unsigned IL1Latency;
+  /// Extra fetch cycles of an I-cache miss served by L2 / by memory.
+  const unsigned FetchL2Penalty;
+  const unsigned FetchMemPenalty;
+  /// Load latencies: DL1 hit, L2 hit, memory.
+  const unsigned LoadDL1Latency;
+  const unsigned LoadL2Latency;
+  const unsigned LoadMemLatency;
   /// SimConfig::latencyFor tabulated per opcode: the scheduling hot path
   /// pays an indexed byte load instead of an out-of-line call.
   static constexpr unsigned NumOpcodeValues =
@@ -177,10 +206,6 @@ private:
   uint8_t OpLatency[NumOpcodeValues];
 
   std::unique_ptr<uarch::BranchPredictor> Predictor;
-  uarch::ConfidenceEstimator Confidence;
-  uarch::BTB Btb;
-  uarch::ReturnAddressStack Ras;
-  uarch::MemoryHierarchy Memory;
 
   CycleResource IssuePorts;
 
@@ -191,7 +216,6 @@ private:
   uint64_t FetchCycle = 0;
   unsigned SlotsUsed = 0;
   unsigned NtBranchesThisCycle = 0;
-  uint64_t CurrentFetchLine = ~0ull;
 
   // Dataflow state.
   uint64_t RegReady[ir::NumRegs] = {};
@@ -206,7 +230,8 @@ private:
   /// slots; keeping it as an incrementally wrapped cursor removes the two
   /// per-instruction `% RobSize` divides the old index arithmetic paid.
   uint32_t RobCursor = 0;
-  size_t CallDepth = 0;
+  /// Return addresses of the calls in flight on the correct path.
+  std::vector<uint32_t> CallStack;
 
   void advanceRobCursor() {
     if (++RobCursor == RobSize)

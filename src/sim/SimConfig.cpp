@@ -8,8 +8,39 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
+
 using namespace dmp;
 using namespace dmp::sim;
+
+RunGuard::RunGuard(const SimConfig &Config)
+    : Watchdog(Config.WatchdogInstrBudget), Cancel(Config.Cancel),
+      Progress(Config.Progress), Polls(Cancel || Progress), NextCheck(0) {
+  check(0);
+}
+
+void RunGuard::check(uint64_t Count) {
+  if (Watchdog && Count > Watchdog)
+    throw StatusError(Status::resourceExhausted(
+        "simulation exceeded watchdog budget of " + std::to_string(Watchdog) +
+            " instructions",
+        "sim::DmpCore"));
+  if (Polls && Count != 0 && Count % kCancelPollInstrs == 0) {
+    if (Progress)
+      Progress();
+    if (Cancel) {
+      const Status S = Cancel->check("sim::DmpCore");
+      if (!S.ok())
+        throw StatusError(S);
+    }
+  }
+  uint64_t Next = ~0ull;
+  if (Polls)
+    Next = (Count / kCancelPollInstrs + 1) * kCancelPollInstrs;
+  if (Watchdog)
+    Next = std::min(Next, Watchdog + 1);
+  NextCheck = Next;
+}
 
 unsigned SimConfig::latencyFor(ir::Opcode Op) const {
   switch (Op) {

@@ -123,6 +123,37 @@ struct SimConfig {
   std::string toString() const;
 };
 
+/// The inner-loop guards of one run over a SimConfig: the watchdog, Cancel
+/// and Progress.  Both halves of a simulation (recordCorrectPath and the
+/// DmpCore replay) call retired() after every retired instruction, so a
+/// runaway or cancelled run aborts at a point that depends only on the
+/// retired-instruction count — deterministic for the watchdog across any
+/// --jobs value, and never a hang for either.  The abort is a StatusError
+/// with origin "sim::DmpCore"; TaskGraph::runAll turns it into the cell's
+/// Status and reports render the cell as a "--" gap.
+class RunGuard {
+public:
+  explicit RunGuard(const SimConfig &Config);
+
+  /// Checks the guards after the \p Count-th retired instruction: aborts
+  /// past the watchdog budget, and every kCancelPollInstrs beats Progress
+  /// and polls Cancel.  One compare on the common path.
+  void retired(uint64_t Count) {
+    if (Count >= NextCheck)
+      check(Count);
+  }
+
+private:
+  void check(uint64_t Count);
+
+  const uint64_t Watchdog;
+  const guard::CancelToken *const Cancel;
+  const std::function<void()> &Progress;
+  const bool Polls;
+  /// The next count at which a guard can fire.
+  uint64_t NextCheck;
+};
+
 } // namespace dmp::sim
 
 #endif // DMP_SIM_SIMCONFIG_H

@@ -15,18 +15,31 @@ SimStats sim::simulateBaseline(const ir::Program &P,
                                const std::vector<int64_t> &MemoryImage,
                                const SimConfig &Config,
                                FinalState *FinalStateOut) {
-  SimConfig BaselineConfig = Config;
-  BaselineConfig.EnableDmp = false;
-  DmpCore Core(P, nullptr, BaselineConfig);
-  return Core.run(MemoryImage, FinalStateOut);
+  return simulateBaseline(
+      P, recordCorrectPath(P, MemoryImage, Config, FinalStateOut), Config);
 }
 
 SimStats sim::simulateDmp(const ir::Program &P, const core::DivergeMap &Diverge,
                           const std::vector<int64_t> &MemoryImage,
                           const SimConfig &Config,
                           FinalState *FinalStateOut) {
+  return simulateDmp(
+      P, Diverge, recordCorrectPath(P, MemoryImage, Config, FinalStateOut),
+      Config);
+}
+
+SimStats sim::simulateBaseline(const ir::Program &P,
+                               const CorrectPathTrace &Trace,
+                               const SimConfig &Config) {
+  SimConfig BaselineConfig = Config;
+  BaselineConfig.EnableDmp = false;
+  return DmpCore(P, nullptr, BaselineConfig).run(Trace);
+}
+
+SimStats sim::simulateDmp(const ir::Program &P, const core::DivergeMap &Diverge,
+                          const CorrectPathTrace &Trace,
+                          const SimConfig &Config) {
   SimConfig DmpConfig = Config;
   DmpConfig.EnableDmp = true;
-  DmpCore Core(P, &Diverge, DmpConfig);
-  return Core.run(MemoryImage, FinalStateOut);
+  return DmpCore(P, &Diverge, DmpConfig).run(Trace);
 }

@@ -67,22 +67,33 @@ bool PerceptronPredictor::predictWithHistory(uint32_t Addr,
   return dotProduct(Addr, SpecHistory) >= 0;
 }
 
-void PerceptronPredictor::update(uint32_t Addr, bool Taken) {
+void PerceptronPredictor::train(uint32_t Addr, bool Taken) {
+  const size_t Base = static_cast<size_t>(indexFor(Addr)) * (HistoryBits + 1);
+  const int T = Taken ? 1 : -1;
+  Weights[Base].add(T);
+  for (unsigned Bit = 0; Bit < HistoryBits; ++Bit) {
+    const int X = ((History >> Bit) & 1) ? 1 : -1;
+    Weights[Base + 1 + Bit].add(T * X);
+  }
+  MemoValid = false; // Weights changed; any memoized sum is stale.
+}
+
+bool PerceptronPredictor::update(uint32_t Addr, bool Taken) {
   const int Output = (MemoValid && MemoAddr == Addr && MemoHist == History)
                          ? MemoSum
                          : dotProduct(Addr, History);
   const bool Predicted = Output >= 0;
-  if (Predicted != Taken || std::abs(Output) <= Threshold) {
-    const size_t Base =
-        static_cast<size_t>(indexFor(Addr)) * (HistoryBits + 1);
-    const int T = Taken ? 1 : -1;
-    Weights[Base].add(T);
-    for (unsigned Bit = 0; Bit < HistoryBits; ++Bit) {
-      const int X = ((History >> Bit) & 1) ? 1 : -1;
-      Weights[Base + 1 + Bit].add(T * X);
-    }
-    MemoValid = false; // Weights changed; any memoized sum is stale.
-  }
+  const bool Trained = Predicted != Taken || std::abs(Output) <= Threshold;
+  if (Trained)
+    train(Addr, Taken);
+  History = (History << 1) | (Taken ? 1 : 0);
+  return Trained;
+}
+
+void PerceptronPredictor::replayUpdate(uint32_t Addr, bool Taken,
+                                       bool Trained) {
+  if (Trained)
+    train(Addr, Taken);
   History = (History << 1) | (Taken ? 1 : 0);
 }
 
@@ -120,13 +131,14 @@ bool GSharePredictor::predictWithHistory(uint32_t Addr,
   return Counters[indexFor(Addr, SpecHistory)].isWeaklySet();
 }
 
-void GSharePredictor::update(uint32_t Addr, bool Taken) {
+bool GSharePredictor::update(uint32_t Addr, bool Taken) {
   SaturatingCounter<2> &C = Counters[indexFor(Addr, History)];
   if (Taken)
     C.increment();
   else
     C.decrement();
   History = (History << 1) | (Taken ? 1 : 0);
+  return true;
 }
 
 void GSharePredictor::reset() {

@@ -47,7 +47,17 @@ public:
                                   uint64_t SpecHistory) const = 0;
 
   /// Trains with the actual outcome and shifts the global history.
-  virtual void update(uint32_t Addr, bool Taken) = 0;
+  /// Returns whether the tables were trained (a perceptron skips training
+  /// on a confident correct prediction).
+  virtual bool update(uint32_t Addr, bool Taken) = 0;
+
+  /// Replays an update() whose training decision \p Trained was recorded
+  /// earlier: the tables and history end exactly as update() left them,
+  /// without recomputing the prediction.  The default simply updates.
+  virtual void replayUpdate(uint32_t Addr, bool Taken, bool Trained) {
+    (void)Trained;
+    update(Addr, Taken);
+  }
 
   /// Low bits of the global history register (for confidence indexing).
   virtual uint64_t history() const = 0;
@@ -67,13 +77,16 @@ public:
 
   bool predict(uint32_t Addr) const override;
   bool predictWithHistory(uint32_t Addr, uint64_t SpecHistory) const override;
-  void update(uint32_t Addr, bool Taken) override;
+  bool update(uint32_t Addr, bool Taken) override;
+  void replayUpdate(uint32_t Addr, bool Taken, bool Trained) override;
   uint64_t history() const override { return History; }
   void reset() override;
 
 private:
   int dotProduct(uint32_t Addr, uint64_t Hist) const;
   unsigned indexFor(uint32_t Addr) const;
+  /// Moves the weights of \p Addr toward \p Taken under the current history.
+  void train(uint32_t Addr, bool Taken);
 
   unsigned NumEntries;
   unsigned HistoryBits;
@@ -101,7 +114,7 @@ public:
 
   bool predict(uint32_t Addr) const override;
   bool predictWithHistory(uint32_t Addr, uint64_t SpecHistory) const override;
-  void update(uint32_t Addr, bool Taken) override;
+  bool update(uint32_t Addr, bool Taken) override;
   uint64_t history() const override { return History; }
   void reset() override;
 

@@ -278,8 +278,9 @@ TEST(DataflowSolverTest, SimpleHammockLivenessFacts) {
   // Nothing is live after the halt-terminated exit block.
   for (const ir::BasicBlock *B : View.reversePostorder()) {
     const ir::Instruction *T = B->getTerminator();
-    if (T != nullptr && T->Op == ir::Opcode::Halt)
+    if (T != nullptr && T->Op == ir::Opcode::Halt) {
       EXPECT_EQ(L.LiveOut[B->getId()], 0u);
+    }
   }
 }
 

@@ -5,17 +5,19 @@
 // The enforcement arm of the digest-identity contract (DESIGN.md "Fast
 // paths & the digest-identity contract"): every throughput optimization —
 // the predecoded step() dispatch, the block-batched Emulator::run(), and
-// the flattened DmpCore hot loop — must be bit-identical to the preserved
-// reference interpreter in every observable.  These tests drive the fast
+// the correct-path recorder feeding the DmpCore replay — must be
+// bit-identical to the preserved reference interpreter in every
+// observable.  These tests drive the fast
 // and reference paths over the shared hand-built test programs, all 17
 // suite workloads, and 200 fuzz-generated recipes, and compare:
 //
 //   * every DynInstr field, in lockstep, instruction by instruction;
 //   * final architectural state: all registers, memory fingerprint,
 //     executed count, PC, halt flag, call depth;
-//   * the cycle simulator's full SimStats encoding and retired FinalState
-//     when fed by EmuMode::Fast vs EmuMode::Reference, baseline and
-//     dpred-heavy (adversarial annotations) alike.
+//   * the recorded correct-path trace, its replayed SimStats encoding and
+//     the retired FinalState when recorded by EmuMode::Fast vs
+//     EmuMode::Reference, baseline and dpred-heavy (adversarial
+//     annotations) alike.
 //
 //===----------------------------------------------------------------------===//
 
@@ -160,20 +162,23 @@ TEST(FastPathDiff, FuzzRecipes200) {
 
 namespace {
 
-/// Runs DmpCore twice — fed by the fast emulator and by the reference
-/// interpreter — and asserts byte-identical SimStats encodings (the digest
-/// the artifact cache and `dmpc` hash) and identical retired state.
+/// Records the correct path twice — fed by the fast emulator and by the
+/// reference interpreter — and asserts byte-identical traces, identical
+/// retired state, and byte-identical SimStats encodings (the digest the
+/// artifact cache and `dmpc` hash) of their replays.
 void compareEmuModes(const ir::Program &P, const core::DivergeMap *Diverge,
                      const sim::SimConfig &Cfg,
                      const std::vector<int64_t> &Image) {
   sim::FinalState FastState, RefState;
-  sim::DmpCore Fast(P, Diverge, Cfg);
-  const sim::SimStats FastStats =
-      Fast.run(Image, &FastState, sim::DmpCore::EmuMode::Fast);
-  sim::DmpCore Ref(P, Diverge, Cfg);
-  const sim::SimStats RefStats =
-      Ref.run(Image, &RefState, sim::DmpCore::EmuMode::Reference);
+  const sim::CorrectPathTrace FastTrace =
+      sim::recordCorrectPath(P, Image, Cfg, &FastState, sim::EmuMode::Fast);
+  const sim::CorrectPathTrace RefTrace = sim::recordCorrectPath(
+      P, Image, Cfg, &RefState, sim::EmuMode::Reference);
+  EXPECT_EQ(serialize::encodeCorrectPathTrace(FastTrace),
+            serialize::encodeCorrectPathTrace(RefTrace));
 
+  const sim::SimStats FastStats = sim::DmpCore(P, Diverge, Cfg).run(FastTrace);
+  const sim::SimStats RefStats = sim::DmpCore(P, Diverge, Cfg).run(RefTrace);
   EXPECT_EQ(serialize::encodeSimStats(FastStats),
             serialize::encodeSimStats(RefStats));
   EXPECT_EQ(FastState.Regs, RefState.Regs);

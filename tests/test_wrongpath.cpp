@@ -35,7 +35,7 @@ public:
   bool predictWithHistory(uint32_t Addr, uint64_t) const override {
     return directionFor(Addr);
   }
-  void update(uint32_t, bool) override {}
+  bool update(uint32_t, bool) override { return false; }
   uint64_t history() const override { return 0; }
   void reset() override {}
 
