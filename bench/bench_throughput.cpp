@@ -16,6 +16,9 @@
 //     DmpCore replay — and its two halves, trace-MIPS (the recording) and
 //     replay-MIPS (the replay every further simulation of the same run
 //     input pays);
+//   * dmp-replay-MIPS: a replay of the same trace on the DMP machine with
+//     the workload's all-best-cost DivergeMap, the replay the paper's DMP
+//     columns pay (a live predictor, wrong-path walks, dpred episodes);
 //   * the 17-cell campaign digest (the same campaign BENCH_serve.json
 //     pins), so a throughput optimization that changes *results* shows up
 //     in this file's diff, not just in test failures.
@@ -30,14 +33,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchJson.h"
+#include "cfg/Analysis.h"
+#include "core/DivergeSelector.h"
 #include "harness/CellRun.h"
 #include "profile/Emulator.h"
+#include "profile/Profiler.h"
 #include "serialize/Hash.h"
 #include "serialize/ProfileIO.h"
 #include "sim/CorrectPathTrace.h"
 #include "sim/DmpCore.h"
 #include "sim/FinalState.h"
 #include "sim/SimConfig.h"
+#include "sim/Simulator.h"
 #include "support/ExitCodes.h"
 #include "support/Json.h"
 #include "workloads/SpecSuite.h"
@@ -121,6 +128,7 @@ struct WorkloadResult {
   double Sim = 0.0;
   double Trace = 0.0;
   double Replay = 0.0;
+  double DmpReplay = 0.0;
   double SimIpc = 0.0;
   // Instructions actually executed per leg (a workload may halt before the
   // budget), for the aggregate instrs/sec computation.
@@ -134,6 +142,7 @@ struct WorkloadResult {
   double SimSec = 0.0;
   double TraceSec = 0.0;
   double ReplaySec = 0.0;
+  double DmpReplaySec = 0.0;
 };
 
 /// The suite plus a synthetic long-run variant: a loop-heavy composition
@@ -165,9 +174,16 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   R.Name = W.Name;
   const std::vector<int64_t> Image =
       W.buildImage(workloads::InputSetKind::Run);
+  // The all-best-cost map, profiled on the run input, for the DMP replay.
+  const cfg::ProgramAnalysis PA(*W.Prog);
+  profile::ProfileOptions ProfileOpts;
+  ProfileOpts.MaxInstrs = Opts.EmuInstrs;
+  const core::DivergeMap Map = core::selectDivergeBranches(
+      PA, profile::collectProfile(*W.Prog, PA, Image, ProfileOpts),
+      core::SelectionConfig(), core::SelectionFeatures::allBestCost());
 
   double BestRun = 1e30, BestStep = 1e30, BestRef = 1e30, BestSim = 1e30,
-         BestTrace = 1e30, BestReplay = 1e30;
+         BestTrace = 1e30, BestReplay = 1e30, BestDmpReplay = 1e30;
   for (unsigned Rep = 0; Rep < Opts.Reps; ++Rep) {
     // Leg 1: block-batched run().
     {
@@ -209,7 +225,7 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       BestRef = std::min(BestRef, Sec);
     }
     // Leg 4: the cycle simulator, baseline configuration: the recording,
-    // then one replay of it.
+    // then one replay of it; then a DMP replay of the same recording.
     {
       sim::SimConfig Cfg;
       Cfg.MaxInstrs = Opts.SimInstrs;
@@ -221,6 +237,9 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       const sim::SimStats Stats =
           sim::DmpCore(*W.Prog, /*Diverge=*/nullptr, Cfg).run(Trace);
       const double ReplaySec = secondsSince(T1);
+      const auto T2 = Clock::now();
+      sim::simulateDmp(*W.Prog, Map, Trace, Cfg);
+      BestDmpReplay = std::min(BestDmpReplay, secondsSince(T2));
       R.SimInstrs = Stats.RetiredInstrs;
       R.SimIpc = Stats.ipc();
       BestSim = std::min(BestSim, TraceSec + ReplaySec);
@@ -234,12 +253,14 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   R.SimSec = BestSim;
   R.TraceSec = BestTrace;
   R.ReplaySec = BestReplay;
+  R.DmpReplaySec = BestDmpReplay;
   R.EmuRun = mips(R.EmuInstrs, BestRun);
   R.EmuStep = mips(R.EmuInstrs, BestStep);
   R.EmuRef = mips(R.RefInstrs, BestRef);
   R.Sim = mips(R.SimInstrs, BestSim);
   R.Trace = mips(R.SimInstrs, BestTrace);
   R.Replay = mips(R.SimInstrs, BestReplay);
+  R.DmpReplay = mips(R.SimInstrs, BestDmpReplay);
   return R;
 }
 
@@ -304,11 +325,13 @@ struct Aggregate {
   double Sim = 0.0;
   double Trace = 0.0;
   double Replay = 0.0;
+  double DmpReplay = 0.0;
 };
 
 Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
   uint64_t EmuI = 0, RefI = 0, SimI = 0;
-  double RunS = 0, StepS = 0, RefS = 0, SimS = 0, TraceS = 0, ReplayS = 0;
+  double RunS = 0, StepS = 0, RefS = 0, SimS = 0, TraceS = 0, ReplayS = 0,
+         DmpReplayS = 0;
   for (const WorkloadResult &R : Results) {
     EmuI += R.EmuInstrs;
     RefI += R.RefInstrs;
@@ -319,6 +342,7 @@ Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
     SimS += R.SimSec;
     TraceS += R.TraceSec;
     ReplayS += R.ReplaySec;
+    DmpReplayS += R.DmpReplaySec;
   }
   Aggregate A;
   A.EmuRun = mips(EmuI, RunS);
@@ -327,6 +351,7 @@ Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
   A.Sim = mips(SimI, SimS);
   A.Trace = mips(SimI, TraceS);
   A.Replay = mips(SimI, ReplayS);
+  A.DmpReplay = mips(SimI, DmpReplayS);
   return A;
 }
 
@@ -348,6 +373,7 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
   J.number("sim_mips", A.Sim, 1);
   J.number("trace_mips", A.Trace, 1);
   J.number("replay_mips", A.Replay, 1);
+  J.number("dmp_replay_mips", A.DmpReplay, 1);
   J.number("emu_speedup_vs_ref", A.EmuRef > 0 ? A.EmuRun / A.EmuRef : 0.0,
            2);
   J.endObject();
@@ -361,6 +387,7 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
     J.number("sim_mips", R.Sim, 1);
     J.number("trace_mips", R.Trace, 1);
     J.number("replay_mips", R.Replay, 1);
+    J.number("dmp_replay_mips", R.DmpReplay, 1);
     J.number("sim_ipc", R.SimIpc, 3);
     J.endElement();
   }
@@ -417,6 +444,7 @@ int checkAgainst(const std::string &Path, const Aggregate &A,
       {"sim_mips", A.Sim},
       {"trace_mips", A.Trace},
       {"replay_mips", A.Replay},
+      {"dmp_replay_mips", A.DmpReplay},
   };
   int Rc = exitcode::Ok;
   for (const auto &[Key, Measured] : Gates) {
@@ -461,9 +489,9 @@ int main(int Argc, char **Argv) {
     Results.push_back(measureWorkload(W, Opts));
     const WorkloadResult &R = Results.back();
     std::printf("  %-8s emu run %7.1f  step %7.1f  ref %7.1f  sim %6.1f "
-                "(trace %6.1f  replay %6.1f) MIPS\n",
+                "(trace %6.1f  replay %6.1f  dmp replay %6.1f) MIPS\n",
                 R.Name.c_str(), R.EmuRun, R.EmuStep, R.EmuRef, R.Sim, R.Trace,
-                R.Replay);
+                R.Replay, R.DmpReplay);
   }
 
   const Aggregate A = aggregate(Results);

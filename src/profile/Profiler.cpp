@@ -139,10 +139,17 @@ ProfileData profile::collectProfile(const ir::Program &P,
   auto Predictor = uarch::createPredictor(Options.Predictor);
   LoopTracker Loops(PA, Data.Loops);
 
+  // The block starting at each address (nullptr inside a block), so a block
+  // entry costs one load per instruction.
+  std::vector<const ir::BasicBlock *> BlockStartingAt(P.instrCount(), nullptr);
+  for (const auto &F : P.functions())
+    for (const auto &B : F->blocks())
+      if (B->instrCount() != 0)
+        BlockStartingAt[B->getStartAddr()] = B.get();
+
   DynInstr Inst;
   while (Emu.executedCount() < Options.MaxInstrs && Emu.step(Inst)) {
-    const ir::BasicBlock *Block = P.blockAt(Inst.Addr);
-    if (Inst.Addr == Block->getStartAddr()) {
+    if (const ir::BasicBlock *Block = BlockStartingAt[Inst.Addr]) {
       Data.Edges.recordBlockExec(Inst.Addr);
       Loops.onBlockEntry(Block, Emu.executedCount());
     }

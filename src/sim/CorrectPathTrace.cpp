@@ -46,6 +46,8 @@ sim::recordCorrectPath(const Program &P,
                        const std::vector<int64_t> &MemoryImage,
                        const SimConfig &Config, FinalState *FinalStateOut,
                        EmuMode Mode) {
+  if (const Status S = Config.check(); !S.ok())
+    throw StatusError(S);
   profile::Emulator Emu(P, MemoryImage);
   const std::unique_ptr<uarch::BranchPredictor> Predictor =
       uarch::createPredictor(Config.Predictor);

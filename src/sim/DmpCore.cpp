@@ -14,28 +14,55 @@ using namespace dmp;
 using namespace dmp::ir;
 using namespace dmp::sim;
 
+namespace {
+
+/// \p Config, once SimConfig::check accepts it; runs before any member is
+/// sized from it.
+const SimConfig &checked(const SimConfig &Config) {
+  const Status S = Config.check();
+  if (!S.ok())
+    throw StatusError(S);
+  return Config;
+}
+
+} // namespace
+
 DmpCore::DmpCore(const Program &P, const core::DivergeMap *Diverge,
                  const SimConfig &Config)
-    : P(P), Code(profile::DecodedProgram::of(P)), Diverge(Diverge),
-      Config(Config), DmpEnabled(Config.EnableDmp && Diverge != nullptr),
-      NeedsPredictor(DmpEnabled && Diverge->size() != 0),
+    : P(P), Code(profile::DecodedProgram::of(P)), Config(checked(Config)),
+      NeedsPredictor(Config.EnableDmp && Diverge && Diverge->size() != 0),
       FetchWidth(Config.FetchWidth), RetireWidth(Config.RetireWidth),
       MaxNtBranches(Config.MaxNotTakenBranchesPerFetch),
       FrontEndDepth(Config.FrontEndDepth), RobSize(Config.RobSize),
       FetchL2Penalty(Config.Memory.L2Latency),
       FetchMemPenalty(Config.Memory.L2Latency + Config.Memory.MemoryLatency),
-      LoadDL1Latency(Config.Memory.DL1Latency),
       LoadL2Latency(Config.Memory.DL1Latency + Config.Memory.L2Latency),
       LoadMemLatency(Config.Memory.DL1Latency + Config.Memory.L2Latency +
                      Config.Memory.MemoryLatency),
       Predictor(NeedsPredictor ? uarch::createPredictor(Config.Predictor)
                                : nullptr),
       IssuePorts(Config.IssueWidth), RobRetireRing(Config.RobSize, 0) {
-  for (unsigned OpVal = 0; OpVal < NumOpcodeValues; ++OpVal)
-    OpLatency[OpVal] = static_cast<uint8_t>(
-        Config.latencyFor(static_cast<Opcode>(OpVal)));
-  // Write latency is hidden by the store buffer.
-  OpLatency[static_cast<unsigned>(Opcode::Store)] = 1;
+  TimingAt.resize(Code.size());
+  for (uint32_t Addr = 0; Addr < Code.size(); ++Addr) {
+    const profile::DecodedInstr &D = Code.data()[Addr];
+    OpTiming &T = TimingAt[Addr];
+    if (readsSrc1(D.Op) && D.Src1 != RegZero)
+      T.Src1 = D.Src1;
+    if (readsSrc2(D.Op) && D.Src2 != RegZero)
+      T.Src2 = D.Src2;
+    if (writesRegister(D.Op))
+      T.Dst = D.Dst;
+    // Write latency is hidden by the store buffer.
+    T.Latency = D.Op == Opcode::Load    ? Config.Memory.DL1Latency
+                : D.Op == Opcode::Store ? 1
+                                        : Config.latencyFor(D.Op);
+  }
+  if (NeedsPredictor) {
+    AnnotationAt.assign(Code.size(), nullptr);
+    for (const auto &[Addr, Ann] : Diverge->all())
+      if (Addr < Code.size())
+        AnnotationAt[Addr] = &Ann;
+  }
   CallStack.reserve(64);
 }
 
@@ -43,71 +70,68 @@ DmpCore::DmpCore(const Program &P, const core::DivergeMap *Diverge,
 // Fetch engine
 //===----------------------------------------------------------------------===//
 
-void DmpCore::redirectFetch(uint64_t Cycle) {
-  if (Cycle > FetchCycle) {
-    FetchCycle = Cycle;
-    SlotsUsed = 0;
-    NtBranchesThisCycle = 0;
-  } else {
-    // Redirect into the past cannot happen; same-cycle redirect restarts
-    // the fetch group.
-    SlotsUsed = 0;
-    NtBranchesThisCycle = 0;
-  }
+void DmpCore::redirectFetch(PipeState &S, uint64_t Cycle) {
+  // A redirect never moves fetch into the past; a same-cycle redirect
+  // restarts the fetch group.
+  S.FetchCycle = std::max(S.FetchCycle, Cycle);
+  S.SlotsUsed = 0;
+  S.NtBranchesThisCycle = 0;
 }
 
-void DmpCore::consumeFetchSlots(unsigned Count) {
+void DmpCore::consumeFetchSlots(PipeState &S, unsigned Count) {
   for (unsigned I = 0; I < Count; ++I) {
-    if (SlotsUsed >= FetchWidth) {
-      ++FetchCycle;
-      SlotsUsed = 0;
-      NtBranchesThisCycle = 0;
+    if (S.SlotsUsed >= FetchWidth) {
+      ++S.FetchCycle;
+      S.SlotsUsed = 0;
+      S.NtBranchesThisCycle = 0;
     }
-    ++SlotsUsed;
+    ++S.SlotsUsed;
   }
 }
 
-uint64_t DmpCore::fetchInstr(Opcode Op, bool PredictedTaken, unsigned Events) {
+uint64_t DmpCore::fetchInstr(PipeState &S, Opcode Op, bool PredictedTaken,
+                             unsigned Events, bool Alternate) {
   // ROB back-pressure: instruction i cannot fetch before instruction
   // i - RobSize retires.
-  const uint64_t RobGate = RobRetireRing[RobCursor];
-  if (RobGate > FetchCycle)
-    redirectFetch(RobGate);
+  const uint64_t RobGate = RobRetireRing[S.RobCursor];
+  if (RobGate > S.FetchCycle)
+    redirectFetch(S, RobGate);
 
   // I-cache: the recorder charged the line once, when fetch crossed into
   // it; a miss costs the L2 or memory latency beyond the IL1 hit.
   if (DMP_UNLIKELY(Events & (evBit(CorrectPathTrace::FetchL2) |
                              evBit(CorrectPathTrace::FetchMem)))) {
-    FetchCycle += (Events & evBit(CorrectPathTrace::FetchL2)) ? FetchL2Penalty
-                                                              : FetchMemPenalty;
-    SlotsUsed = 0;
-    NtBranchesThisCycle = 0;
+    S.FetchCycle += (Events & evBit(CorrectPathTrace::FetchL2))
+                        ? FetchL2Penalty
+                        : FetchMemPenalty;
+    S.SlotsUsed = 0;
+    S.NtBranchesThisCycle = 0;
   }
 
-  if (SlotsUsed >= FetchWidth) {
-    ++FetchCycle;
-    SlotsUsed = 0;
-    NtBranchesThisCycle = 0;
+  if (S.SlotsUsed >= FetchWidth) {
+    ++S.FetchCycle;
+    S.SlotsUsed = 0;
+    S.NtBranchesThisCycle = 0;
   }
 
   const bool IsCondBr = Op == Opcode::CondBr;
   if (IsCondBr && !PredictedTaken) {
-    if (NtBranchesThisCycle >= MaxNtBranches) {
-      ++FetchCycle;
-      SlotsUsed = 0;
-      NtBranchesThisCycle = 0;
+    if (S.NtBranchesThisCycle >= MaxNtBranches) {
+      ++S.FetchCycle;
+      S.SlotsUsed = 0;
+      S.NtBranchesThisCycle = 0;
     }
-    ++NtBranchesThisCycle;
+    ++S.NtBranchesThisCycle;
   }
 
-  const uint64_t Assigned = FetchCycle;
-  ++SlotsUsed;
+  const uint64_t Assigned = S.FetchCycle;
+  ++S.SlotsUsed;
 
   // In dpred-mode the front end alternates between the two paths: each
   // correct-path instruction costs one extra slot while the wrong path is
   // still being fetched.
-  if (Ep.Active && !Ep.IsLoop && Ep.WrongRemaining > 0) {
-    consumeFetchSlots(1);
+  if (Alternate) {
+    consumeFetchSlots(S, 1);
     --Ep.WrongRemaining;
   }
 
@@ -117,10 +141,10 @@ uint64_t DmpCore::fetchInstr(Opcode Op, bool PredictedTaken, unsigned Events) {
                              Op == Opcode::Jmp || Op == Opcode::Call ||
                              Op == Opcode::Ret;
   if (TakenTransfer) {
-    SlotsUsed = FetchWidth; // group break
+    S.SlotsUsed = FetchWidth; // group break
     if (Events & evBit(CorrectPathTrace::BtbMiss)) {
       ++Stats.BtbMissBubbles;
-      ++FetchCycle;
+      ++S.FetchCycle;
     }
   }
   return Assigned;
@@ -130,27 +154,21 @@ uint64_t DmpCore::fetchInstr(Opcode Op, bool PredictedTaken, unsigned Events) {
 // Dataflow schedule
 //===----------------------------------------------------------------------===//
 
-uint64_t DmpCore::scheduleInstr(const profile::DecodedInstr &D,
-                                uint64_t FetchedAt, unsigned Events) {
-  const Opcode Op = D.Op;
-  uint64_t Ready = FetchedAt + FrontEndDepth;
-  if (readsSrc1(Op) && D.Src1 != RegZero)
-    Ready = std::max(Ready, RegReady[D.Src1]);
-  if (readsSrc2(Op) && D.Src2 != RegZero)
-    Ready = std::max(Ready, RegReady[D.Src2]);
-
+uint64_t DmpCore::scheduleInstr(uint32_t Addr, uint64_t FetchedAt,
+                                unsigned Events) {
+  const OpTiming T = TimingAt[Addr];
+  const uint64_t Ready = std::max(
+      {FetchedAt + FrontEndDepth, RegReady[T.Src1], RegReady[T.Src2]});
   const uint64_t ExecStart = IssuePorts.reserve(Ready);
 
-  unsigned Latency;
-  if (Op == Opcode::Load)
-    Latency = (Events & evBit(CorrectPathTrace::LoadL2))    ? LoadL2Latency
-              : (Events & evBit(CorrectPathTrace::LoadMem)) ? LoadMemLatency
-                                                            : LoadDL1Latency;
-  else
-    Latency = OpLatency[static_cast<unsigned>(Op)];
+  // Only loads have these events; a load without one hits the DL1.
+  unsigned Latency = T.Latency;
+  if (DMP_UNLIKELY(Events & (evBit(CorrectPathTrace::LoadL2) |
+                             evBit(CorrectPathTrace::LoadMem))))
+    Latency = (Events & evBit(CorrectPathTrace::LoadL2)) ? LoadL2Latency
+                                                         : LoadMemLatency;
   const uint64_t Done = ExecStart + Latency;
-  if (writesRegister(Op))
-    RegReady[D.Dst] = Done;
+  RegReady[T.Dst] = Done;
   return Done;
 }
 
@@ -162,27 +180,27 @@ void DmpCore::chargeWrongPathIssue(unsigned Ops, uint64_t FetchedAt) {
 
 void DmpCore::occupyRobPhantoms(unsigned Count, uint64_t RetireCycle) {
   for (unsigned K = 0; K < Count; ++K) {
-    RobRetireRing[RobCursor] = RetireCycle;
-    advanceRobCursor();
+    RobRetireRing[Pipe.RobCursor] = RetireCycle;
+    advanceRobCursor(Pipe);
   }
 }
 
-uint64_t DmpCore::retireInstr(uint64_t DoneCycle) {
+uint64_t DmpCore::retireInstr(PipeState &S, uint64_t DoneCycle) {
   // In-order retirement books cycles monotonically, so the full
   // CycleResource ring reduces to the last retire cycle plus the number of
   // retires already booked in it: a new cycle starts with one retire, and a
   // full cycle pushes the retire to the next one.
-  uint64_t Retire = std::max(DoneCycle + 1, LastRetireCycle);
-  if (Retire != LastRetireCycle)
-    RetiresThisCycle = 0;
-  else if (RetiresThisCycle >= RetireWidth) {
+  uint64_t Retire = std::max(DoneCycle + 1, S.LastRetireCycle);
+  if (Retire != S.LastRetireCycle)
+    S.RetiresThisCycle = 0;
+  else if (S.RetiresThisCycle >= RetireWidth) {
     ++Retire;
-    RetiresThisCycle = 0;
+    S.RetiresThisCycle = 0;
   }
-  ++RetiresThisCycle;
-  LastRetireCycle = Retire;
-  RobRetireRing[RobCursor] = Retire;
-  advanceRobCursor();
+  ++S.RetiresThisCycle;
+  S.LastRetireCycle = Retire;
+  RobRetireRing[S.RobCursor] = Retire;
+  advanceRobCursor(S);
   return Retire;
 }
 
@@ -207,7 +225,7 @@ bool DmpCore::hasReturnCfm() const {
 void DmpCore::insertSelectUops(unsigned Count, uint64_t AtCycle) {
   if (Count == 0)
     return;
-  consumeFetchSlots(Count);
+  consumeFetchSlots(Pipe, Count);
   Stats.SelectUops += Count;
   // Select-µops serialize the merged registers for one cycle.
   const uint64_t Avail = AtCycle + FrontEndDepth + 1;
@@ -281,14 +299,14 @@ void DmpCore::checkDpredProgress(uint32_t Addr) {
     if (Ep.WrongReachedCfm && SameCfm) {
       // The slower path finishes fetching alone, then the paths merge.
       if (Ep.WrongRemaining > 0) {
-        consumeFetchSlots(Ep.WrongRemaining);
+        consumeFetchSlots(Pipe, Ep.WrongRemaining);
         Ep.WrongRemaining = 0;
       }
       mergeDpred();
     } else {
       // The wrong path never reaches a CFM: fetch stalls until the diverge
       // branch resolves, then the wrong path is squashed into NOPs.
-      redirectFetch(std::max(FetchCycle, Ep.ResolveCycle + 1));
+      redirectFetch(Pipe, Ep.ResolveCycle + 1);
       endDpredAtResolve();
     }
     return;
@@ -296,13 +314,14 @@ void DmpCore::checkDpredProgress(uint32_t Addr) {
 
   // Window full, or the diverge branch resolved before the paths merged.
   if (Ep.CorrectFetched >= Config.MaxDpredInstrs ||
-      FetchCycle > Ep.ResolveCycle)
+      Pipe.FetchCycle > Ep.ResolveCycle)
     endDpredAtResolve();
 }
 
 void DmpCore::mergeDpred() {
   ++Stats.DpredMerged;
-  insertSelectUops(static_cast<unsigned>(Ep.WrittenRegs.size()), FetchCycle);
+  insertSelectUops(static_cast<unsigned>(Ep.WrittenRegs.size()),
+                   Pipe.FetchCycle);
   if (Ep.BranchMispredicted)
     ++Stats.DpredSavedFlushes;
   Ep.Active = false;
@@ -315,28 +334,13 @@ void DmpCore::endDpredAtResolve() {
   Ep.Active = false;
 }
 
-void DmpCore::trainPredictor(const Retired &R) {
-  if (NeedsPredictor)
-    Predictor->replayUpdate(R.Addr, R.taken(),
-                            R.Bits & CorrectPathTrace::Trained);
-}
-
 void DmpCore::handleLoopIteration(const Retired &R, uint64_t FetchedAt,
                                   uint64_t DoneCycle) {
   assert(Ep.Active && Ep.IsLoop && "loop iteration without loop episode");
 
-  ++Stats.CondBranches;
-  const bool Mispredicted = R.predictedTaken() != R.taken();
-  if (Mispredicted)
-    ++Stats.Mispredictions;
-  if (R.Bits & CorrectPathTrace::LowConf) {
-    ++Stats.LowConfBranches;
-    if (Mispredicted)
-      ++Stats.LowConfMispredicted;
-  }
-
+  countBranch(R.Bits);
   // The iteration trains before classifyLoopInstance walks extra iterations.
-  trainPredictor(R);
+  trainPredictor(R.Addr, R.Bits);
   classifyLoopInstance(R, FetchedAt, DoneCycle);
 }
 
@@ -345,7 +349,7 @@ void DmpCore::classifyLoopInstance(const Retired &R, uint64_t FetchedAt,
   const core::DivergeAnnotation &Ann = *Ep.Ann;
   ++Ep.IterCount;
   // Select-µops after each predicated iteration (Section 5.1).
-  consumeFetchSlots(Ann.LoopSelectUops);
+  consumeFetchSlots(Pipe, Ann.LoopSelectUops);
   Stats.SelectUops += Ann.LoopSelectUops;
 
   const bool StayActual = (R.taken() == Ann.LoopStayTaken);
@@ -365,7 +369,7 @@ void DmpCore::classifyLoopInstance(const Retired &R, uint64_t FetchedAt,
     // must run again, so the pipeline flushes (Section 5.1, case 1).
     ++Stats.LoopEarlyExit;
     ++Stats.Flushes;
-    redirectFetch(DoneCycle + 1);
+    redirectFetch(Pipe, DoneCycle + 1);
     Ep.Active = false;
     return;
   }
@@ -392,11 +396,11 @@ void DmpCore::classifyLoopInstance(const Retired &R, uint64_t FetchedAt,
       ++Stats.LoopLateExit;
       Stats.LoopExtraIterInstrs += Extra.InstrsFetched;
       Stats.UselessDpredInstrs += Extra.InstrsFetched;
-      consumeFetchSlots(Extra.InstrsFetched);
+      consumeFetchSlots(Pipe, Extra.InstrsFetched);
       chargeWrongPathIssue(Extra.InstrsFetched, FetchedAt);
       occupyRobPhantoms(Extra.InstrsFetched, DoneCycle + 1);
       const unsigned Selects = Ann.LoopSelectUops * Extra.Iterations;
-      consumeFetchSlots(Selects);
+      consumeFetchSlots(Pipe, Selects);
       Stats.SelectUops += Selects;
       // Predicted stay vs actual exit is by definition a misprediction
       // whose flush the late exit avoided.
@@ -404,7 +408,7 @@ void DmpCore::classifyLoopInstance(const Retired &R, uint64_t FetchedAt,
     } else {
       ++Stats.LoopNoExit;
       ++Stats.Flushes;
-      redirectFetch(DoneCycle + 1);
+      redirectFetch(Pipe, DoneCycle + 1);
     }
     Ep.Active = false;
     return;
@@ -419,46 +423,57 @@ void DmpCore::classifyLoopInstance(const Retired &R, uint64_t FetchedAt,
 // Branch handling
 //===----------------------------------------------------------------------===//
 
-void DmpCore::handleCondBranch(const Retired &R, uint64_t FetchedAt,
-                               uint64_t DoneCycle) {
+bool DmpCore::countBranch(uint8_t Bits) {
   ++Stats.CondBranches;
-  const bool Mispredicted = R.predictedTaken() != R.taken();
+  const bool Taken = Bits & CorrectPathTrace::Taken;
+  const bool Mispredicted = Taken != bool(Bits & CorrectPathTrace::Predicted);
   if (Mispredicted)
     ++Stats.Mispredictions;
-
-  const bool LowConf = R.Bits & CorrectPathTrace::LowConf;
-  if (LowConf) {
+  if (Bits & CorrectPathTrace::LowConf) {
     ++Stats.LowConfBranches;
     if (Mispredicted)
       ++Stats.LowConfMispredicted;
   }
+  return Mispredicted;
+}
 
-  const core::DivergeAnnotation *Ann =
-      (DmpEnabled && !Ep.Active) ? Diverge->find(R.Addr) : nullptr;
-
-  if (Ann && (LowConf || Ann->AlwaysPredicate)) {
-    // Enter dpred-mode instead of risking (or suffering) a flush.
-    if (Ann->Kind == core::DivergeKind::Loop) {
-      enterLoopDpred(*Ann, R, DoneCycle, Mispredicted);
-      // The entry instance may itself exit the loop: classify it so a
-      // mispredicted entry pays the correct early/late/no-exit outcome.
-      classifyLoopInstance(R, FetchedAt, DoneCycle);
-    } else {
-      enterHammockDpred(*Ann, R, FetchedAt, DoneCycle, Mispredicted);
-    }
-  } else if (Mispredicted) {
+bool DmpCore::resolveBranch(PipeState &S, uint32_t Addr, uint8_t Bits,
+                            uint64_t DoneCycle) {
+  const bool Mispredicted = countBranch(Bits);
+  if (Mispredicted) {
     ++Stats.Flushes;
-    redirectFetch(DoneCycle + 1);
-    if (Ep.Active) {
+    redirectFetch(S, DoneCycle + 1);
+  }
+  trainPredictor(Addr, Bits);
+  return Mispredicted;
+}
+
+void DmpCore::handleCondBranch(const Retired &R, uint64_t FetchedAt,
+                               uint64_t DoneCycle) {
+  const core::DivergeAnnotation *Ann =
+      Ep.Active ? nullptr : annotationAt(R.Addr);
+  if (!Ann || !entersDpred(*Ann, R.Bits)) {
+    if (resolveBranch(Pipe, R.Addr, R.Bits, DoneCycle) && Ep.Active) {
       // A mispredicted branch inside the predicated region aborts the
       // episode (the fetched stream beyond it is wrong on both paths).
       ++Stats.DpredAborted;
       Ep.Active = false;
     }
+    return;
   }
 
+  // Enter dpred-mode instead of risking (or suffering) a flush.
+  const bool Mispredicted = countBranch(R.Bits);
+  if (Ann->Kind == core::DivergeKind::Loop) {
+    enterLoopDpred(*Ann, R, DoneCycle, Mispredicted);
+    // The entry instance may itself exit the loop: classify it so a
+    // mispredicted entry pays the correct early/late/no-exit outcome.
+    classifyLoopInstance(R, FetchedAt, DoneCycle);
+  } else {
+    enterHammockDpred(*Ann, R, FetchedAt, DoneCycle, Mispredicted);
+  }
   // The branch trains after the hammock walk and the loop-entry walk.
-  trainPredictor(R);
+  trainPredictor(R.Addr, R.Bits);
 }
 
 //===----------------------------------------------------------------------===//
@@ -489,6 +504,9 @@ public:
     return Mask;
   }
 
+  /// The index of the next instruction with an event (~0 when none is left).
+  uint64_t nextIndex() const { return NextIndex; }
+
 private:
   /// Advances NextIndex to the next real (non-Skip) event at or after It.
   void seek() {
@@ -513,6 +531,77 @@ StatusError corruptTrace(const char *What) {
 
 } // namespace
 
+uint32_t DmpCore::step(const Retired &R, unsigned Ev, bool Last) {
+  const profile::DecodedInstr &D = *R.D;
+  const Opcode Op = D.Op;
+  if (Ep.Active && !Ep.IsLoop)
+    checkDpredProgress(R.Addr);
+
+  const uint64_t FetchedAt =
+      fetchInstr(Pipe, Op, R.predictedTaken(), Ev,
+                 Ep.Active && !Ep.IsLoop && Ep.WrongRemaining > 0);
+  const uint64_t Done = scheduleInstr(R.Addr, FetchedAt, Ev);
+
+  if (Ep.Active) {
+    ++Ep.CorrectFetched;
+    ++Stats.UsefulDpredInstrs;
+    if (!Ep.IsLoop && writesRegister(Op))
+      Ep.WrittenRegs.insert(D.Dst);
+  }
+
+  uint32_t Next = R.Addr + 1;
+  switch (Op) {
+  case Opcode::CondBr:
+    if (Ep.Active && Ep.IsLoop && R.Addr == Ep.LoopBranchAddr)
+      handleLoopIteration(R, FetchedAt, Done);
+    else
+      handleCondBranch(R, FetchedAt, Done);
+    if (R.taken())
+      Next = D.Target;
+    break;
+  case Opcode::Jmp:
+    Next = D.Target;
+    break;
+  case Opcode::Call:
+    CallStack.push_back(R.Addr + 1);
+    Next = D.Target;
+    break;
+  case Opcode::Ret: {
+    if (CallStack.empty()) {
+      // Ret in main halts the program.
+      if (!Last)
+        throw corruptTrace("continues past the program's halt");
+      break;
+    }
+    const size_t DepthBefore = CallStack.size();
+    Next = CallStack.back();
+    CallStack.pop_back();
+    if (Ev & evBit(CorrectPathTrace::RasMiss)) {
+      ++Stats.RasMispredicts;
+      ++Stats.Flushes;
+      redirectFetch(Pipe, Done + 1);
+      if (Ep.Active) {
+        ++Stats.DpredAborted;
+        Ep.Active = false;
+      }
+    }
+    if (Ep.Active && !Ep.IsLoop && hasReturnCfm() &&
+        DepthBefore == Ep.EntryCallDepth)
+      Ep.MergePendingAfterRet = true;
+    break;
+  }
+  case Opcode::Halt:
+    if (!Last)
+      throw corruptTrace("continues past the program's halt");
+    break;
+  default:
+    break;
+  }
+
+  retireInstr(Pipe, Done);
+  return Next;
+}
+
 SimStats DmpCore::run(const CorrectPathTrace &Trace) {
   if (Trace.Instrs > Config.MaxInstrs)
     throw corruptTrace("is longer than the run's instruction budget");
@@ -522,92 +611,69 @@ SimStats DmpCore::run(const CorrectPathTrace &Trace) {
   const uint8_t *const BranchEnd = Branch + Trace.Branches.size();
   const profile::DecodedInstr *const Decoded = Code.data();
   const uint64_t N = Trace.Instrs;
-  Retired R;
-  R.Addr = P.getMain()->getEntryAddr();
+  uint32_t Addr = P.getMain()->getEntryAddr();
+  // The cursors live here between out-of-line steps (see the file comment).
+  PipeState S = Pipe;
 
-  for (uint64_t Index = 0; Index < N; ++Index) {
-    Guard.retired(Index + 1);
-    const profile::DecodedInstr &D = Decoded[R.Addr];
-    R.D = &D;
-    const Opcode Op = D.Op;
-    const unsigned Ev = Events.at(Index);
-
-    if (Ep.Active && !Ep.IsLoop)
-      checkDpredProgress(R.Addr);
-
-    if (Op == Opcode::CondBr) {
-      if (DMP_UNLIKELY(Branch == BranchEnd))
-        throw corruptTrace("has fewer branch records than its path");
-      R.Bits = *Branch++;
-    }
-
-    const uint64_t FetchedAt = fetchInstr(Op, R.predictedTaken(), Ev);
-    const uint64_t Done = scheduleInstr(D, FetchedAt, Ev);
-
-    if (Ep.Active) {
-      ++Ep.CorrectFetched;
-      ++Stats.UsefulDpredInstrs;
-      if (!Ep.IsLoop && writesRegister(Op))
-        Ep.WrittenRegs.insert(D.Dst);
-    }
-
-    uint32_t Next = R.Addr + 1;
-    switch (Op) {
-    case Opcode::CondBr:
-      if (Ep.Active && Ep.IsLoop && R.Addr == Ep.LoopBranchAddr)
-        handleLoopIteration(R, FetchedAt, Done);
-      else
-        handleCondBranch(R, FetchedAt, Done);
-      if (R.taken())
-        Next = D.Target;
-      break;
-    case Opcode::Jmp:
-      Next = D.Target;
-      break;
-    case Opcode::Call:
-      CallStack.push_back(R.Addr + 1);
-      Next = D.Target;
-      break;
-    case Opcode::Ret: {
-      if (CallStack.empty()) {
-        // Ret in main halts the program.
-        if (Index + 1 != N)
-          throw corruptTrace("continues past the program's halt");
-        break;
-      }
-      const size_t DepthBefore = CallStack.size();
-      Next = CallStack.back();
-      CallStack.pop_back();
-      if (Ev & evBit(CorrectPathTrace::RasMiss)) {
-        ++Stats.RasMispredicts;
-        ++Stats.Flushes;
-        redirectFetch(Done + 1);
-        if (Ep.Active) {
-          ++Stats.DpredAborted;
-          Ep.Active = false;
+  uint64_t Index = 0;
+  while (Index < N) {
+    // The inline step, up to the next instruction with a trace event or a
+    // guard beat: outside an episode, an instruction that is not a Jmp,
+    // Call, Ret or Halt and, if a branch, cannot enter dpred-mode.
+    if (!Ep.Active) {
+      const uint64_t Stop =
+          std::min({N, Events.nextIndex(), Guard.nextCheck() - 1});
+      for (; Index < Stop; ++Index) {
+        const profile::DecodedInstr &D = Decoded[Addr];
+        const Opcode Op = D.Op;
+        uint8_t Bits = 0;
+        if (Op == Opcode::CondBr) {
+          if (DMP_UNLIKELY(Branch == BranchEnd))
+            break;
+          Bits = *Branch;
+          const core::DivergeAnnotation *Ann = annotationAt(Addr);
+          if (DMP_UNLIKELY(Ann && entersDpred(*Ann, Bits)))
+            break;
+          ++Branch;
+        } else if (DMP_UNLIKELY(isControlFlow(Op))) {
+          break;
         }
+        const uint64_t FetchedAt =
+            fetchInstr(S, Op, Bits & CorrectPathTrace::Predicted, 0, false);
+        const uint64_t DoneCycle = scheduleInstr(Addr, FetchedAt, 0);
+        uint32_t Next = Addr + 1;
+        if (Op == Opcode::CondBr) {
+          resolveBranch(S, Addr, Bits, DoneCycle);
+          if (Bits & CorrectPathTrace::Taken)
+            Next = D.Target;
+        }
+        retireInstr(S, DoneCycle);
+        Addr = Next;
       }
-      if (Ep.Active && !Ep.IsLoop && hasReturnCfm() &&
-          DepthBefore == Ep.EntryCallDepth)
-        Ep.MergePendingAfterRet = true;
-      break;
-    }
-    case Opcode::Halt:
-      if (Index + 1 != N)
-        throw corruptTrace("continues past the program's halt");
-      break;
-    default:
-      break;
+      if (Index == N)
+        break;
     }
 
-    retireInstr(Done);
-    ++Stats.RetiredInstrs;
-    R.Addr = Next;
+    // Everything else steps out of line on the member cursors.
+    Guard.retired(Index + 1);
+    const profile::DecodedInstr &D = Decoded[Addr];
+    const unsigned Ev = Events.at(Index);
+    uint8_t Bits = 0;
+    if (D.Op == Opcode::CondBr) {
+      if (Branch == BranchEnd)
+        throw corruptTrace("has fewer branch records than its path");
+      Bits = *Branch++;
+    }
+    Pipe = S;
+    Addr = step(Retired{Addr, &D, Bits}, Ev, Index + 1 == N);
+    S = Pipe;
+    ++Index;
   }
   if (Branch != BranchEnd)
     throw corruptTrace("has more branch records than its path");
 
-  Stats.Cycles = std::max(LastRetireCycle, FetchCycle) + 1;
+  Stats.RetiredInstrs = N;
+  Stats.Cycles = std::max(S.LastRetireCycle, S.FetchCycle) + 1;
   Stats.IL1Misses = Trace.IL1Misses;
   Stats.DL1Misses = Trace.DL1Misses;
   Stats.L2Misses = Trace.L2Misses;

@@ -35,6 +35,25 @@
 /// walks.  One trace serves
 /// the baseline and every DivergeMap with byte-identical statistics.
 ///
+/// The inline step.  The fetch, retire and ROB cursors (PipeState) change
+/// on every instruction, so run() keeps them in a local that the
+/// always-inline fetch, schedule and retire helpers take by reference, and
+/// steps most instructions entirely on it: outside a dpred episode, an
+/// instruction with no trace event that is not a Jmp, Call, Ret or Halt,
+/// and a conditional branch only if it cannot enter dpred-mode (no
+/// annotation, or one that is neither low-confidence nor AlwaysPredicate),
+/// which then only counts, flushes on a misprediction and trains.  These
+/// run in a tight loop bounded by the next trace event and the next
+/// RunGuard beat, so it checks neither.  Every other instruction is the
+/// single sync point: run() writes the local back to the member Pipe,
+/// steps the instruction out of line (step(): the guards, the events,
+/// episodes, calls and returns, dpred entries, loop iterations) and reloads
+/// the local.  Both paths call the same helpers in the same order on the
+/// same state, so the statistics are exactly those of stepping every
+/// instruction out of line; the local only lets the compiler keep the
+/// cursors in registers instead of storing and reloading them around calls
+/// that might write them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMP_SIM_DMPCORE_H
@@ -82,30 +101,56 @@ private:
     bool predictedTaken() const { return Bits & CorrectPathTrace::Predicted; }
   };
 
+  /// The per-instruction cursors of the timing model (see the file comment:
+  /// run() steps most instructions on a local copy).
+  struct PipeState {
+    // Fetch cursor.
+    uint64_t FetchCycle = 0;
+    unsigned SlotsUsed = 0;
+    unsigned NtBranchesThisCycle = 0;
+    // Retire cursor.
+    uint64_t LastRetireCycle = 0;
+    /// Retires booked in LastRetireCycle (in-order retirement probes cycles
+    /// monotonically, so these two scalars model the retire-port resource
+    /// exactly; see retireInstr).
+    unsigned RetiresThisCycle = 0;
+    /// Ring slot the next fetched instruction occupies.  Both real and
+    /// phantom (wrong-path) entries advance it, so phantoms displace real
+    /// slots; keeping it as an incrementally wrapped cursor removes the two
+    /// per-instruction `% RobSize` divides the old index arithmetic paid.
+    uint32_t RobCursor = 0;
+  };
+
   /// Bits of the per-instruction event mask: 1 << CorrectPathTrace code.
   static constexpr unsigned evBit(CorrectPathTrace::EventCode Code) {
     return 1u << Code;
   }
 
+  /// Steps one instruction the inline step does not cover, on the member
+  /// Pipe; \p Last marks the trace's final instruction.  Returns the next
+  /// PC.
+  uint32_t step(const Retired &R, unsigned Events, bool Last);
+
   // -- Fetch engine -------------------------------------------------------
   /// Assigns a fetch cycle to the next correct-path instruction.  Handles
   /// fetch width, taken-branch group breaks, the not-taken-branch limit,
   /// I-cache misses, and BTB bubbles (\p Events: the instruction's event
-  /// mask).
-  DMP_ALWAYS_INLINE uint64_t fetchInstr(ir::Opcode Op, bool PredictedTaken,
-                                        unsigned Events);
+  /// mask).  \p Alternate: a hammock episode is still fetching its wrong
+  /// path, which takes every other slot.
+  DMP_ALWAYS_INLINE uint64_t fetchInstr(PipeState &S, ir::Opcode Op,
+                                        bool PredictedTaken, unsigned Events,
+                                        bool Alternate);
 
   /// Moves the fetch cursor to \p Cycle (redirect); resets group state.
-  void redirectFetch(uint64_t Cycle);
+  DMP_ALWAYS_INLINE void redirectFetch(PipeState &S, uint64_t Cycle);
 
   /// Consumes \p Count raw fetch slots (wrong-path / select-µop slots).
-  void consumeFetchSlots(unsigned Count);
+  DMP_ALWAYS_INLINE void consumeFetchSlots(PipeState &S, unsigned Count);
 
   // -- Dataflow schedule ---------------------------------------------------
-  /// Schedules execution of \p D fetched at \p FetchCycle; returns the
-  /// completion (resolution) cycle.
-  DMP_ALWAYS_INLINE uint64_t scheduleInstr(const profile::DecodedInstr &D,
-                                           uint64_t FetchCycle,
+  /// Schedules execution of the instruction at \p Addr fetched at
+  /// \p FetchCycle; returns the completion (resolution) cycle.
+  DMP_ALWAYS_INLINE uint64_t scheduleInstr(uint32_t Addr, uint64_t FetchCycle,
                                            unsigned Events);
 
   /// Charges issue bandwidth for \p Ops speculative wrong-path operations
@@ -120,14 +165,41 @@ private:
   void occupyRobPhantoms(unsigned Count, uint64_t RetireCycle);
 
   /// In-order retirement accounting; returns the retire cycle.
-  DMP_ALWAYS_INLINE uint64_t retireInstr(uint64_t DoneCycle);
+  DMP_ALWAYS_INLINE uint64_t retireInstr(PipeState &S, uint64_t DoneCycle);
+
+  void advanceRobCursor(PipeState &S) const {
+    if (++S.RobCursor == RobSize)
+      S.RobCursor = 0;
+  }
 
   // -- Branch handling -----------------------------------------------------
+  /// The diverge annotation of the branch at \p Addr, or nullptr.
+  const core::DivergeAnnotation *annotationAt(uint32_t Addr) const {
+    return NeedsPredictor ? AnnotationAt[Addr] : nullptr;
+  }
+  /// Whether a branch with \p Ann and trace flags \p Bits enters dpred-mode
+  /// (outside an episode).
+  static bool entersDpred(const core::DivergeAnnotation &Ann, uint8_t Bits) {
+    return (Bits & CorrectPathTrace::LowConf) || Ann.AlwaysPredicate;
+  }
+  /// Counts a conditional branch with trace flags \p Bits in the branch
+  /// statistics; returns whether it was mispredicted.
+  DMP_ALWAYS_INLINE bool countBranch(uint8_t Bits);
+  /// A conditional branch that does not enter dpred-mode: counts it,
+  /// flushes on a misprediction (fetch resumes after \p DoneCycle) and
+  /// trains the predictor.  Returns whether it was mispredicted.
+  DMP_ALWAYS_INLINE bool resolveBranch(PipeState &S, uint32_t Addr,
+                                       uint8_t Bits, uint64_t DoneCycle);
   void handleCondBranch(const Retired &R, uint64_t FetchCycle,
                         uint64_t DoneCycle);
-  /// Trains the live predictor with \p R's recorded outcome (only the
-  /// wrong-path walks read it, so a run without diverge branches skips it).
-  void trainPredictor(const Retired &R);
+  /// Trains the live predictor with the recorded outcome \p Bits of the
+  /// branch at \p Addr (only the wrong-path walks read it, so a run without
+  /// diverge branches skips it).
+  void trainPredictor(uint32_t Addr, uint8_t Bits) {
+    if (NeedsPredictor)
+      Predictor->replayUpdate(Addr, Bits & CorrectPathTrace::Taken,
+                              Bits & CorrectPathTrace::Trained);
+  }
 
   // -- dpred-mode ----------------------------------------------------------
   struct DpredEpisode {
@@ -177,11 +249,10 @@ private:
   // -- Members -------------------------------------------------------------
   const ir::Program &P;
   const profile::DecodedProgram &Code;
-  const core::DivergeMap *Diverge;
   SimConfig Config;
-  bool DmpEnabled;
-  /// Only the wrong-path walks read the predictor, so it is kept live only
-  /// when some branch can enter dpred-mode.
+  /// DMP is enabled and the DivergeMap is not empty.  Only the wrong-path
+  /// walks read the predictor, so it is kept live only then, and only then
+  /// does AnnotationAt exist.
   bool NeedsPredictor;
 
   // Invariant configuration, copied out of Config at construction so the
@@ -195,15 +266,27 @@ private:
   /// Extra fetch cycles of an I-cache miss served by L2 / by memory.
   const unsigned FetchL2Penalty;
   const unsigned FetchMemPenalty;
-  /// Load latencies: DL1 hit, L2 hit, memory.
-  const unsigned LoadDL1Latency;
+  /// Latencies of a load served by L2 / by memory (a DL1 hit's is in
+  /// TimingAt).
   const unsigned LoadL2Latency;
   const unsigned LoadMemLatency;
-  /// SimConfig::latencyFor tabulated per opcode: the scheduling hot path
-  /// pays an indexed byte load instead of an out-of-line call.
-  static constexpr unsigned NumOpcodeValues =
-      static_cast<unsigned>(ir::Opcode::Halt) + 1;
-  uint8_t OpLatency[NumOpcodeValues];
+  /// What the dataflow schedule needs of one instruction, tabulated per PC
+  /// so that scheduling it takes no branch on its opcode: the registers it
+  /// reads (NoReg, whose ready cycle stays 0, for none or RegZero), the
+  /// register it writes (SinkReg, never read, for none) and its latency (a
+  /// load's DL1 hit).
+  static constexpr uint8_t NoReg = ir::NumRegs;
+  static constexpr uint8_t SinkReg = ir::NumRegs + 1;
+  struct OpTiming {
+    uint8_t Src1 = NoReg;
+    uint8_t Src2 = NoReg;
+    uint8_t Dst = SinkReg;
+    uint32_t Latency = 0;
+  };
+  std::vector<OpTiming> TimingAt;
+  /// The DivergeMap as a dense per-PC table (nullptr: no annotation), so a
+  /// branch's lookup is one indexed load instead of a hash probe.
+  std::vector<const core::DivergeAnnotation *> AnnotationAt;
 
   std::unique_ptr<uarch::BranchPredictor> Predictor;
 
@@ -211,32 +294,15 @@ private:
 
   SimStats Stats;
   DpredEpisode Ep;
+  /// The cursors as the out-of-line code sees them; run() syncs its local
+  /// copy with this around every out-of-line step.
+  PipeState Pipe;
 
-  // Fetch cursor state.
-  uint64_t FetchCycle = 0;
-  unsigned SlotsUsed = 0;
-  unsigned NtBranchesThisCycle = 0;
-
-  // Dataflow state.
-  uint64_t RegReady[ir::NumRegs] = {};
-  uint64_t LastRetireCycle = 0;
-  /// Retires booked in LastRetireCycle (in-order retirement probes cycles
-  /// monotonically, so these two scalars model the retire-port resource
-  /// exactly; see retireInstr).
-  unsigned RetiresThisCycle = 0;
+  // Dataflow state: the ready cycle of each register, NoReg and SinkReg.
+  uint64_t RegReady[ir::NumRegs + 2] = {};
   std::vector<uint64_t> RobRetireRing;
-  /// Ring slot the next fetched instruction occupies.  Both real and
-  /// phantom (wrong-path) entries advance it, so phantoms displace real
-  /// slots; keeping it as an incrementally wrapped cursor removes the two
-  /// per-instruction `% RobSize` divides the old index arithmetic paid.
-  uint32_t RobCursor = 0;
   /// Return addresses of the calls in flight on the correct path.
   std::vector<uint32_t> CallStack;
-
-  void advanceRobCursor() {
-    if (++RobCursor == RobSize)
-      RobCursor = 0;
-  }
 };
 
 } // namespace dmp::sim

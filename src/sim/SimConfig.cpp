@@ -6,6 +6,7 @@
 
 #include "sim/SimConfig.h"
 
+#include "sim/CycleResource.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -40,6 +41,21 @@ void RunGuard::check(uint64_t Count) {
   if (Watchdog)
     Next = std::min(Next, Watchdog + 1);
   NextCheck = Next;
+}
+
+Status SimConfig::check() const {
+  if (FetchWidth == 0 || RetireWidth == 0 || RobSize == 0)
+    return Status::invariant(
+        formatString("fetch width %u, retire width %u and ROB size %u must "
+                     "all be positive",
+                     FetchWidth, RetireWidth, RobSize),
+        "sim::SimConfig");
+  if (IssueWidth == 0 || IssueWidth > CycleResource::kMaxCapacity)
+    return Status::invariant(formatString("issue width %u is outside [1, %u]",
+                                          IssueWidth,
+                                          CycleResource::kMaxCapacity),
+                             "sim::SimConfig");
+  return Status();
 }
 
 unsigned SimConfig::latencyFor(ir::Opcode Op) const {

@@ -26,6 +26,7 @@
 
 #include "guard/Guard.h"
 #include "ir/Opcode.h"
+#include "support/Status.h"
 #include "uarch/BranchPredictor.h"
 #include "uarch/Cache.h"
 
@@ -119,6 +120,12 @@ struct SimConfig {
   /// Execution latency of \p Op (loads use the cache model instead).
   unsigned latencyFor(ir::Opcode Op) const;
 
+  /// Rejects (Invariant) a machine the timing model cannot run: a zero
+  /// fetch, issue or retire width, more issue ports than CycleResource
+  /// counts, or an empty ROB.  DmpCore and recordCorrectPath throw it as a
+  /// StatusError before sizing anything from the configuration.
+  Status check() const;
+
   /// Human-readable Table 1-style description.
   std::string toString() const;
 };
@@ -142,6 +149,10 @@ public:
     if (Count >= NextCheck)
       check(Count);
   }
+
+  /// The smallest count at which retired() acts; calls for smaller counts
+  /// may be skipped.
+  uint64_t nextCheck() const { return NextCheck; }
 
 private:
   void check(uint64_t Count);

@@ -15,6 +15,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <type_traits>
 
 namespace dmp {
 
@@ -58,9 +59,14 @@ private:
   uint16_t Value = 0;
 };
 
-/// A signed saturating weight, used by the perceptron predictor.
+/// A signed saturating weight, used by the perceptron predictor.  Stored in
+/// the narrowest type that holds the range (a byte for the perceptron's
+/// [-128, 127], so its table is Table 1's 16KB).
 template <int MinValue, int MaxValue> class SaturatingWeight {
   static_assert(MinValue < MaxValue, "degenerate weight range");
+  using Storage =
+      std::conditional_t<MinValue >= INT8_MIN && MaxValue <= INT8_MAX,
+                         int8_t, int>;
 
 public:
   int get() const { return Value; }
@@ -71,11 +77,11 @@ public:
       Next = MaxValue;
     if (Next < MinValue)
       Next = MinValue;
-    Value = Next;
+    Value = static_cast<Storage>(Next);
   }
 
 private:
-  int Value = 0;
+  Storage Value = 0;
 };
 
 } // namespace dmp

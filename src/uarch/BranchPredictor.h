@@ -82,6 +82,9 @@ public:
   uint64_t history() const override { return History; }
   void reset() override;
 
+  /// Bytes of weight storage: NumEntries x (HistoryBits + 1), one byte each.
+  size_t tableBytes() const { return Weights.size() * sizeof(Weights[0]); }
+
 private:
   int dotProduct(uint32_t Addr, uint64_t Hist) const;
   unsigned indexFor(uint32_t Addr) const;

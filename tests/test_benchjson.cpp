@@ -141,7 +141,7 @@ TEST(BenchSnapshotTest, ThroughputSchema) {
   ASSERT_NE(Agg, nullptr);
   for (const char *Key : {"emu_run_mips", "emu_step_mips", "emu_ref_mips",
                           "sim_mips", "trace_mips", "replay_mips",
-                          "emu_speedup_vs_ref"}) {
+                          "dmp_replay_mips", "emu_speedup_vs_ref"}) {
     const json::Value *V = Agg->findNumber(Key);
     ASSERT_NE(V, nullptr) << Key;
     EXPECT_GT(V->asNumber(), 0.0) << Key;
@@ -163,7 +163,7 @@ TEST(BenchSnapshotTest, ThroughputSchema) {
               I < Suite.size() ? Suite[I].Name : "longrun");
     for (const char *Key : {"emu_run_mips", "emu_step_mips", "emu_ref_mips",
                             "sim_mips", "trace_mips", "replay_mips",
-                            "sim_ipc"}) {
+                            "dmp_replay_mips", "sim_ipc"}) {
       const json::Value *V = Row.findNumber(Key);
       ASSERT_NE(V, nullptr) << Name->asString() << "." << Key;
       EXPECT_GT(V->asNumber(), 0.0) << Name->asString() << "." << Key;

@@ -10,6 +10,11 @@
 //     the emulator-driven simulator the replay replaced, for the 17
 //     workloads x {baseline, the 12 paper-cold columns} and 200 ProgramGen
 //     recipes x {baseline, adversarial, all-best-cost, all-best-heur};
+//     and, written by the simulator before the inline replay step, the 17
+//     workloads x {baseline, all-best-cost} on seven non-default machines
+//     (one fetch, issue or retire port, a 16-wide fetch with one not-taken
+//     branch per cycle, a 32-entry ROB, a 1KB IL1, a 50-instruction dpred
+//     window);
 //   * the timing oracle: DMP with an empty DivergeMap is the baseline;
 //   * Fast vs Reference recording, the guards, the InjectFault canaries;
 //   * the trace blob and the BenchContext trace memo.
@@ -196,6 +201,62 @@ TEST(ReplayGolden, RecipesMatchEmulatorDrivenDigests) {
     EXPECT_EQ(Line, Golden[Seed]) << check::describeRecipe(
         check::randomRecipe(Seed));
   }
+}
+
+namespace {
+
+/// The non-default machines of replay_machines.sha256: each narrows one
+/// resource of the timing model so that a step mishandling it shows up.
+std::vector<std::pair<const char *, sim::SimConfig>> goldenMachines() {
+  sim::SimConfig Base = harness::ExperimentOptions().Sim;
+  Base.MaxInstrs = 400'000;
+  std::vector<std::pair<const char *, sim::SimConfig>> Machines;
+  const auto Add = [&](const char *Name, auto Edit) {
+    sim::SimConfig Cfg = Base;
+    Edit(Cfg);
+    Machines.emplace_back(Name, Cfg);
+  };
+  Add("fetch1", [](sim::SimConfig &C) { C.FetchWidth = 1; });
+  Add("fetch16-nt1", [](sim::SimConfig &C) {
+    C.FetchWidth = 16;
+    C.MaxNotTakenBranchesPerFetch = 1;
+  });
+  Add("issue1", [](sim::SimConfig &C) { C.IssueWidth = 1; });
+  Add("retire1", [](sim::SimConfig &C) { C.RetireWidth = 1; });
+  Add("rob32", [](sim::SimConfig &C) { C.RobSize = 32; });
+  // 16 lines: I-cache misses to L2 and memory are dense in every workload.
+  Add("il1-1k", [](sim::SimConfig &C) { C.Memory.IL1Size = 1024; });
+  Add("dpred50", [](sim::SimConfig &C) { C.MaxDpredInstrs = 50; });
+  return Machines;
+}
+
+} // namespace
+
+// Every workload on each non-default machine, baseline and with its
+// all-best-cost map (selected under ExperimentOptions defaults).
+TEST(ReplayGolden, NonDefaultMachinesMatchDigests) {
+  std::vector<std::string> Actual;
+  const auto Machines = goldenMachines();
+  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
+    harness::BenchContext Ctx(Spec, harness::ExperimentOptions());
+    const core::DivergeMap Map =
+        Ctx.select(core::SelectionFeatures::allBestCost(), InputSetKind::Run);
+    const ir::Program &P = *Ctx.workload().Prog;
+    const std::vector<int64_t> Image =
+        Ctx.workload().buildImage(InputSetKind::Run);
+    for (const auto &[Name, Cfg] : Machines) {
+      const sim::CorrectPathTrace Trace =
+          sim::recordCorrectPath(P, Image, Cfg);
+      Actual.push_back(std::string(Spec.Name) + " " + Name + " " +
+                       digestOf(sim::simulateBaseline(P, Trace, Cfg)) + " " +
+                       digestOf(sim::simulateDmp(P, Map, Trace, Cfg)));
+    }
+  }
+  const std::vector<std::string> Golden =
+      goldenLines("replay_machines.sha256");
+  ASSERT_EQ(Actual.size(), Golden.size());
+  for (size_t I = 0; I < Golden.size(); ++I)
+    EXPECT_EQ(Actual[I], Golden[I]);
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,7 @@
 #include "TestPrograms.h"
 #include "core/DivergeSelector.h"
 #include "profile/Profiler.h"
+#include "sim/DmpCore.h"
 #include "sim/Simulator.h"
 #include "sim/WrongPathWalker.h"
 #include "profile/Emulator.h"
@@ -26,6 +27,30 @@ std::vector<int64_t> randomImage(size_t Words, double P, uint64_t Seed = 21) {
   for (auto &W : Image)
     W = Rng.nextBool(P);
   return Image;
+}
+
+/// How SimConfig::check, recordCorrectPath and the DmpCore constructor
+/// treat \p Config: each must reject it with the same Invariant status
+/// before sizing anything from it (so no CycleResource is built, and
+/// nothing can hang on a zero-capacity one).
+void expectRejected(const SimConfig &Config) {
+  auto H = test::buildSimpleHammockLoop(/*BodyLen=*/4, /*Iters=*/16);
+  const Status S = Config.check();
+  EXPECT_EQ(S.code(), ErrorCode::Invariant) << S.toString();
+  const auto StatusOf = [](const auto &Call) {
+    try {
+      Call();
+      return Status();
+    } catch (const StatusError &E) {
+      return E.status();
+    }
+  };
+  EXPECT_EQ(StatusOf([&] {
+              recordCorrectPath(*H.Prog, std::vector<int64_t>(64, 0), Config);
+            }).toString(),
+            S.toString());
+  EXPECT_EQ(StatusOf([&] { DmpCore(*H.Prog, nullptr, Config); }).toString(),
+            S.toString());
 }
 
 core::DivergeMap selectAll(const test::ProgramHandles &H,
@@ -232,8 +257,33 @@ TEST(WrongPathWalkerTest, ExtraIterationsUntilPredictedExit) {
   EXPECT_LE(R.Iterations, 16u);
 }
 
+TEST(SimConfigTest, RejectsZeroIssueWidth) {
+  SimConfig Config;
+  Config.IssueWidth = 0;
+  expectRejected(Config);
+}
+
+// The issue ports count bookings in a 4-bit field: 16 would overflow into
+// the epoch tag.
+TEST(SimConfigTest, RejectsIssueWidthBeyondTheCountField) {
+  SimConfig Config;
+  Config.IssueWidth = 16;
+  expectRejected(Config);
+  Config.IssueWidth = 15;
+  EXPECT_TRUE(Config.check().ok());
+}
+
+TEST(SimConfigTest, RejectsEmptyRob) {
+  SimConfig Config;
+  Config.RobSize = 0;
+  expectRejected(Config);
+  Config.RobSize = 1;
+  EXPECT_TRUE(Config.check().ok());
+}
+
 TEST(SimConfigTest, Table1Defaults) {
   SimConfig Config;
+  EXPECT_TRUE(Config.check().ok());
   EXPECT_EQ(Config.FetchWidth, 8u);
   EXPECT_EQ(Config.RobSize, 512u);
   EXPECT_EQ(Config.BtbEntries, 4096u);

@@ -72,6 +72,14 @@ TEST(PerceptronTest, HistoryAdvances) {
   EXPECT_EQ(P.history() & 0x7, 0b101u);
 }
 
+// Table 1's 16KB perceptron: 256 perceptrons x (64 history weights + bias),
+// one byte per weight.
+TEST(PerceptronTest, TableIsOneBytePerWeight) {
+  EXPECT_EQ(PerceptronPredictor().tableBytes(), 256u * 65u);
+  EXPECT_EQ(sizeof(SaturatingWeight<-128, 127>), 1u);
+  EXPECT_EQ(sizeof(SaturatingWeight<-1000, 1000>), sizeof(int));
+}
+
 TEST(GShareTest, LearnsBiasedBranch) {
   GSharePredictor P;
   EXPECT_GT(trainedAccuracy(P, 42, 2000, [](unsigned) { return true; }),
