@@ -5,10 +5,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestPrograms.h"
+#include "check/ProgramGen.h"
+#include "harness/Experiment.h"
 #include "profile/Profiler.h"
+#include "serialize/Hash.h"
+#include "serialize/ProfileIO.h"
 #include "support/RNG.h"
+#include "workloads/SpecSuite.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
 
 using namespace dmp;
 using namespace dmp::profile;
@@ -124,4 +131,92 @@ TEST(ProfilerTest, DeterministicProfiles) {
             B.Branches.totalMispredictions());
   EXPECT_EQ(A.Edges.branchCounts(H.BranchAddr).Taken,
             B.Edges.branchCounts(H.BranchAddr).Taken);
+}
+
+//===----------------------------------------------------------------------===//
+// Profile golden: SHA-256 of encodeProfileData, written by the per-
+// instruction step() profiler before it ran on the batched emulator.
+//
+// Regenerate (only after an intentional profile change) by emptying
+// tests/golden/profile_bytes.sha256: each test then reports every line it
+// computed as "missing golden line: <line>".
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string profileDigest(const ir::Program &P, const cfg::ProgramAnalysis &PA,
+                          const std::vector<int64_t> &Image,
+                          uint64_t MaxInstrs) {
+  ProfileOptions Options;
+  Options.MaxInstrs = MaxInstrs;
+  const std::vector<uint8_t> Blob =
+      serialize::encodeProfileData(collectProfile(P, PA, Image, Options));
+  return serialize::Hasher::hash(Blob.data(), Blob.size()).hex();
+}
+
+/// Compares \p Actual with the lines of profile_bytes.sha256 whose first
+/// word is \p Tag.
+void expectProfileGolden(const std::string &Tag,
+                         const std::vector<std::string> &Actual) {
+  std::ifstream In(std::string(DMP_TEST_GOLDEN_DIR) + "/profile_bytes.sha256");
+  ASSERT_TRUE(In.good()) << "missing golden file profile_bytes.sha256";
+  std::vector<std::string> Golden;
+  for (std::string L; std::getline(In, L);)
+    if (L.rfind(Tag + " ", 0) == 0)
+      Golden.push_back(L);
+  for (size_t I = 0; I < Actual.size(); ++I) {
+    if (I < Golden.size())
+      EXPECT_EQ(Actual[I], Golden[I]);
+    else
+      ADD_FAILURE() << "missing golden line: " << Actual[I];
+  }
+  EXPECT_EQ(Actual.size(), Golden.size());
+}
+
+} // namespace
+
+// The 17 workloads on the run and train inputs at the campaign budget.
+TEST(ProfileGolden, SuiteRunAndTrain) {
+  const uint64_t Budget = harness::ExperimentOptions().Profile.MaxInstrs;
+  std::vector<std::string> Actual;
+  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
+    const workloads::Workload W = workloads::buildBenchmark(Spec);
+    const cfg::ProgramAnalysis PA(*W.Prog);
+    for (const auto Kind :
+         {workloads::InputSetKind::Run, workloads::InputSetKind::Train})
+      Actual.push_back(
+          "suite " + std::string(Spec.Name) +
+          (Kind == workloads::InputSetKind::Run ? " run " : " train ") +
+          profileDigest(*W.Prog, PA, W.buildImage(Kind), Budget));
+  }
+  expectProfileGolden("suite", Actual);
+}
+
+// Budgets that stop the run input mid-block and mid-loop, so the profile
+// of a cut run (open loops, a block entered but not finished) is pinned.
+TEST(ProfileGolden, SuiteCutBudgets) {
+  std::vector<std::string> Actual;
+  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
+    const workloads::Workload W = workloads::buildBenchmark(Spec);
+    const cfg::ProgramAnalysis PA(*W.Prog);
+    const std::vector<int64_t> Image =
+        W.buildImage(workloads::InputSetKind::Run);
+    for (const uint64_t Budget : {1ull, 2ull, 3ull, 1000ull, 123457ull})
+      Actual.push_back("cut " + std::string(Spec.Name) + " " +
+                       std::to_string(Budget) + " " +
+                       profileDigest(*W.Prog, PA, Image, Budget));
+  }
+  expectProfileGolden("cut", Actual);
+}
+
+// ProgramGen recipes 0-199 at 300k instructions: every generated CFG shape.
+TEST(ProfileGolden, Recipes200) {
+  std::vector<std::string> Actual;
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    const check::GenProgram G = check::materialize(check::randomRecipe(Seed));
+    const cfg::ProgramAnalysis PA(*G.Prog);
+    Actual.push_back("recipe " + std::to_string(Seed) + " " +
+                     profileDigest(*G.Prog, PA, G.Image, 300'000));
+  }
+  expectProfileGolden("recipe", Actual);
 }
