@@ -5,12 +5,16 @@
 // Measures how fast the engine itself runs — not what it computes — and
 // writes BENCH_throughput.json, the committed perf baseline for the fast
 // paths (predecoded emulator dispatch, block-batched Emulator::run, the
-// correct-path recorder and the DmpCore replay):
+// profiler, the correct-path recorder and the DmpCore replay):
 //
 //   * emu-MIPS for all three functional stepping modes, per workload:
 //     run() (block-batched), step() (predecoded per-step), and
 //     stepReference() (the original IR-dispatch interpreter the fast paths
 //     are differentially tested against);
+//   * profile-MIPS: collectProfile on the run input at the campaign's
+//     profiling budget (ExperimentOptions), the profiling run every paper
+//     cell starts from — block bodies on run(), control instructions on
+//     step();
 //   * sim-MIPS: retired instructions per second of a standalone baseline
 //     simulation in the Table 1 configuration — recordCorrectPath plus one
 //     DmpCore replay — and its two halves, trace-MIPS (the recording) and
@@ -36,6 +40,7 @@
 #include "cfg/Analysis.h"
 #include "core/DivergeSelector.h"
 #include "harness/CellRun.h"
+#include "harness/Experiment.h"
 #include "profile/Emulator.h"
 #include "profile/Profiler.h"
 #include "serialize/Hash.h"
@@ -81,6 +86,8 @@ struct Options {
   uint64_t EmuInstrs = 4'000'000;
   uint64_t RefInstrs = 2'000'000;
   uint64_t SimInstrs = 1'000'000;
+  /// The campaign's profiling budget, in both modes: a profile is cheap.
+  uint64_t ProfileInstrs = harness::ExperimentOptions().Profile.MaxInstrs;
 
   static Options parseOrExit(int Argc, char **Argv) {
     Options O;
@@ -125,6 +132,7 @@ struct WorkloadResult {
   double EmuRun = 0.0;
   double EmuStep = 0.0;
   double EmuRef = 0.0;
+  double Profile = 0.0;
   double Sim = 0.0;
   double Trace = 0.0;
   double Replay = 0.0;
@@ -134,11 +142,13 @@ struct WorkloadResult {
   // budget), for the aggregate instrs/sec computation.
   uint64_t EmuInstrs = 0;
   uint64_t RefInstrs = 0;
+  uint64_t ProfileInstrs = 0;
   uint64_t SimInstrs = 0;
   // Best (smallest) wall times, seconds.
   double EmuRunSec = 0.0;
   double EmuStepSec = 0.0;
   double EmuRefSec = 0.0;
+  double ProfileSec = 0.0;
   double SimSec = 0.0;
   double TraceSec = 0.0;
   double ReplaySec = 0.0;
@@ -176,14 +186,15 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       W.buildImage(workloads::InputSetKind::Run);
   // The all-best-cost map, profiled on the run input, for the DMP replay.
   const cfg::ProgramAnalysis PA(*W.Prog);
-  profile::ProfileOptions ProfileOpts;
-  ProfileOpts.MaxInstrs = Opts.EmuInstrs;
+  profile::ProfileOptions CampaignProfile;
+  CampaignProfile.MaxInstrs = Opts.ProfileInstrs;
   const core::DivergeMap Map = core::selectDivergeBranches(
-      PA, profile::collectProfile(*W.Prog, PA, Image, ProfileOpts),
+      PA, profile::collectProfile(*W.Prog, PA, Image, CampaignProfile),
       core::SelectionConfig(), core::SelectionFeatures::allBestCost());
 
-  double BestRun = 1e30, BestStep = 1e30, BestRef = 1e30, BestSim = 1e30,
-         BestTrace = 1e30, BestReplay = 1e30, BestDmpReplay = 1e30;
+  double BestRun = 1e30, BestStep = 1e30, BestRef = 1e30, BestProfile = 1e30,
+         BestSim = 1e30, BestTrace = 1e30, BestReplay = 1e30,
+         BestDmpReplay = 1e30;
   for (unsigned Rep = 0; Rep < Opts.Reps; ++Rep) {
     // Leg 1: block-batched run().
     {
@@ -194,7 +205,8 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       R.EmuInstrs = Emu.executedCount();
       BestRun = std::min(BestRun, Sec);
     }
-    // Leg 2: per-step predecoded dispatch (what the profiler/sim loops pay).
+    // Leg 2: per-step predecoded dispatch (what the correct-path recorder
+    // pays per instruction).
     {
       profile::Emulator Emu(*W.Prog, Image);
       profile::DynInstr D;
@@ -224,7 +236,15 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       R.RefInstrs = Emu.executedCount();
       BestRef = std::min(BestRef, Sec);
     }
-    // Leg 4: the cycle simulator, baseline configuration: the recording,
+    // Leg 4: the profiling run of a paper cell.
+    {
+      const auto T0 = Clock::now();
+      const profile::ProfileData Prof =
+          profile::collectProfile(*W.Prog, PA, Image, CampaignProfile);
+      BestProfile = std::min(BestProfile, secondsSince(T0));
+      R.ProfileInstrs = Prof.DynamicInstrs;
+    }
+    // Leg 5: the cycle simulator, baseline configuration: the recording,
     // then one replay of it; then a DMP replay of the same recording.
     {
       sim::SimConfig Cfg;
@@ -250,6 +270,7 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   R.EmuRunSec = BestRun;
   R.EmuStepSec = BestStep;
   R.EmuRefSec = BestRef;
+  R.ProfileSec = BestProfile;
   R.SimSec = BestSim;
   R.TraceSec = BestTrace;
   R.ReplaySec = BestReplay;
@@ -257,6 +278,7 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   R.EmuRun = mips(R.EmuInstrs, BestRun);
   R.EmuStep = mips(R.EmuInstrs, BestStep);
   R.EmuRef = mips(R.RefInstrs, BestRef);
+  R.Profile = mips(R.ProfileInstrs, BestProfile);
   R.Sim = mips(R.SimInstrs, BestSim);
   R.Trace = mips(R.SimInstrs, BestTrace);
   R.Replay = mips(R.SimInstrs, BestReplay);
@@ -322,6 +344,7 @@ struct Aggregate {
   double EmuRun = 0.0;
   double EmuStep = 0.0;
   double EmuRef = 0.0;
+  double Profile = 0.0;
   double Sim = 0.0;
   double Trace = 0.0;
   double Replay = 0.0;
@@ -329,16 +352,18 @@ struct Aggregate {
 };
 
 Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
-  uint64_t EmuI = 0, RefI = 0, SimI = 0;
-  double RunS = 0, StepS = 0, RefS = 0, SimS = 0, TraceS = 0, ReplayS = 0,
-         DmpReplayS = 0;
+  uint64_t EmuI = 0, RefI = 0, ProfI = 0, SimI = 0;
+  double RunS = 0, StepS = 0, RefS = 0, ProfS = 0, SimS = 0, TraceS = 0,
+         ReplayS = 0, DmpReplayS = 0;
   for (const WorkloadResult &R : Results) {
     EmuI += R.EmuInstrs;
     RefI += R.RefInstrs;
+    ProfI += R.ProfileInstrs;
     SimI += R.SimInstrs;
     RunS += R.EmuRunSec;
     StepS += R.EmuStepSec;
     RefS += R.EmuRefSec;
+    ProfS += R.ProfileSec;
     SimS += R.SimSec;
     TraceS += R.TraceSec;
     ReplayS += R.ReplaySec;
@@ -348,6 +373,7 @@ Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
   A.EmuRun = mips(EmuI, RunS);
   A.EmuStep = mips(EmuI, StepS);
   A.EmuRef = mips(RefI, RefS);
+  A.Profile = mips(ProfI, ProfS);
   A.Sim = mips(SimI, SimS);
   A.Trace = mips(SimI, TraceS);
   A.Replay = mips(SimI, ReplayS);
@@ -365,11 +391,13 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
   J.integer("emu_instrs", Opts.EmuInstrs);
   J.integer("ref_instrs", Opts.RefInstrs);
   J.integer("sim_instrs", Opts.SimInstrs);
+  J.integer("profile_instrs", Opts.ProfileInstrs);
   J.endObject();
   J.beginObject("aggregate");
   J.number("emu_run_mips", A.EmuRun, 1);
   J.number("emu_step_mips", A.EmuStep, 1);
   J.number("emu_ref_mips", A.EmuRef, 1);
+  J.number("profile_mips", A.Profile, 1);
   J.number("sim_mips", A.Sim, 1);
   J.number("trace_mips", A.Trace, 1);
   J.number("replay_mips", A.Replay, 1);
@@ -384,6 +412,7 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
     J.number("emu_run_mips", R.EmuRun, 1);
     J.number("emu_step_mips", R.EmuStep, 1);
     J.number("emu_ref_mips", R.EmuRef, 1);
+    J.number("profile_mips", R.Profile, 1);
     J.number("sim_mips", R.Sim, 1);
     J.number("trace_mips", R.Trace, 1);
     J.number("replay_mips", R.Replay, 1);
@@ -441,6 +470,7 @@ int checkAgainst(const std::string &Path, const Aggregate &A,
       {"emu_run_mips", A.EmuRun},
       {"emu_step_mips", A.EmuStep},
       {"emu_ref_mips", A.EmuRef},
+      {"profile_mips", A.Profile},
       {"sim_mips", A.Sim},
       {"trace_mips", A.Trace},
       {"replay_mips", A.Replay},
@@ -477,21 +507,23 @@ int main(int Argc, char **Argv) {
   const std::vector<workloads::Workload> Suite =
       buildWorkloads(Opts.LimitBenches);
   std::printf("bench_throughput: %zu workloads, %u reps, budgets "
-              "emu=%llu ref=%llu sim=%llu (%s)\n",
+              "emu=%llu ref=%llu sim=%llu profile=%llu (%s)\n",
               Suite.size(), Opts.Reps,
               static_cast<unsigned long long>(Opts.EmuInstrs),
               static_cast<unsigned long long>(Opts.RefInstrs),
               static_cast<unsigned long long>(Opts.SimInstrs),
+              static_cast<unsigned long long>(Opts.ProfileInstrs),
               Opts.Smoke ? "smoke" : "full");
 
   std::vector<WorkloadResult> Results;
   for (const workloads::Workload &W : Suite) {
     Results.push_back(measureWorkload(W, Opts));
     const WorkloadResult &R = Results.back();
-    std::printf("  %-8s emu run %7.1f  step %7.1f  ref %7.1f  sim %6.1f "
-                "(trace %6.1f  replay %6.1f  dmp replay %6.1f) MIPS\n",
-                R.Name.c_str(), R.EmuRun, R.EmuStep, R.EmuRef, R.Sim, R.Trace,
-                R.Replay, R.DmpReplay);
+    std::printf("  %-8s emu run %7.1f  step %7.1f  ref %7.1f  profile %6.1f  "
+                "sim %6.1f (trace %6.1f  replay %6.1f  dmp replay %6.1f) "
+                "MIPS\n",
+                R.Name.c_str(), R.EmuRun, R.EmuStep, R.EmuRef, R.Profile,
+                R.Sim, R.Trace, R.Replay, R.DmpReplay);
   }
 
   const Aggregate A = aggregate(Results);

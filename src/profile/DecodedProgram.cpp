@@ -33,12 +33,19 @@ DecodedProgram::DecodedProgram(const Program &P) {
       D.Target = I.Callee->getEntryAddr();
   }
   // Straight-line run lengths, back to front: an instruction that cannot
-  // transfer control extends the run starting right after it.  Every valid
-  // program ends each function in a terminator, so a run never falls off
-  // the end of the address space.
+  // transfer control extends the run starting right after it, unless that
+  // instruction leads a basic block.  Every valid program ends each
+  // function in a terminator, so a run never falls off the end of the
+  // address space.
+  std::vector<bool> Leader(N, false);
+  for (const auto &F : P.functions())
+    for (const auto &B : F->blocks())
+      if (B->instrCount() != 0)
+        Leader[B->getStartAddr()] = true;
   for (uint32_t A = N; A-- > 0;)
     if (!isControlFlow(Instrs[A].Op))
-      Instrs[A].RunLen = (A + 1 < N ? Instrs[A + 1].RunLen : 0) + 1;
+      Instrs[A].RunLen =
+          (A + 1 < N && !Leader[A + 1] ? Instrs[A + 1].RunLen : 0) + 1;
   // Superop fusion for the batched dispatch loop: at every address, pick
   // the longest fused group that fits inside the straight-line run
   // (greedy, overlapping — each address describes execution starting

@@ -111,10 +111,12 @@ struct DecodedInstr {
   /// Jmp, callee entry of Call.  Zero otherwise.
   uint32_t Target = 0;
   /// Number of consecutive non-control-flow instructions starting at this
-  /// address (including this one); 0 when this instruction itself may
-  /// transfer control.  A run of RunLen instructions always falls through,
-  /// so the emulator can retire the whole run without per-instruction
-  /// next-PC or halt checks.
+  /// address (including this one) up to the next block leader or control
+  /// instruction; 0 when this instruction itself may transfer control.  A
+  /// run of RunLen instructions always falls through and stays inside one
+  /// basic block, so the emulator can retire the whole run without
+  /// per-instruction next-PC or halt checks, and the profiler can count a
+  /// block entry per run (Emulator::run).
   uint32_t RunLen = 0;
   ir::Opcode Op = ir::Opcode::Nop;
   ir::BrCond Cond = ir::BrCond::Eq;
@@ -123,7 +125,8 @@ struct DecodedInstr {
   ir::Reg Src2 = 0;
   /// Dispatch op for run(): the base opcode, or a fuse:: superop covering
   /// this and the following record(s).  A group never extends past the
-  /// containing straight-line run (group size <= RunLen).
+  /// containing straight-line run (group size <= RunLen), so never past a
+  /// block leader.
   uint8_t FuseOp = static_cast<uint8_t>(ir::Opcode::Nop);
 };
 

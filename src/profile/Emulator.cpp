@@ -328,10 +328,14 @@ void Emulator::run(uint64_t MaxInstrs) {
     Done += Run;
     if (Done >= MaxInstrs)
       break;
-    // The instruction at LPC is now the control-flow terminator of the run
-    // (or we started on one: Run == 0).  Handle it inline — same semantics
-    // as step(), minus the DynInstr bookkeeping no caller of run() needs.
+    // The instruction at LPC now leads the next block (a straight-line run
+    // of its own) or is the control-flow terminator of the run (or we
+    // started on one: Run == 0).  Handle a terminator inline — same
+    // semantics as step(), minus the DynInstr bookkeeping no caller of
+    // run() needs.
     const DecodedInstr &T = CodeL[LPC];
+    if (T.RunLen != 0)
+      continue;
     ++Done;
     switch (T.Op) {
     case Opcode::CondBr:

@@ -13,7 +13,10 @@
 /// Two execution paths share one architectural state:
 ///  - step() dispatches over the predecoded flat array (DecodedProgram) and
 ///    is inlined into every caller's loop; run() additionally retires whole
-///    straight-line runs without per-instruction bookkeeping.
+///    straight-line runs without per-instruction bookkeeping.  A run ends
+///    at the next block leader or control instruction, so the profiler
+///    (collectProfile, run()'s production caller) retires each block body
+///    with one run() and steps only the control instruction that ends it.
 ///  - stepReference() re-dispatches from the IR every step — the original
 ///    interpreter, kept verbatim as the oracle the fast path is
 ///    differentially tested against (and used by the fuzz oracle's
@@ -174,7 +177,11 @@ public:
   /// program halts — bit-identical in final state to
   /// `DynInstr D; while (executedCount() < MaxInstrs && step(D));` but
   /// retires straight-line runs in a batch, without materializing DynInstr
-  /// records or re-checking halt/budget per instruction.
+  /// records or re-checking halt/budget per instruction.  A run that ends
+  /// at a block leader continues with the next block's run; a budget of
+  /// executedCount() plus the RunLen at pc() retires the straight-line
+  /// rest of the current block and stops on its control instruction or
+  /// the next leader.
   void run(uint64_t MaxInstrs);
 
   /// Executes one instruction by re-decoding from the IR — the original

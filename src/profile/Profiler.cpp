@@ -43,17 +43,23 @@ namespace {
 /// closed by Ret (or end of run) still count the closing instruction.
 class LoopTracker {
 public:
-  LoopTracker(const cfg::ProgramAnalysis &PA, LoopProfile &Out)
-      : PA(PA), Out(Out) {
-    Frames.emplace_back();
-  }
+  explicit LoopTracker(LoopProfile &Out) : Out(Out) { Frames.emplace_back(); }
 
-  /// \p Executed is the emulator's executedCount() right after stepping the
-  /// first instruction of \p Block.
-  void onBlockEntry(const ir::BasicBlock *Block, uint64_t Executed) {
+  /// \p Innermost is the innermost loop containing \p Block (nullptr when
+  /// none); \p Executed is the emulator's executedCount() right after
+  /// stepping the first instruction of \p Block.
+  void onBlockEntry(const ir::BasicBlock *Block, const cfg::Loop *Innermost,
+                    uint64_t Executed) {
     auto &Active = Frames.back();
-    const cfg::LoopInfo &LI =
-        PA.forFunction(*Block->getParent()).LI;
+
+    // The common case: the block stays in the innermost active loop (or in
+    // no loop at all).  Every loop around an active loop is active below
+    // it, so nothing closes or opens; only a header entry counts.
+    if (Innermost == (Active.empty() ? nullptr : Active.back().L)) {
+      if (Innermost && Innermost->getHeader() == Block)
+        ++Active.back().Iterations;
+      return;
+    }
 
     // Close loops that no longer contain the new block.  Their span ends
     // before the entering instruction, which executed outside the loop.
@@ -64,7 +70,7 @@ public:
     // outermost first.  The entering instruction itself (already stepped)
     // is the first one charged to them.
     std::vector<const cfg::Loop *> ToOpen;
-    for (const cfg::Loop *L = LI.loopFor(Block); L; L = L->getParent()) {
+    for (const cfg::Loop *L = Innermost; L; L = L->getParent()) {
       const bool AlreadyActive =
           std::any_of(Active.begin(), Active.end(),
                       [L](const ActiveLoop &A) { return A.L == L; });
@@ -123,7 +129,6 @@ private:
     Active.pop_back();
   }
 
-  const cfg::ProgramAnalysis &PA;
   LoopProfile &Out;
   std::vector<std::vector<ActiveLoop>> Frames;
 };
@@ -136,30 +141,60 @@ ProfileData profile::collectProfile(const ir::Program &P,
                                     const ProfileOptions &Options) {
   ProfileData Data;
   Emulator Emu(P, MemoryImage);
+  const DecodedInstr *const Code = DecodedProgram::of(P).data();
   auto Predictor = uarch::createPredictor(Options.Predictor);
-  LoopTracker Loops(PA, Data.Loops);
+  LoopTracker Loops(Data.Loops);
 
-  // The block starting at each address (nullptr inside a block), so a block
-  // entry costs one load per instruction.
-  std::vector<const ir::BasicBlock *> BlockStartingAt(P.instrCount(), nullptr);
-  for (const auto &F : P.functions())
+  // The block starting at each address (a null Block inside a block) with
+  // its innermost loop, so a block entry costs one load.
+  struct Leader {
+    const ir::BasicBlock *Block = nullptr;
+    const cfg::Loop *Innermost = nullptr;
+  };
+  std::vector<Leader> LeaderAt(P.instrCount());
+  for (const auto &F : P.functions()) {
+    const cfg::LoopInfo &LI = PA.forFunction(*F).LI;
     for (const auto &B : F->blocks())
       if (B->instrCount() != 0)
-        BlockStartingAt[B->getStartAddr()] = B.get();
+        LeaderAt[B->getStartAddr()] = {B.get(), LI.loopFor(B.get())};
+  }
 
+  // Dense per-address counters, folded into the sparse profiles at the end.
+  struct PcCounts {
+    uint64_t Entries = 0;
+    uint64_t Taken = 0;
+    uint64_t NotTaken = 0;
+    uint64_t Mispredicted = 0;
+  };
+  std::vector<PcCounts> Counts(P.instrCount());
+
+  // One iteration per block body and one per control instruction: the
+  // body runs through run()'s batched dispatch (DecodedInstr::RunLen stops
+  // at the next block leader or control instruction), and only the
+  // control instruction is stepped.
+  const uint64_t MaxInstrs = Options.MaxInstrs;
   DynInstr Inst;
-  while (Emu.executedCount() < Options.MaxInstrs && Emu.step(Inst)) {
-    if (const ir::BasicBlock *Block = BlockStartingAt[Inst.Addr]) {
-      Data.Edges.recordBlockExec(Inst.Addr);
-      Loops.onBlockEntry(Block, Emu.executedCount());
+  while (Emu.executedCount() < MaxInstrs && !Emu.isHalted()) {
+    const uint32_t PC = Emu.pc();
+    if (const Leader &L = LeaderAt[PC]; L.Block) {
+      ++Counts[PC].Entries;
+      // The count right after the entering instruction retires.
+      Loops.onBlockEntry(L.Block, L.Innermost, Emu.executedCount() + 1);
+    }
+    if (const uint32_t Run = Code[PC].RunLen) {
+      Emu.run(std::min(MaxInstrs, Emu.executedCount() + Run));
+      continue;
     }
 
-    switch (Inst.I->Op) {
+    Emu.step(Inst);
+    switch (Code[PC].Op) {
     case ir::Opcode::CondBr: {
-      const bool Predicted = Predictor->predict(Inst.Addr);
-      Predictor->update(Inst.Addr, Inst.Taken);
-      Data.Edges.recordBranch(Inst.Addr, Inst.Taken);
-      Data.Branches.record(Inst.Addr, Inst.Taken, Predicted != Inst.Taken);
+      const bool Predicted = Predictor->predict(PC);
+      Predictor->update(PC, Inst.Taken);
+      PcCounts &C = Counts[PC];
+      ++(Inst.Taken ? C.Taken : C.NotTaken);
+      if (Predicted != Inst.Taken)
+        ++C.Mispredicted;
       break;
     }
     case ir::Opcode::Call:
@@ -173,6 +208,15 @@ ProfileData profile::collectProfile(const ir::Program &P,
     }
   }
 
+  for (uint32_t Addr = 0; Addr < Counts.size(); ++Addr) {
+    const PcCounts &C = Counts[Addr];
+    if (C.Entries != 0)
+      Data.Edges.setBlockExecCount(Addr, C.Entries);
+    if (const uint64_t Executed = C.Taken + C.NotTaken) {
+      Data.Edges.setBranchCounts(Addr, {C.Taken, C.NotTaken});
+      Data.Branches.setStats(Addr, {Executed, C.Taken, C.Mispredicted});
+    }
+  }
   Loops.finish(Emu.executedCount());
   Data.DynamicInstrs = Emu.executedCount();
   Data.Completed = Emu.isHalted();

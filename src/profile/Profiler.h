@@ -16,6 +16,13 @@
 /// done with either the same input set as the evaluation run or a different
 /// one (Section 7.3 studies the difference).
 ///
+/// The run goes one basic block per dispatch: each block body (a
+/// DecodedInstr::RunLen run) retires through Emulator::run()'s threaded,
+/// fused dispatch, and only the control instruction that ends a block is
+/// stepped, which is where the profiling predictor predicts and trains.
+/// Counts are kept per address and folded into the sparse profiles once at
+/// the end; tests/golden/profile_bytes.sha256 pins the encoded result.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMP_PROFILE_PROFILER_H

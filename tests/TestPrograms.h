@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Small hand-built programs reused across the unit tests: a simple
-/// hammock, a nested hammock, a frequently-hammock, a counted loop, and a
-/// function with two returns.  Each builder returns a finalized, verified
+/// hammock, a nested hammock, a frequently-hammock, a counted loop, a
+/// function with two returns, and a loop of fall-through blocks around a
+/// mid-block call.  Each builder returns a finalized, verified
 /// program.
 ///
 //===----------------------------------------------------------------------===//
@@ -259,6 +260,77 @@ inline ProgramHandles buildRetFuncLoop(unsigned Iters = 64) {
   H.TakenSide = FTaken;
   H.FallSide = FFall;
   H.BranchAddr = FEntry->instructions().back().Addr;
+  return H;
+}
+
+/// Straight-line code split across blocks that fall through into one
+/// another, with a call in the middle of a block: every leader of the loop
+/// body except the header is entered by falling through, and fusable ALU
+/// groups (AddI; Xor | Add) straddle each of those leaders.
+///
+///   entry -> header:{addi, xor, call f, addi, xor} -> mid:{add, ...}
+///         -> tail:{add, ld, st, i++, br<N header} -> exit
+///   f: fentry:{ld, addi, xor} -> fmid:{add, filler, ret}
+inline ProgramHandles buildFallThroughCallLoop(unsigned Iters = 64) {
+  ProgramHandles H;
+  H.Prog = std::make_unique<ir::Program>("fallthrough-call");
+  ir::Function *Main = H.Prog->createFunction("main");
+  ir::Function *Callee = H.Prog->createFunction("f");
+  ir::IRBuilder B(*H.Prog);
+
+  ir::BasicBlock *Entry = Main->createBlock("entry");
+  ir::BasicBlock *Header = Main->createBlock("header");
+  ir::BasicBlock *Mid = Main->createBlock("mid");
+  ir::BasicBlock *Tail = Main->createBlock("tail");
+  ir::BasicBlock *Exit = Main->createBlock("exit");
+  ir::BasicBlock *FEntry = Callee->createBlock("fentry");
+  ir::BasicBlock *FMid = Callee->createBlock("fmid");
+
+  B.setInsertPoint(Entry);
+  B.loadImm(1, 0);
+  B.loadImm(2, static_cast<int64_t>(Iters));
+
+  B.setInsertPoint(Header);
+  B.addI(8, 9, 1);
+  B.xor_(8, 8, 9);
+  B.call(Callee);
+  B.addI(10, 11, 3);
+  B.xor_(10, 10, 11);
+  // Falls through to Mid.
+
+  B.setInsertPoint(Mid);
+  B.add(10, 10, 11);
+  B.addI(12, 13, 5);
+  B.xor_(12, 12, 13);
+  // Falls through to Tail.
+
+  B.setInsertPoint(Tail);
+  B.add(12, 12, 10);
+  B.load(3, 1, 0);
+  B.store(12, 1, 512);
+  B.addI(1, 1, 1);
+  B.condBr(ir::BrCond::Lt, 1, 2, Header);
+
+  B.setInsertPoint(Exit);
+  B.halt();
+
+  B.setInsertPoint(FEntry);
+  B.load(4, 1, 0);
+  B.addI(5, 4, 7);
+  B.xor_(5, 5, 4);
+  // Falls through to FMid.
+
+  B.setInsertPoint(FMid);
+  B.add(5, 5, 8);
+  B.emitFiller(5, 14);
+  B.ret();
+
+  H.Prog->finalize();
+  requireClean(*H.Prog);
+  H.BranchBlock = Header;
+  H.FallSide = Mid;
+  H.Merge = Tail;
+  H.BranchAddr = Tail->instructions().back().Addr;
   return H;
 }
 

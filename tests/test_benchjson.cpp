@@ -131,7 +131,8 @@ TEST(BenchSnapshotTest, ThroughputSchema) {
 
   const json::Value *Budgets = Root.findObject("budgets");
   ASSERT_NE(Budgets, nullptr);
-  for (const char *Key : {"emu_instrs", "ref_instrs", "sim_instrs"}) {
+  for (const char *Key :
+       {"emu_instrs", "ref_instrs", "sim_instrs", "profile_instrs"}) {
     const json::Value *V = Budgets->findNumber(Key);
     ASSERT_NE(V, nullptr) << Key;
     EXPECT_GT(V->asNumber(), 0.0) << Key;
@@ -140,8 +141,9 @@ TEST(BenchSnapshotTest, ThroughputSchema) {
   const json::Value *Agg = Root.findObject("aggregate");
   ASSERT_NE(Agg, nullptr);
   for (const char *Key : {"emu_run_mips", "emu_step_mips", "emu_ref_mips",
-                          "sim_mips", "trace_mips", "replay_mips",
-                          "dmp_replay_mips", "emu_speedup_vs_ref"}) {
+                          "profile_mips", "sim_mips", "trace_mips",
+                          "replay_mips", "dmp_replay_mips",
+                          "emu_speedup_vs_ref"}) {
     const json::Value *V = Agg->findNumber(Key);
     ASSERT_NE(V, nullptr) << Key;
     EXPECT_GT(V->asNumber(), 0.0) << Key;
@@ -162,8 +164,8 @@ TEST(BenchSnapshotTest, ThroughputSchema) {
     EXPECT_EQ(Name->asString(),
               I < Suite.size() ? Suite[I].Name : "longrun");
     for (const char *Key : {"emu_run_mips", "emu_step_mips", "emu_ref_mips",
-                            "sim_mips", "trace_mips", "replay_mips",
-                            "dmp_replay_mips", "sim_ipc"}) {
+                            "profile_mips", "sim_mips", "trace_mips",
+                            "replay_mips", "dmp_replay_mips", "sim_ipc"}) {
       const json::Value *V = Row.findNumber(Key);
       ASSERT_NE(V, nullptr) << Name->asString() << "." << Key;
       EXPECT_GT(V->asNumber(), 0.0) << Name->asString() << "." << Key;

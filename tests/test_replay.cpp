@@ -15,7 +15,9 @@
 //     (one fetch, issue or retire port, a 16-wide fetch with one not-taken
 //     branch per cycle, a 32-entry ROB, a 1KB IL1, a 50-instruction dpred
 //     window);
-//   * the timing oracle: DMP with an empty DivergeMap is the baseline;
+//   * the timing oracle: DMP with an empty DivergeMap is the baseline, and
+//     the baseline is invariant under the dpred-only SimConfig fields (but
+//     not under the confidence threshold);
 //   * Fast vs Reference recording, the guards, the InjectFault canaries;
 //   * the trace blob and the BenchContext trace memo.
 //
@@ -285,6 +287,43 @@ TEST(TimingOracle, EmptyDivergeMapIsTheBaseline) {
               serialize::encodeSimStats(
                   sim::simulateBaseline(*R.G.Prog, R.G.Image, R.Cfg)))
         << "recipe " << Seed;
+  }
+}
+
+// The baseline machine never enters dpred-mode, so the dpred-only fields of
+// SimConfig must not reach its stats: a baseline result may be shared
+// across them.  The JRS confidence threshold is not one of them (the
+// baseline counts low-confidence branches), so a shared key must keep it.
+TEST(TimingOracle, BaselineIgnoresDpredOnlyFields) {
+  const sim::SimConfig Base = harness::ExperimentOptions().Sim;
+  std::vector<std::pair<const char *, sim::SimConfig>> DpredOnly;
+  const auto Add = [&](const char *Name, auto Edit) {
+    sim::SimConfig Cfg = Base;
+    Edit(Cfg);
+    DpredOnly.emplace_back(Name, Cfg);
+  };
+  Add("predicate-regs=4", [](sim::SimConfig &C) { C.NumPredicateRegs = 4; });
+  Add("cfm-regs=1", [](sim::SimConfig &C) { C.NumCfmRegisters = 1; });
+  Add("max-dpred-instrs=50", [](sim::SimConfig &C) { C.MaxDpredInstrs = 50; });
+  Add("max-loop-dpred-iters=2",
+      [](sim::SimConfig &C) { C.MaxLoopDpredIters = 2; });
+  sim::SimConfig Conf4 = Base;
+  Conf4.ConfThreshold = 4;
+
+  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
+    const workloads::Workload W = workloads::buildBenchmark(Spec);
+    const std::vector<int64_t> Image = W.buildImage(InputSetKind::Run);
+    const std::vector<uint8_t> Baseline =
+        serialize::encodeSimStats(sim::simulateBaseline(*W.Prog, Image, Base));
+    for (const auto &[Name, Cfg] : DpredOnly)
+      EXPECT_EQ(serialize::encodeSimStats(
+                    sim::simulateBaseline(*W.Prog, Image, Cfg)),
+                Baseline)
+          << Spec.Name << " " << Name;
+    EXPECT_NE(
+        serialize::encodeSimStats(sim::simulateBaseline(*W.Prog, Image, Conf4)),
+        Baseline)
+        << Spec.Name << " conf-threshold=4";
   }
 }
 

@@ -4,16 +4,19 @@
 //
 // The enforcement arm of the digest-identity contract (DESIGN.md "Fast
 // paths & the digest-identity contract"): every throughput optimization —
-// the predecoded step() dispatch, the block-batched Emulator::run(), and
-// the correct-path recorder feeding the DmpCore replay — must be
-// bit-identical to the preserved reference interpreter in every
-// observable.  These tests drive the fast
+// the predecoded step() dispatch, the block-batched Emulator::run() the
+// profiler drives, and the correct-path recorder feeding the DmpCore
+// replay — must be bit-identical to the preserved reference interpreter
+// in every observable.  These tests drive the fast
 // and reference paths over the shared hand-built test programs, all 17
 // suite workloads, and 200 fuzz-generated recipes, and compare:
 //
 //   * every DynInstr field, in lockstep, instruction by instruction;
 //   * final architectural state: all registers, memory fingerprint,
 //     executed count, PC, halt flag, call depth;
+//   * the decoded form itself: no straight-line run (RunLen) and no fused
+//     group crosses a block leader or a control instruction, the bound
+//     the profiler relies on to count each block entry;
 //   * the recorded correct-path trace, its replayed SimStats encoding and
 //     the retired FinalState when recorded by EmuMode::Fast vs
 //     EmuMode::Reference, baseline and dpred-heavy (adversarial
@@ -26,6 +29,7 @@
 #include "check/Oracle.h"
 #include "check/ProgramGen.h"
 #include "profile/Emulator.h"
+#include "profile/Profiler.h"
 #include "serialize/ProfileIO.h"
 #include "sim/DmpCore.h"
 #include "sim/FinalState.h"
@@ -134,6 +138,33 @@ TEST(FastPathDiff, PartialBudgets) {
   }
 }
 
+// Blocks entered by falling through, a call in the middle of a block, and
+// fusable groups straddling leaders, cut at every early budget and at a
+// few inside later iterations (mid-block, mid-callee, mid-loop).
+TEST(FastPathDiff, FallThroughLeadersAndMidBlockCalls) {
+  auto H = test::buildFallThroughCallLoop(/*Iters=*/40);
+  const auto Image = test::alternatingImage(1024, 3);
+  for (uint64_t Budget = 1; Budget <= 40; ++Budget)
+    compareAllPaths(*H.Prog, Image, Budget);
+  for (uint64_t Budget : {97ull, 250ull, 251ull, 252ull, 613ull, 1ull << 20})
+    compareAllPaths(*H.Prog, Image, Budget);
+  // run() resumed at arbitrary cut points ends where one call does.
+  Emulator Chunked(*H.Prog, Image);
+  for (uint64_t Budget = 1; !Chunked.isHalted(); Budget += 7)
+    Chunked.run(Budget);
+  Emulator Whole(*H.Prog, Image);
+  Whole.run(1u << 20);
+  EXPECT_EQ(Chunked.executedCount(), Whole.executedCount());
+  EXPECT_EQ(sim::fingerprintMemory(Chunked), sim::fingerprintMemory(Whole));
+  // The profiler counts each fall-through entry once per iteration.
+  const cfg::ProgramAnalysis PA(*H.Prog);
+  const ProfileData Prof = collectProfile(*H.Prog, PA, Image);
+  for (const ir::BasicBlock *B : {H.BranchBlock, H.FallSide, H.Merge})
+    EXPECT_EQ(Prof.Edges.blockExecCount(B->getStartAddr()), 40u)
+        << B->getName();
+  EXPECT_TRUE(Prof.Completed);
+}
+
 // All 17 suite workloads through both steppers and the batched run.
 TEST(FastPathDiff, SpecSuiteWorkloads) {
   for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
@@ -157,6 +188,67 @@ TEST(FastPathDiff, FuzzRecipes200) {
     SCOPED_TRACE(check::describeRecipe(Recipe));
     compareSteppers(*GP.Prog, GP.Image, 40'000);
     compareRunVsStepLoop(*GP.Prog, GP.Image, 40'000);
+  }
+}
+
+namespace {
+
+/// Dispatch records one DecodedInstr::FuseOp covers.
+uint32_t fusedGroupSize(uint8_t FuseOp) {
+  switch (FuseOp) {
+  case fuse::AddIXorAdd:
+    return 3;
+  case fuse::AddIXorAdd2:
+    return 6;
+  case fuse::AddIXor:
+  case fuse::XorAdd:
+  case fuse::AddAddI:
+    return 2;
+  default:
+    return 1;
+  }
+}
+
+/// Asserts that every straight-line run and fused group of \p P's decoded
+/// form lies inside one block: no record after its first is a block leader
+/// or a control instruction, and a run stops only at one of the two.
+void expectRunsStayInBlocks(const ir::Program &P) {
+  const DecodedProgram &DP = DecodedProgram::of(P);
+  std::vector<bool> Leader(DP.size(), false);
+  for (const auto &F : P.functions())
+    for (const auto &B : F->blocks())
+      if (B->instrCount() != 0)
+        Leader[B->getStartAddr()] = true;
+  const auto StopsRun = [&](uint32_t A) {
+    return A >= DP.size() || Leader[A] || ir::isControlFlow(DP.at(A).Op);
+  };
+  for (uint32_t A = 0; A < DP.size(); ++A) {
+    const DecodedInstr &D = DP.at(A);
+    ASSERT_EQ(D.RunLen == 0, ir::isControlFlow(D.Op)) << "at " << A;
+    for (uint32_t K = 1; K < D.RunLen; ++K)
+      ASSERT_FALSE(StopsRun(A + K)) << "run at " << A << " crosses " << A + K;
+    if (D.RunLen != 0) {
+      ASSERT_TRUE(StopsRun(A + D.RunLen)) << "run at " << A << " stops early";
+    }
+    ASSERT_LE(fusedGroupSize(D.FuseOp), std::max<uint32_t>(D.RunLen, 1))
+        << "fused group at " << A << " leaves its run";
+  }
+}
+
+} // namespace
+
+TEST(DecodedProgramRuns, StopAtLeadersAndControlFlow) {
+  expectRunsStayInBlocks(*test::buildFallThroughCallLoop().Prog);
+  expectRunsStayInBlocks(*test::buildSimpleHammockLoop().Prog);
+  expectRunsStayInBlocks(*test::buildRetFuncLoop().Prog);
+  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
+    SCOPED_TRACE(Spec.Name);
+    expectRunsStayInBlocks(*workloads::buildBenchmark(Spec).Prog);
+  }
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    SCOPED_TRACE(Seed);
+    expectRunsStayInBlocks(
+        *check::materialize(check::randomRecipe(Seed)).Prog);
   }
 }
 
