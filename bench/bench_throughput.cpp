@@ -7,25 +7,24 @@
 // paths (predecoded emulator dispatch, block-batched Emulator::run, the
 // profiler, the correct-path recorder and the DmpCore replay):
 //
-//   * emu-MIPS for all three functional stepping modes, per workload:
-//     run() (block-batched), step() (predecoded per-step), and
-//     stepReference() (the original IR-dispatch interpreter the fast paths
-//     are differentially tested against);
+//   * emu-MIPS for both fast functional stepping modes, per workload:
+//     run() (block-batched) and step() (predecoded per-step);
 //   * profile-MIPS: collectProfile on the run input at the campaign's
 //     profiling budget (ExperimentOptions), the profiling run every paper
 //     cell starts from — block bodies on run(), control instructions on
 //     step();
 //   * sim-MIPS: retired instructions per second of a standalone baseline
 //     simulation in the Table 1 configuration — recordCorrectPath plus one
-//     DmpCore replay — and its two halves, trace-MIPS (the recording) and
-//     replay-MIPS (the replay every further simulation of the same run
-//     input pays);
+//     replay with an empty DivergeMap — and its two halves, trace-MIPS (the
+//     recording) and replay-MIPS (the replay every further simulation of
+//     the same run input pays);
 //   * dmp-replay-MIPS: a replay of the same trace on the DMP machine with
 //     the workload's all-best-cost DivergeMap, the replay the paper's DMP
 //     columns pay (a live predictor, wrong-path walks, dpred episodes);
-//   * the 17-cell campaign digest (the same campaign BENCH_serve.json
-//     pins), so a throughput optimization that changes *results* shows up
-//     in this file's diff, not just in test failures.
+//   * the 17-cell campaign digest (the same campaign paperbench's
+//     serve-cells and the serve_remote_digest test pin), so a throughput
+//     optimization that changes *results* shows up in this file's diff,
+//     not just in test failures.
 //
 // Every workload is measured best-of-N because the numbers are wall-clock
 // on a shared machine; the committed snapshot is the perf *baseline*, and
@@ -46,7 +45,6 @@
 #include "serialize/Hash.h"
 #include "serialize/ProfileIO.h"
 #include "sim/CorrectPathTrace.h"
-#include "sim/DmpCore.h"
 #include "sim/FinalState.h"
 #include "sim/SimConfig.h"
 #include "sim/Simulator.h"
@@ -81,10 +79,8 @@ struct Options {
   unsigned Reps = 0;          ///< 0 = mode default.
   size_t LimitBenches = 0;    ///< 0 = whole suite.
 
-  // Per-leg dynamic instruction budgets (mode defaults; the reference
-  // interpreter gets a smaller budget because it is the slow leg).
+  // Per-leg dynamic instruction budgets (mode defaults).
   uint64_t EmuInstrs = 4'000'000;
-  uint64_t RefInstrs = 2'000'000;
   uint64_t SimInstrs = 1'000'000;
   /// The campaign's profiling budget, in both modes: a profile is cheap.
   uint64_t ProfileInstrs = harness::ExperimentOptions().Profile.MaxInstrs;
@@ -117,7 +113,6 @@ struct Options {
     }
     if (O.Smoke) {
       O.EmuInstrs = 600'000;
-      O.RefInstrs = 300'000;
       O.SimInstrs = 150'000;
     }
     if (O.Reps == 0)
@@ -131,7 +126,6 @@ struct WorkloadResult {
   std::string Name;
   double EmuRun = 0.0;
   double EmuStep = 0.0;
-  double EmuRef = 0.0;
   double Profile = 0.0;
   double Sim = 0.0;
   double Trace = 0.0;
@@ -141,13 +135,11 @@ struct WorkloadResult {
   // Instructions actually executed per leg (a workload may halt before the
   // budget), for the aggregate instrs/sec computation.
   uint64_t EmuInstrs = 0;
-  uint64_t RefInstrs = 0;
   uint64_t ProfileInstrs = 0;
   uint64_t SimInstrs = 0;
   // Best (smallest) wall times, seconds.
   double EmuRunSec = 0.0;
   double EmuStepSec = 0.0;
-  double EmuRefSec = 0.0;
   double ProfileSec = 0.0;
   double SimSec = 0.0;
   double TraceSec = 0.0;
@@ -192,9 +184,8 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       PA, profile::collectProfile(*W.Prog, PA, Image, CampaignProfile),
       core::SelectionConfig(), core::SelectionFeatures::allBestCost());
 
-  double BestRun = 1e30, BestStep = 1e30, BestRef = 1e30, BestProfile = 1e30,
-         BestSim = 1e30, BestTrace = 1e30, BestReplay = 1e30,
-         BestDmpReplay = 1e30;
+  double BestRun = 1e30, BestStep = 1e30, BestProfile = 1e30, BestSim = 1e30,
+         BestTrace = 1e30, BestReplay = 1e30, BestDmpReplay = 1e30;
   for (unsigned Rep = 0; Rep < Opts.Reps; ++Rep) {
     // Leg 1: block-batched run().
     {
@@ -225,18 +216,7 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       }
       BestStep = std::min(BestStep, Sec);
     }
-    // Leg 3: the reference interpreter (smaller budget; it is the 1x line).
-    {
-      profile::Emulator Emu(*W.Prog, Image);
-      profile::DynInstr D;
-      const auto T0 = Clock::now();
-      while (Emu.executedCount() < Opts.RefInstrs && Emu.stepReference(D)) {
-      }
-      const double Sec = secondsSince(T0);
-      R.RefInstrs = Emu.executedCount();
-      BestRef = std::min(BestRef, Sec);
-    }
-    // Leg 4: the profiling run of a paper cell.
+    // Leg 3: the profiling run of a paper cell.
     {
       const auto T0 = Clock::now();
       const profile::ProfileData Prof =
@@ -244,8 +224,8 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       BestProfile = std::min(BestProfile, secondsSince(T0));
       R.ProfileInstrs = Prof.DynamicInstrs;
     }
-    // Leg 5: the cycle simulator, baseline configuration: the recording,
-    // then one replay of it; then a DMP replay of the same recording.
+    // Leg 4: the cycle simulator: the recording, then one baseline replay
+    // of it (an empty DivergeMap); then a DMP replay of the same recording.
     {
       sim::SimConfig Cfg;
       Cfg.MaxInstrs = Opts.SimInstrs;
@@ -255,7 +235,7 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       const double TraceSec = secondsSince(T0);
       const auto T1 = Clock::now();
       const sim::SimStats Stats =
-          sim::DmpCore(*W.Prog, /*Diverge=*/nullptr, Cfg).run(Trace);
+          sim::simulateDmp(*W.Prog, core::DivergeMap(), Trace, Cfg);
       const double ReplaySec = secondsSince(T1);
       const auto T2 = Clock::now();
       sim::simulateDmp(*W.Prog, Map, Trace, Cfg);
@@ -269,7 +249,6 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   }
   R.EmuRunSec = BestRun;
   R.EmuStepSec = BestStep;
-  R.EmuRefSec = BestRef;
   R.ProfileSec = BestProfile;
   R.SimSec = BestSim;
   R.TraceSec = BestTrace;
@@ -277,7 +256,6 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   R.DmpReplaySec = BestDmpReplay;
   R.EmuRun = mips(R.EmuInstrs, BestRun);
   R.EmuStep = mips(R.EmuInstrs, BestStep);
-  R.EmuRef = mips(R.RefInstrs, BestRef);
   R.Profile = mips(R.ProfileInstrs, BestProfile);
   R.Sim = mips(R.SimInstrs, BestSim);
   R.Trace = mips(R.SimInstrs, BestTrace);
@@ -298,14 +276,17 @@ bool verifyEmuModeIdentity() {
   sim::SimConfig Cfg;
   Cfg.MaxInstrs = 100'000;
   sim::FinalState FastState, RefState;
-  const sim::SimStats FastStats =
-      sim::DmpCore(*W.Prog, nullptr, Cfg)
-          .run(sim::recordCorrectPath(*W.Prog, Image, Cfg, &FastState,
-                                      sim::EmuMode::Fast));
-  const sim::SimStats RefStats =
-      sim::DmpCore(*W.Prog, nullptr, Cfg)
-          .run(sim::recordCorrectPath(*W.Prog, Image, Cfg, &RefState,
-                                      sim::EmuMode::Reference));
+  const core::DivergeMap Baseline;
+  const sim::SimStats FastStats = sim::simulateDmp(
+      *W.Prog, Baseline,
+      sim::recordCorrectPath(*W.Prog, Image, Cfg, &FastState,
+                             sim::EmuMode::Fast),
+      Cfg);
+  const sim::SimStats RefStats = sim::simulateDmp(
+      *W.Prog, Baseline,
+      sim::recordCorrectPath(*W.Prog, Image, Cfg, &RefState,
+                             sim::EmuMode::Reference),
+      Cfg);
   if (serialize::encodeSimStats(FastStats) !=
           serialize::encodeSimStats(RefStats) ||
       FastState.MemoryFingerprint != RefState.MemoryFingerprint ||
@@ -317,9 +298,8 @@ bool verifyEmuModeIdentity() {
   return true;
 }
 
-/// SHA-256 over the 17-cell campaign BENCH_serve.json also pins (one cell
-/// per suite benchmark, 400k profile / 100k sim instructions): the identity
-/// anchor of this snapshot.
+/// SHA-256 over the 17-cell campaign (one cell per suite benchmark, 400k
+/// profile / 100k sim instructions): the identity anchor of this snapshot.
 std::string campaignDigest() {
   serialize::Hasher H;
   for (const workloads::BenchmarkSpec &B : workloads::specSuite()) {
@@ -343,7 +323,6 @@ std::string campaignDigest() {
 struct Aggregate {
   double EmuRun = 0.0;
   double EmuStep = 0.0;
-  double EmuRef = 0.0;
   double Profile = 0.0;
   double Sim = 0.0;
   double Trace = 0.0;
@@ -352,17 +331,15 @@ struct Aggregate {
 };
 
 Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
-  uint64_t EmuI = 0, RefI = 0, ProfI = 0, SimI = 0;
-  double RunS = 0, StepS = 0, RefS = 0, ProfS = 0, SimS = 0, TraceS = 0,
-         ReplayS = 0, DmpReplayS = 0;
+  uint64_t EmuI = 0, ProfI = 0, SimI = 0;
+  double RunS = 0, StepS = 0, ProfS = 0, SimS = 0, TraceS = 0, ReplayS = 0,
+         DmpReplayS = 0;
   for (const WorkloadResult &R : Results) {
     EmuI += R.EmuInstrs;
-    RefI += R.RefInstrs;
     ProfI += R.ProfileInstrs;
     SimI += R.SimInstrs;
     RunS += R.EmuRunSec;
     StepS += R.EmuStepSec;
-    RefS += R.EmuRefSec;
     ProfS += R.ProfileSec;
     SimS += R.SimSec;
     TraceS += R.TraceSec;
@@ -372,7 +349,6 @@ Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
   Aggregate A;
   A.EmuRun = mips(EmuI, RunS);
   A.EmuStep = mips(EmuI, StepS);
-  A.EmuRef = mips(RefI, RefS);
   A.Profile = mips(ProfI, ProfS);
   A.Sim = mips(SimI, SimS);
   A.Trace = mips(SimI, TraceS);
@@ -389,21 +365,17 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
   J.integer("reps", Opts.Reps);
   J.beginObject("budgets");
   J.integer("emu_instrs", Opts.EmuInstrs);
-  J.integer("ref_instrs", Opts.RefInstrs);
   J.integer("sim_instrs", Opts.SimInstrs);
   J.integer("profile_instrs", Opts.ProfileInstrs);
   J.endObject();
   J.beginObject("aggregate");
   J.number("emu_run_mips", A.EmuRun, 1);
   J.number("emu_step_mips", A.EmuStep, 1);
-  J.number("emu_ref_mips", A.EmuRef, 1);
   J.number("profile_mips", A.Profile, 1);
   J.number("sim_mips", A.Sim, 1);
   J.number("trace_mips", A.Trace, 1);
   J.number("replay_mips", A.Replay, 1);
   J.number("dmp_replay_mips", A.DmpReplay, 1);
-  J.number("emu_speedup_vs_ref", A.EmuRef > 0 ? A.EmuRun / A.EmuRef : 0.0,
-           2);
   J.endObject();
   J.beginArray("workloads");
   for (const WorkloadResult &R : Results) {
@@ -411,7 +383,6 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
     J.string("name", R.Name);
     J.number("emu_run_mips", R.EmuRun, 1);
     J.number("emu_step_mips", R.EmuStep, 1);
-    J.number("emu_ref_mips", R.EmuRef, 1);
     J.number("profile_mips", R.Profile, 1);
     J.number("sim_mips", R.Sim, 1);
     J.number("trace_mips", R.Trace, 1);
@@ -469,7 +440,6 @@ int checkAgainst(const std::string &Path, const Aggregate &A,
   const std::pair<const char *, double> Gates[] = {
       {"emu_run_mips", A.EmuRun},
       {"emu_step_mips", A.EmuStep},
-      {"emu_ref_mips", A.EmuRef},
       {"profile_mips", A.Profile},
       {"sim_mips", A.Sim},
       {"trace_mips", A.Trace},
@@ -507,10 +477,9 @@ int main(int Argc, char **Argv) {
   const std::vector<workloads::Workload> Suite =
       buildWorkloads(Opts.LimitBenches);
   std::printf("bench_throughput: %zu workloads, %u reps, budgets "
-              "emu=%llu ref=%llu sim=%llu profile=%llu (%s)\n",
+              "emu=%llu sim=%llu profile=%llu (%s)\n",
               Suite.size(), Opts.Reps,
               static_cast<unsigned long long>(Opts.EmuInstrs),
-              static_cast<unsigned long long>(Opts.RefInstrs),
               static_cast<unsigned long long>(Opts.SimInstrs),
               static_cast<unsigned long long>(Opts.ProfileInstrs),
               Opts.Smoke ? "smoke" : "full");
@@ -519,11 +488,11 @@ int main(int Argc, char **Argv) {
   for (const workloads::Workload &W : Suite) {
     Results.push_back(measureWorkload(W, Opts));
     const WorkloadResult &R = Results.back();
-    std::printf("  %-8s emu run %7.1f  step %7.1f  ref %7.1f  profile %6.1f  "
+    std::printf("  %-8s emu run %7.1f  step %7.1f  profile %6.1f  "
                 "sim %6.1f (trace %6.1f  replay %6.1f  dmp replay %6.1f) "
                 "MIPS\n",
-                R.Name.c_str(), R.EmuRun, R.EmuStep, R.EmuRef, R.Profile,
-                R.Sim, R.Trace, R.Replay, R.DmpReplay);
+                R.Name.c_str(), R.EmuRun, R.EmuStep, R.Profile, R.Sim,
+                R.Trace, R.Replay, R.DmpReplay);
   }
 
   const Aggregate A = aggregate(Results);

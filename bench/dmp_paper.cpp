@@ -176,8 +176,7 @@ void printPanel(const FigureRun &R, const std::string &Title, size_t Offset,
 
 Figure table1() {
   return {"table1", {}, {}, [](const FigureRun &) {
-            sim::SimConfig Config;
-            Config.EnableDmp = true;
+            const sim::SimConfig Config;
             std::printf("== Table 1: baseline processor configuration and "
                         "DMP support ==\n%s",
                         Config.toString().c_str());

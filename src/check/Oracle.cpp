@@ -224,24 +224,21 @@ OracleReport check::runOracle(const ir::Program &P,
 
   Report.Reference = runReference(P, Image, Opts.MaxInstrs);
 
-  const auto RunLeg = [&](const std::string &Name, bool IsDmp,
-                          const core::DivergeMap *Diverge,
+  const auto RunLeg = [&](const std::string &Name,
+                          const core::DivergeMap &Diverge,
                           unsigned InjectFault) {
     LegResult Leg;
     Leg.Name = Name;
     sim::SimConfig Cfg = Opts.Sim;
     Cfg.MaxInstrs = Opts.MaxInstrs;
     Cfg.InjectFault = InjectFault;
-    if (IsDmp)
-      Leg.Stats = sim::simulateDmp(P, *Diverge, Image, Cfg, &Leg.State);
-    else
-      Leg.Stats = sim::simulateBaseline(P, Image, Cfg, &Leg.State);
+    Leg.Stats = sim::simulateDmp(P, Diverge, Image, Cfg, &Leg.State);
     compareStates(Report.Reference, Leg);
-    checkInvariants(IsDmp, Leg);
+    checkInvariants(!Diverge.empty(), Leg);
     Report.Legs.push_back(std::move(Leg));
   };
 
-  RunLeg("baseline", false, nullptr, 0);
+  RunLeg("baseline", core::DivergeMap(), 0);
 
   if (Opts.RunSelected) {
     profile::ProfileOptions ProfOpts;
@@ -251,12 +248,12 @@ OracleReport check::runOracle(const ir::Program &P,
     const core::DivergeMap Selected = core::selectDivergeBranches(
         PA, Prof, core::SelectionConfig(),
         core::SelectionFeatures::allBestHeur());
-    RunLeg("dmp-selected", true, &Selected, Opts.InjectFault);
+    RunLeg("dmp-selected", Selected, Opts.InjectFault);
   }
 
   if (Opts.RunAdversarial) {
     const core::DivergeMap Adversarial = adversarialAnnotations(PA);
-    RunLeg("dmp-adversarial", true, &Adversarial, 0);
+    RunLeg("dmp-adversarial", Adversarial, 0);
   }
 
   return Report;

@@ -9,7 +9,8 @@
 /// functional emulator and through the cycle simulator in three
 /// configurations —
 ///
-///   1. baseline           (dynamic predication off),
+///   1. baseline           (an empty DivergeMap: no branch enters
+///                          dpred-mode),
 ///   2. dmp-selected       (dpred on, diverge branches from the paper's
 ///                          best-heuristic selection on a real profile),
 ///   3. dmp-adversarial    (dpred on, *every* conditional branch marked
@@ -51,8 +52,8 @@ struct OracleOptions {
   /// Shared dynamic-instruction budget: the reference emulator and every
   /// simulator leg stop at the same count, so capped runs stay comparable.
   uint64_t MaxInstrs = 300'000;
-  /// Base machine configuration; EnableDmp/MaxInstrs/InjectFault are
-  /// overridden per leg.
+  /// Base machine configuration; MaxInstrs/InjectFault are overridden per
+  /// leg.
   sim::SimConfig Sim;
   /// Canary fault injected into the dmp-selected leg's extracted state
   /// (see SimConfig::InjectFault).  Used by the oracle's own tests to

@@ -100,6 +100,7 @@ public:
   bool contains(uint32_t BranchAddr) const { return Map.count(BranchAddr); }
 
   size_t size() const { return Map.size(); }
+  bool empty() const { return Map.empty(); }
 
   const std::unordered_map<uint32_t, DivergeAnnotation> &all() const {
     return Map;

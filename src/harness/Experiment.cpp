@@ -40,10 +40,10 @@ void hashSimConfig(serialize::Hasher &H, const sim::SimConfig &C) {
         uint64_t(C.Memory.DL1Assoc), uint64_t(C.Memory.DL1Latency),
         C.Memory.L2Size, uint64_t(C.Memory.L2Assoc),
         uint64_t(C.Memory.L2Latency), uint64_t(C.Memory.LineBytes),
-        uint64_t(C.Memory.MemoryLatency), uint64_t(C.EnableDmp),
-        uint64_t(C.NumPredicateRegs), uint64_t(C.NumCfmRegisters),
-        uint64_t(C.MaxDpredInstrs), uint64_t(C.MaxLoopDpredIters), C.MaxInstrs,
-        uint64_t(C.InjectFault), C.WatchdogInstrBudget})
+        uint64_t(C.Memory.MemoryLatency), uint64_t(C.NumPredicateRegs),
+        uint64_t(C.NumCfmRegisters), uint64_t(C.MaxDpredInstrs),
+        uint64_t(C.MaxLoopDpredIters), C.MaxInstrs, uint64_t(C.InjectFault),
+        C.WatchdogInstrBudget})
     H.updateU64(V);
   // C.Cancel and C.Progress are deliberately NOT hashed: cancellation and
   // liveness beats are execution-time concerns, not part of the simulated
@@ -264,7 +264,10 @@ const sim::SimStats &BenchContext::baseline() {
   return stage<sim::SimStats>(
       std::string(1, kBaselineKey),
       [&] { return simCacheKey(Spec, Options.Sim, nullptr); },
-      [&] { return sim::simulateBaseline(*W.Prog, trace(), Options.Sim); });
+      [&] {
+        return sim::simulateDmp(*W.Prog, core::DivergeMap(), trace(),
+                                Options.Sim);
+      });
 }
 
 sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const {

@@ -13,7 +13,8 @@
 ///
 /// The canonical paper pipeline is:
 ///   profile(input) -> selectDivergeBranches(...) -> simulateDmp(run input)
-/// compared against simulateBaseline(run input).  Both simulations replay
+/// compared against the baseline: simulateDmp(run input) with an empty
+/// core::DivergeMap.  Both simulations replay
 /// one sim::CorrectPathTrace of the run input, recorded once per context
 /// (sim/DmpCore.h explains why the replay is exact).
 ///

@@ -27,10 +27,10 @@ const SimConfig &checked(const SimConfig &Config) {
 
 } // namespace
 
-DmpCore::DmpCore(const Program &P, const core::DivergeMap *Diverge,
+DmpCore::DmpCore(const Program &P, const core::DivergeMap &Diverge,
                  const SimConfig &Config)
     : P(P), Code(profile::DecodedProgram::of(P)), Config(checked(Config)),
-      NeedsPredictor(Config.EnableDmp && Diverge && Diverge->size() != 0),
+      NeedsPredictor(!Diverge.empty()),
       FetchWidth(Config.FetchWidth), RetireWidth(Config.RetireWidth),
       MaxNtBranches(Config.MaxNotTakenBranchesPerFetch),
       FrontEndDepth(Config.FrontEndDepth), RobSize(Config.RobSize),
@@ -59,7 +59,7 @@ DmpCore::DmpCore(const Program &P, const core::DivergeMap *Diverge,
   }
   if (NeedsPredictor) {
     AnnotationAt.assign(Code.size(), nullptr);
-    for (const auto &[Addr, Ann] : Diverge->all())
+    for (const auto &[Addr, Ann] : Diverge.all())
       if (Addr < Code.size())
         AnnotationAt[Addr] = &Ann;
   }

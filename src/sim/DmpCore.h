@@ -33,7 +33,8 @@
 /// trained it: the hammock walk and the loop-entry walk happen before the
 /// branch trains, and a loop iteration trains before classifyLoopInstance
 /// walks.  One trace serves
-/// the baseline and every DivergeMap with byte-identical statistics.
+/// every DivergeMap with byte-identical statistics, the empty one (the
+/// baseline) included.
 ///
 /// The inline step.  The fetch, retire and ROB cursors (PipeState) change
 /// on every instruction, so run() keeps them in a local that the
@@ -78,9 +79,10 @@ namespace dmp::sim {
 /// One simulated core.  Construct per run.
 class DmpCore {
 public:
-  /// \p Diverge may be nullptr (pure baseline, DMP disabled regardless of
-  /// Config.EnableDmp).
-  DmpCore(const ir::Program &P, const core::DivergeMap *Diverge,
+  /// \p Diverge is the program's diverge-branch annotations; it must
+  /// outlive the core.  An empty map is the baseline machine: dpred-mode is
+  /// entered only at annotated branches.
+  DmpCore(const ir::Program &P, const core::DivergeMap &Diverge,
           const SimConfig &Config);
 
   /// Replays \p Trace — recorded by recordCorrectPath for this program and
@@ -250,9 +252,9 @@ private:
   const ir::Program &P;
   const profile::DecodedProgram &Code;
   SimConfig Config;
-  /// DMP is enabled and the DivergeMap is not empty.  Only the wrong-path
-  /// walks read the predictor, so it is kept live only then, and only then
-  /// does AnnotationAt exist.
+  /// The DivergeMap is not empty.  Only the wrong-path walks read the
+  /// predictor, so it is kept live only then, and only then does
+  /// AnnotationAt exist.
   bool NeedsPredictor;
 
   // Invariant configuration, copied out of Config at construction so the

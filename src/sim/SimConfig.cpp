@@ -93,9 +93,9 @@ std::string SimConfig::toString() const {
                       Memory.DL1Assoc, Memory.DL1Latency,
                       static_cast<unsigned long long>(Memory.L2Size / 1024),
                       Memory.L2Assoc, Memory.L2Latency, Memory.MemoryLatency);
-  Out += formatString("DMP support    : %s, JRS conf (%u-bit history, "
+  Out += formatString("DMP support    : enabled, JRS conf (%u-bit history, "
                       "threshold %u), %u predicate regs, %u CFM regs\n",
-                      EnableDmp ? "enabled" : "disabled", ConfHistoryBits,
-                      ConfThreshold, NumPredicateRegs, NumCfmRegisters);
+                      ConfHistoryBits, ConfThreshold, NumPredicateRegs,
+                      NumCfmRegisters);
   return Out;
 }

@@ -73,8 +73,7 @@ struct SimConfig {
   // Memory hierarchy.
   uarch::MemoryConfig Memory;
 
-  // DMP support.
-  bool EnableDmp = false;
+  // DMP support (always present; an empty DivergeMap makes the baseline).
   unsigned NumPredicateRegs = 32;
   unsigned NumCfmRegisters = 3;
   /// dpred-mode instruction budget per episode; entering instructions

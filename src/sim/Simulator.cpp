@@ -11,14 +11,6 @@
 using namespace dmp;
 using namespace dmp::sim;
 
-SimStats sim::simulateBaseline(const ir::Program &P,
-                               const std::vector<int64_t> &MemoryImage,
-                               const SimConfig &Config,
-                               FinalState *FinalStateOut) {
-  return simulateBaseline(
-      P, recordCorrectPath(P, MemoryImage, Config, FinalStateOut), Config);
-}
-
 SimStats sim::simulateDmp(const ir::Program &P, const core::DivergeMap &Diverge,
                           const std::vector<int64_t> &MemoryImage,
                           const SimConfig &Config,
@@ -28,18 +20,8 @@ SimStats sim::simulateDmp(const ir::Program &P, const core::DivergeMap &Diverge,
       Config);
 }
 
-SimStats sim::simulateBaseline(const ir::Program &P,
-                               const CorrectPathTrace &Trace,
-                               const SimConfig &Config) {
-  SimConfig BaselineConfig = Config;
-  BaselineConfig.EnableDmp = false;
-  return DmpCore(P, nullptr, BaselineConfig).run(Trace);
-}
-
 SimStats sim::simulateDmp(const ir::Program &P, const core::DivergeMap &Diverge,
                           const CorrectPathTrace &Trace,
                           const SimConfig &Config) {
-  SimConfig DmpConfig = Config;
-  DmpConfig.EnableDmp = true;
-  return DmpCore(P, &Diverge, DmpConfig).run(Trace);
+  return DmpCore(P, Diverge, Config).run(Trace);
 }

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Convenience entry points for running the baseline and DMP machines on a
-/// program + input image, or on a recorded correct-path trace of them.
+/// Convenience entry points for running the DMP machine on a program +
+/// input image, or on a recorded correct-path trace of them.  The baseline
+/// is the same machine with an empty core::DivergeMap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,17 +25,12 @@
 
 namespace dmp::sim {
 
-/// Runs the baseline (no dynamic predication) machine: records the
-/// correct path (recordCorrectPath) and replays it.  \p FinalStateOut
-/// (optional) receives the retired architectural state.
-SimStats simulateBaseline(const ir::Program &P,
-                          const std::vector<int64_t> &MemoryImage,
-                          const SimConfig &Config = SimConfig(),
-                          FinalState *FinalStateOut = nullptr);
-
-/// Runs the DMP machine with the given diverge-branch annotations: records
-/// the correct path and replays it.  \p FinalStateOut (optional) receives
-/// the retired architectural state.
+/// Runs the DMP machine with the diverge-branch annotations \p Diverge:
+/// records the correct path (recordCorrectPath) and replays it.  An empty
+/// map is the baseline machine: dpred-mode is entered only at annotated
+/// branches (paper Section 2), so without any the run is exactly the
+/// baseline's.  \p FinalStateOut (optional) receives the retired
+/// architectural state.
 SimStats simulateDmp(const ir::Program &P, const core::DivergeMap &Diverge,
                      const std::vector<int64_t> &MemoryImage,
                      const SimConfig &Config = SimConfig(),
@@ -42,11 +38,8 @@ SimStats simulateDmp(const ir::Program &P, const core::DivergeMap &Diverge,
 
 /// Replays \p Trace, recorded by recordCorrectPath for \p P under a
 /// configuration with the same correct-path front end as \p Config,
-/// through the baseline machine.  Many replays may share one trace.
-SimStats simulateBaseline(const ir::Program &P, const CorrectPathTrace &Trace,
-                          const SimConfig &Config = SimConfig());
-
-/// Replays \p Trace through the DMP machine with \p Diverge.
+/// through the DMP machine with \p Diverge (empty: the baseline).  Many
+/// replays may share one trace.
 SimStats simulateDmp(const ir::Program &P, const core::DivergeMap &Diverge,
                      const CorrectPathTrace &Trace,
                      const SimConfig &Config = SimConfig());

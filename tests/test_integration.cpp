@@ -464,7 +464,8 @@ TEST_P(RandomProgramProperty, EmulatorTerminatesAndSimAgrees) {
   }
   EXPECT_TRUE(Emu.isHalted());
 
-  const sim::SimStats Stats = sim::simulateBaseline(*W.Prog, Image);
+  const sim::SimStats Stats =
+      sim::simulateDmp(*W.Prog, core::DivergeMap(), Image);
   EXPECT_EQ(Stats.RetiredInstrs, Steps);
 }
 

@@ -15,9 +15,10 @@
 //     (one fetch, issue or retire port, a 16-wide fetch with one not-taken
 //     branch per cycle, a 32-entry ROB, a 1KB IL1, a 50-instruction dpred
 //     window);
-//   * the timing oracle: DMP with an empty DivergeMap is the baseline, and
-//     the baseline is invariant under the dpred-only SimConfig fields (but
-//     not under the confidence threshold);
+//   * the timing oracle: the default machine enters dpred-mode at annotated
+//     branches and is the baseline without any, and the baseline is
+//     invariant under the dpred-only SimConfig fields (but not under the
+//     confidence threshold);
 //   * Fast vs Reference recording, the guards, the InjectFault canaries;
 //   * the trace blob and the BenchContext trace memo.
 //
@@ -50,6 +51,9 @@ using namespace dmp;
 using workloads::InputSetKind;
 
 namespace {
+
+/// No diverge branch: the DMP core runs as the baseline machine.
+const core::DivergeMap NoDiverge;
 
 std::string digestOf(const sim::SimStats &S) {
   const std::vector<uint8_t> B = serialize::encodeSimStats(S);
@@ -196,7 +200,7 @@ TEST(ReplayGolden, RecipesMatchEmulatorDrivenDigests) {
     };
     const std::string Line =
         std::to_string(Seed) + " " +
-        digestOf(sim::simulateBaseline(P, Trace, R.Cfg)) + " " +
+        digestOf(sim::simulateDmp(P, NoDiverge, Trace, R.Cfg)) + " " +
         Dmp(check::adversarialAnnotations(*R.PA)) + " " +
         Dmp(R.select(Prof, core::SelectionFeatures::allBestCost())) + " " +
         Dmp(R.select(Prof, core::SelectionFeatures::allBestHeur()));
@@ -249,9 +253,10 @@ TEST(ReplayGolden, NonDefaultMachinesMatchDigests) {
     for (const auto &[Name, Cfg] : Machines) {
       const sim::CorrectPathTrace Trace =
           sim::recordCorrectPath(P, Image, Cfg);
-      Actual.push_back(std::string(Spec.Name) + " " + Name + " " +
-                       digestOf(sim::simulateBaseline(P, Trace, Cfg)) + " " +
-                       digestOf(sim::simulateDmp(P, Map, Trace, Cfg)));
+      Actual.push_back(
+          std::string(Spec.Name) + " " + Name + " " +
+          digestOf(sim::simulateDmp(P, NoDiverge, Trace, Cfg)) + " " +
+          digestOf(sim::simulateDmp(P, Map, Trace, Cfg)));
     }
   }
   const std::vector<std::string> Golden =
@@ -265,27 +270,23 @@ TEST(ReplayGolden, NonDefaultMachinesMatchDigests) {
 // Timing oracle
 //===----------------------------------------------------------------------===//
 
-// With no diverge branch the DMP machine can never enter dpred-mode, so its
-// timing must be the baseline's to the last counter.
-TEST(TimingOracle, EmptyDivergeMapIsTheBaseline) {
-  const core::DivergeMap Empty;
-  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
-    const workloads::Workload W = workloads::buildBenchmark(Spec);
-    const sim::SimConfig Cfg = harness::ExperimentOptions().Sim;
-    const sim::CorrectPathTrace Trace = sim::recordCorrectPath(
-        *W.Prog, W.buildImage(InputSetKind::Run), Cfg);
-    EXPECT_EQ(serialize::encodeSimStats(
-                  sim::simulateDmp(*W.Prog, Empty, Trace, Cfg)),
-              serialize::encodeSimStats(
-                  sim::simulateBaseline(*W.Prog, Trace, Cfg)))
-        << Spec.Name;
-  }
-  for (uint64_t Seed = 0; Seed < 50; ++Seed) {
+// The default SimConfig is the DMP machine: a core given annotations enters
+// dpred-mode with no further switch, and the same core given none is the
+// baseline.
+TEST(TimingOracle, DefaultConfigEntersDpredAtAnnotatedBranches) {
+  for (uint64_t Seed = 0; Seed < 5; ++Seed) {
     const Recipe R(Seed);
-    EXPECT_EQ(serialize::encodeSimStats(
-                  sim::simulateDmp(*R.G.Prog, Empty, R.G.Image, R.Cfg)),
-              serialize::encodeSimStats(
-                  sim::simulateBaseline(*R.G.Prog, R.G.Image, R.Cfg)))
+    const ir::Program &P = *R.G.Prog;
+    const core::DivergeMap Map = check::adversarialAnnotations(*R.PA);
+    ASSERT_FALSE(Map.empty()) << "recipe " << Seed;
+    const sim::CorrectPathTrace Trace =
+        sim::recordCorrectPath(P, R.G.Image, sim::SimConfig());
+    EXPECT_GT(sim::DmpCore(P, Map, sim::SimConfig()).run(Trace).DpredEntries,
+              0u)
+        << "recipe " << Seed;
+    EXPECT_EQ(
+        sim::DmpCore(P, NoDiverge, sim::SimConfig()).run(Trace).DpredEntries,
+        0u)
         << "recipe " << Seed;
   }
 }
@@ -313,16 +314,16 @@ TEST(TimingOracle, BaselineIgnoresDpredOnlyFields) {
   for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
     const workloads::Workload W = workloads::buildBenchmark(Spec);
     const std::vector<int64_t> Image = W.buildImage(InputSetKind::Run);
-    const std::vector<uint8_t> Baseline =
-        serialize::encodeSimStats(sim::simulateBaseline(*W.Prog, Image, Base));
+    const std::vector<uint8_t> Baseline = serialize::encodeSimStats(
+        sim::simulateDmp(*W.Prog, NoDiverge, Image, Base));
     for (const auto &[Name, Cfg] : DpredOnly)
       EXPECT_EQ(serialize::encodeSimStats(
-                    sim::simulateBaseline(*W.Prog, Image, Cfg)),
+                    sim::simulateDmp(*W.Prog, NoDiverge, Image, Cfg)),
                 Baseline)
           << Spec.Name << " " << Name;
-    EXPECT_NE(
-        serialize::encodeSimStats(sim::simulateBaseline(*W.Prog, Image, Conf4)),
-        Baseline)
+    EXPECT_NE(serialize::encodeSimStats(
+                  sim::simulateDmp(*W.Prog, NoDiverge, Image, Conf4)),
+              Baseline)
         << Spec.Name << " conf-threshold=4";
   }
 }
@@ -386,9 +387,9 @@ TEST(CorrectPathRecord, GuardsAbortAtTheEmulatorDrivenCount) {
     Cfg.Progress = [&] { ++Beats; };
     Status S = statusOf([&] {
       if (Replay)
-        sim::simulateBaseline(*W.Prog, Trace, Cfg);
+        sim::simulateDmp(*W.Prog, NoDiverge, Trace, Cfg);
       else
-        sim::simulateBaseline(*W.Prog, Image, Cfg);
+        sim::simulateDmp(*W.Prog, NoDiverge, Image, Cfg);
     });
     EXPECT_EQ(S.code(), ErrorCode::ResourceExhausted);
     EXPECT_EQ(S.toString(), "sim::DmpCore: resource-exhausted: simulation "
@@ -405,9 +406,9 @@ TEST(CorrectPathRecord, GuardsAbortAtTheEmulatorDrivenCount) {
     };
     S = statusOf([&] {
       if (Replay)
-        sim::simulateBaseline(*W.Prog, Trace, Cfg);
+        sim::simulateDmp(*W.Prog, NoDiverge, Trace, Cfg);
       else
-        sim::simulateBaseline(*W.Prog, Image, Cfg);
+        sim::simulateDmp(*W.Prog, NoDiverge, Image, Cfg);
     });
     EXPECT_EQ(S.code(), ErrorCode::Cancelled);
     EXPECT_EQ(S.toString(), "guard: cancelled: cancelled (sim::DmpCore)");
@@ -454,7 +455,7 @@ TEST(CorrectPathRecord, ReplayRejectsATraceOfAnotherPath) {
   const sim::CorrectPathTrace Trace =
       sim::recordCorrectPath(*W.Prog, W.buildImage(InputSetKind::Run), Cfg);
   const auto ReplayStatus = [&](const sim::CorrectPathTrace &T) {
-    return statusOf([&] { sim::DmpCore(*W.Prog, nullptr, Cfg).run(T); });
+    return statusOf([&] { sim::DmpCore(*W.Prog, NoDiverge, Cfg).run(T); });
   };
   ASSERT_GT(Trace.Branches.size(), 10u);
   sim::CorrectPathTrace Short = Trace;
@@ -486,9 +487,9 @@ TEST(TraceBlob, RoundTripsAndRejectsDamage) {
   ASSERT_TRUE(serialize::decodeCorrectPathTrace(Blob, Back).ok());
   EXPECT_EQ(serialize::encodeCorrectPathTrace(Back), Blob);
   EXPECT_EQ(serialize::encodeSimStats(
-                sim::DmpCore(*W.Prog, nullptr, Cfg).run(Back)),
+                sim::DmpCore(*W.Prog, NoDiverge, Cfg).run(Back)),
             serialize::encodeSimStats(
-                sim::DmpCore(*W.Prog, nullptr, Cfg).run(Trace)));
+                sim::DmpCore(*W.Prog, NoDiverge, Cfg).run(Trace)));
 
   for (size_t Cut : {size_t(0), size_t(7), size_t(40), Blob.size() / 2,
                      Blob.size() - 1}) {
@@ -528,8 +529,8 @@ TEST(TraceBlob, CachedTraceIsReusedAndDamageRecomputes) {
   const auto FreshContextTraces = [&] {
     harness::BenchContext Ctx(Spec, Options);
     EXPECT_EQ(serialize::encodeCorrectPathTrace(Ctx.trace()), Recorded);
-    EXPECT_EQ(serialize::encodeSimStats(sim::simulateBaseline(
-                  *Ctx.workload().Prog, Ctx.trace(), Options.Sim)),
+    EXPECT_EQ(serialize::encodeSimStats(sim::simulateDmp(
+                  *Ctx.workload().Prog, NoDiverge, Ctx.trace(), Options.Sim)),
               Baseline);
     return Ctx.traces();
   };
@@ -577,7 +578,7 @@ TEST(TraceMemo, ConcurrentStagesRecordOnce) {
   const std::vector<int64_t> Image = W.buildImage(InputSetKind::Run);
   const sim::SimConfig &Cfg = Bench.options().Sim;
   EXPECT_EQ(Results[0], serialize::encodeSimStats(
-                            sim::simulateBaseline(*W.Prog, Image, Cfg)));
+                            sim::simulateDmp(*W.Prog, NoDiverge, Image, Cfg)));
   EXPECT_EQ(Results[1], serialize::encodeSimStats(
                             sim::simulateDmp(*W.Prog, Heur, Image, Cfg)));
   EXPECT_EQ(Results[2], serialize::encodeSimStats(

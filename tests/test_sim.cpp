@@ -21,6 +21,9 @@ using namespace dmp::sim;
 
 namespace {
 
+/// No diverge branch: the DMP core runs as the baseline machine.
+const core::DivergeMap NoDiverge;
+
 std::vector<int64_t> randomImage(size_t Words, double P, uint64_t Seed = 21) {
   std::vector<int64_t> Image(Words, 0);
   RNG Rng(Seed);
@@ -49,7 +52,7 @@ void expectRejected(const SimConfig &Config) {
               recordCorrectPath(*H.Prog, std::vector<int64_t>(64, 0), Config);
             }).toString(),
             S.toString());
-  EXPECT_EQ(StatusOf([&] { DmpCore(*H.Prog, nullptr, Config); }).toString(),
+  EXPECT_EQ(StatusOf([&] { DmpCore(*H.Prog, NoDiverge, Config); }).toString(),
             S.toString());
 }
 
@@ -67,7 +70,7 @@ core::DivergeMap selectAll(const test::ProgramHandles &H,
 TEST(SimTest, RetiresEveryInstruction) {
   auto H = test::buildSimpleHammockLoop(/*BodyLen=*/4, /*Iters=*/128);
   const auto Image = randomImage(8192, 0.5);
-  const SimStats Stats = simulateBaseline(*H.Prog, Image);
+  const SimStats Stats = simulateDmp(*H.Prog, NoDiverge, Image);
   profile::Emulator Emu(*H.Prog, Image);
   profile::DynInstr D;
   while (Emu.step(D)) {
@@ -81,8 +84,8 @@ TEST(SimTest, RetiresEveryInstruction) {
 TEST(SimTest, MispredictionsCostCycles) {
   auto H = test::buildSimpleHammockLoop(/*BodyLen=*/4, /*Iters=*/1024);
   const SimStats Easy =
-      simulateBaseline(*H.Prog, std::vector<int64_t>(8192, 0));
-  const SimStats Hard = simulateBaseline(*H.Prog, randomImage(8192, 0.5));
+      simulateDmp(*H.Prog, NoDiverge, std::vector<int64_t>(8192, 0));
+  const SimStats Hard = simulateDmp(*H.Prog, NoDiverge, randomImage(8192, 0.5));
   EXPECT_GT(Hard.Mispredictions, Easy.Mispredictions);
   EXPECT_LT(Hard.ipc(), Easy.ipc());
   // A misprediction costs at least the front-end depth worth of cycles.
@@ -94,7 +97,7 @@ TEST(SimTest, MispredictionsCostCycles) {
 TEST(SimTest, BaselineNeverEntersDpred) {
   auto H = test::buildSimpleHammockLoop();
   const SimStats Stats =
-      simulateBaseline(*H.Prog, randomImage(8192, 0.5));
+      simulateDmp(*H.Prog, NoDiverge, randomImage(8192, 0.5));
   EXPECT_EQ(Stats.DpredEntries, 0u);
   EXPECT_EQ(Stats.Flushes, Stats.Mispredictions + Stats.RasMispredicts);
 }
@@ -105,7 +108,7 @@ TEST(SimTest, DmpSavesFlushesOnHardHammock) {
   const core::DivergeMap Map = selectAll(H, Image);
   ASSERT_TRUE(Map.contains(H.BranchAddr));
 
-  const SimStats Base = simulateBaseline(*H.Prog, Image);
+  const SimStats Base = simulateDmp(*H.Prog, NoDiverge, Image);
   const SimStats Dmp = simulateDmp(*H.Prog, Map, Image);
   EXPECT_GT(Dmp.DpredEntries, 0u);
   EXPECT_GT(Dmp.DpredSavedFlushes, 0u);
@@ -142,7 +145,7 @@ TEST(SimTest, LoopDpredOutcomeTaxonomy) {
   ASSERT_TRUE(Map.contains(H.BranchAddr));
   ASSERT_EQ(Map.find(H.BranchAddr)->Kind, core::DivergeKind::Loop);
 
-  const SimStats Base = simulateBaseline(*H.Prog, Image);
+  const SimStats Base = simulateDmp(*H.Prog, NoDiverge, Image);
   const SimStats Dmp = simulateDmp(*H.Prog, Map, Image);
   EXPECT_GT(Dmp.DpredEntriesLoop, 0u);
   // All three misprediction outcomes of Section 5.1 occur with
@@ -166,7 +169,7 @@ TEST(SimTest, ReturnCfmMerges) {
   ASSERT_EQ(Map.find(H.BranchAddr)->Cfms[0].PointKind,
             core::CfmPoint::Kind::Return);
 
-  const SimStats Base = simulateBaseline(*H.Prog, Image);
+  const SimStats Base = simulateDmp(*H.Prog, NoDiverge, Image);
   const SimStats Dmp = simulateDmp(*H.Prog, Map, Image);
   EXPECT_GT(Dmp.DpredMerged, 0u);
   EXPECT_GT(Dmp.ipc(), Base.ipc());
@@ -177,8 +180,8 @@ TEST(SimTest, DeterministicStats) {
   const auto Image = W.buildImage(workloads::InputSetKind::Run);
   SimConfig Config;
   Config.MaxInstrs = 200000;
-  const SimStats A = simulateBaseline(*W.Prog, Image, Config);
-  const SimStats B = simulateBaseline(*W.Prog, Image, Config);
+  const SimStats A = simulateDmp(*W.Prog, NoDiverge, Image, Config);
+  const SimStats B = simulateDmp(*W.Prog, NoDiverge, Image, Config);
   EXPECT_EQ(A.Cycles, B.Cycles);
   EXPECT_EQ(A.Mispredictions, B.Mispredictions);
   EXPECT_EQ(A.Flushes, B.Flushes);
@@ -189,7 +192,7 @@ TEST(SimTest, MaxInstrsBudget) {
   const auto Image = W.buildImage(workloads::InputSetKind::Run);
   SimConfig Config;
   Config.MaxInstrs = 50000;
-  const SimStats Stats = simulateBaseline(*W.Prog, Image, Config);
+  const SimStats Stats = simulateDmp(*W.Prog, NoDiverge, Image, Config);
   EXPECT_LE(Stats.RetiredInstrs, 50000u);
 }
 
@@ -200,7 +203,7 @@ TEST(SimTest, ConfidenceEstimatorInPaperRange) {
   const auto Image = W.buildImage(workloads::InputSetKind::Run);
   SimConfig Config;
   Config.MaxInstrs = 400000;
-  const SimStats Stats = simulateBaseline(*W.Prog, Image, Config);
+  const SimStats Stats = simulateDmp(*W.Prog, NoDiverge, Image, Config);
   EXPECT_GT(Stats.accConf(), 0.10);
   EXPECT_LT(Stats.accConf(), 0.60);
 }

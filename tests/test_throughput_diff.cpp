@@ -258,7 +258,7 @@ namespace {
 /// reference interpreter — and asserts byte-identical traces, identical
 /// retired state, and byte-identical SimStats encodings (the digest the
 /// artifact cache and `dmpc` hash) of their replays.
-void compareEmuModes(const ir::Program &P, const core::DivergeMap *Diverge,
+void compareEmuModes(const ir::Program &P, const core::DivergeMap &Diverge,
                      const sim::SimConfig &Cfg,
                      const std::vector<int64_t> &Image) {
   sim::FinalState FastState, RefState;
@@ -290,19 +290,18 @@ TEST(FastPathDiff, SimEmuModeBaselineWorkloads) {
     const workloads::Workload W = workloads::buildByName(Name);
     sim::SimConfig Cfg;
     Cfg.MaxInstrs = 100'000;
-    compareEmuModes(*W.Prog, nullptr,
-                    Cfg, W.buildImage(workloads::InputSetKind::Run));
+    compareEmuModes(*W.Prog, core::DivergeMap(), Cfg,
+                    W.buildImage(workloads::InputSetKind::Run));
   }
 }
 
 // The dpred machinery exercised hard: every branch adversarially annotated,
-// DMP enabled, fast and reference feeds must still collapse to one digest.
+// fast and reference feeds must still collapse to one digest.
 TEST(FastPathDiff, SimEmuModeAdversarialDpred) {
   auto H = test::buildFreqHammockLoop();
   const cfg::ProgramAnalysis PA(*H.Prog);
   const core::DivergeMap Map = check::adversarialAnnotations(PA);
   sim::SimConfig Cfg;
-  Cfg.EnableDmp = true;
   Cfg.MaxInstrs = 200'000;
-  compareEmuModes(*H.Prog, &Map, Cfg, test::alternatingImage(8192, 3));
+  compareEmuModes(*H.Prog, Map, Cfg, test::alternatingImage(8192, 3));
 }
