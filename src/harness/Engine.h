@@ -282,7 +282,8 @@ public:
   /// cancelled=Z resumed=Y sims=N memo-hits=M traces=T" for driver footers
   /// (cache fields omitted with cache=off).  sims counts the DMP
   /// simulations the contexts ran, memo-hits the simulateWith calls their
-  /// memos answered, traces the correct paths they recorded.
+  /// memos answered (an equal machine view was already simulated), traces
+  /// the correct paths they recorded.
   std::string statsLine() const;
 
   /// "" when no cell failed, else one indented line per failure for

@@ -7,6 +7,7 @@
 #include "harness/Experiment.h"
 
 #include "serialize/ProfileIO.h"
+#include "sim/DmpCore.h"
 
 using namespace dmp;
 using namespace dmp::harness;
@@ -86,8 +87,9 @@ harness::profileCacheKey(const workloads::BenchmarkSpec &Spec,
 
 namespace {
 
-/// simCacheKey over already-encoded annotations (\p DivergeBytes, null for
-/// the baseline), so the memo and the cache key share one encoding.
+/// simCacheKey over the already-encoded machine view of the annotations
+/// (\p DivergeBytes, null for the baseline), so the memo and the cache key
+/// share one encoding.
 serialize::Digest simKey(const workloads::BenchmarkSpec &Spec,
                          const sim::SimConfig &Config,
                          const void *DivergeBytes, size_t DivergeSize,
@@ -106,7 +108,7 @@ serialize::Digest simKey(const workloads::BenchmarkSpec &Spec,
 }
 
 /// First byte of every memo key: which stage the key names.  A DMP sim
-/// key continues with the encoded annotations.
+/// key continues with the encoded machine view of the annotations.
 constexpr char kRunProfileKey = 'r';
 constexpr char kTrainProfileKey = 't';
 constexpr char kTraceKey = 'c';
@@ -156,7 +158,8 @@ serialize::Digest harness::simCacheKey(const workloads::BenchmarkSpec &Spec,
                                        uint32_t SchemaVersion) {
   if (!Diverge)
     return simKey(Spec, Config, nullptr, 0, Selection, SchemaVersion);
-  const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(*Diverge);
+  const std::vector<uint8_t> Bytes =
+      serialize::encodeDivergeMap(sim::machineView(*Diverge));
   return simKey(Spec, Config, Bytes.data(), Bytes.size(), Selection,
                 SchemaVersion);
 }
@@ -271,9 +274,12 @@ const sim::SimStats &BenchContext::baseline() {
 }
 
 sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const {
+  // The memo key is the exact input simulated: maps the core cannot tell
+  // apart share one simulation.
+  const core::DivergeMap View = sim::machineView(Diverge);
   std::string MemoKey(1, kDmpSimKey);
   {
-    const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(Diverge);
+    const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(View);
     MemoKey.append(Bytes.begin(), Bytes.end());
   }
   bool Hit = false;
@@ -286,7 +292,7 @@ sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const 
       },
       [&] {
         DmpSims.fetch_add(1, std::memory_order_relaxed);
-        return sim::simulateDmp(*W.Prog, Diverge, trace(), Options.Sim);
+        return sim::simulateDmp(*W.Prog, View, trace(), Options.Sim);
       },
       &Hit);
   if (Hit)

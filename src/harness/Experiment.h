@@ -25,13 +25,20 @@
 /// profiled once ever — across benches and dmpc invocations — and a warm
 /// cache replays bit-identical results.
 ///
+/// A DMP simulation reads only the machine view of its annotations
+/// (sim::machineView: branches, CFM points, the always-predicate and loop
+/// fields, not merge probabilities, the loop header, the hammock sub-kind
+/// or the CFM order).  simulateWith simulates that view, and both its memo
+/// key and simCacheKey digest serialize::encodeDivergeMap of the view, so
+/// maps the core cannot tell apart share one simulation and one cache
+/// entry, and the memo key is the exact input simulated.
+///
 /// A BenchContext is safe to share between concurrent experiment tasks.
 /// Every stage — profile(run), profile(train), the correct-path trace, the
 /// baseline and each DMP simulation — goes through one in-flight memo
-/// keyed by the stage (a DMP simulation by the exact
-/// serialize::encodeDivergeMap bytes of its annotations).  The first
-/// request for a key computes it (around the artifact cache when one is
-/// configured); concurrent requests for the same key wait for that
+/// keyed by the stage (a DMP simulation by its machine view, above).  The
+/// first request for a key computes it (around the artifact cache when one
+/// is configured); concurrent requests for the same key wait for that
 /// computation; later requests read the result without touching the
 /// simulator or the cache.  A computation that throws (e.g. a
 /// ResourceExhausted cell watchdog or a guard cancellation) is erased from
@@ -100,11 +107,12 @@ profileCacheKey(const workloads::BenchmarkSpec &Spec,
                 uint32_t SchemaVersion = serialize::kCacheSchemaVersion);
 
 /// Cache key for one simulation of \p Spec (run input) under \p Config.
-/// \p Diverge selects the DMP simulation keyed by the annotation content;
-/// null keys the baseline.  \p Selection (optional) folds a digest of the
-/// selector configuration that produced \p Diverge, so retuned selection
-/// thresholds can never replay a stale annotation set's simulation even
-/// when the annotations happen to collide.
+/// \p Diverge selects the DMP simulation keyed by the machine view of the
+/// annotations (sim::machineView), the key BenchContext::simulateWith
+/// stores under; null keys the baseline.  \p Selection (optional) folds a
+/// digest of the selector configuration that produced \p Diverge, so
+/// retuned selection thresholds can never replay a stale annotation set's
+/// simulation even when the annotations happen to collide.
 serialize::Digest
 simCacheKey(const workloads::BenchmarkSpec &Spec, const sim::SimConfig &Config,
             const core::DivergeMap *Diverge,
@@ -140,8 +148,8 @@ public:
   /// Baseline simulation on the run input (cached).
   const sim::SimStats &baseline();
 
-  /// DMP simulation on the run input with the given annotations
-  /// (memoized by annotation content).
+  /// DMP simulation on the run input with the given annotations: runs
+  /// their machine view, memoized by its content.
   sim::SimStats simulateWith(const core::DivergeMap &Diverge) const;
 
   /// Convenience: select with \p Features (profiling on \p ProfileInput)
@@ -157,7 +165,8 @@ public:
 
   /// DMP simulations this context ran (memo and cache misses).
   uint64_t dmpSims() const { return DmpSims.load(std::memory_order_relaxed); }
-  /// simulateWith calls answered by the memo instead.
+  /// simulateWith calls answered by the memo instead (an equal machine
+  /// view was already simulated).
   uint64_t memoHits() const {
     return MemoHits.load(std::memory_order_relaxed);
   }

@@ -132,9 +132,9 @@ StatusOr<Frame> Client::roundTrip(MsgType Type,
     close(); // transport failure: the stream is unusable
     return S;
   }
-  StatusOr<Frame> Reply = readFrame(Fd);
+  StatusOr<Frame> Reply = readFrame(Fd, kReplyTimeoutMs);
   if (!Reply.ok()) {
-    close(); // EOF, read error, or desynchronized stream
+    close(); // EOF, read error, silence, or desynchronized stream
     return Reply.status();
   }
   if (Reply->Type == MsgType::Error) {

@@ -13,8 +13,12 @@
 /// Every RPC is a roundTrip(): write one frame, read one frame, and decode
 /// a server Error frame back into the dmp::Status it carries — so a
 /// rejected SUBMIT surfaces as the same ResourceExhausted/Corrupt taxonomy
-/// the rest of the stack speaks.  A *transport* failure (the write or the
-/// read died, the stream desynchronized) closes the socket, so
+/// the rest of the stack speaks.  The server answers every request at
+/// once, so the read waits at most kReplyTimeoutMs: a reply lost on the way
+/// (a relay that keeps the connection open but never forwards it) is a
+/// Transient transport failure, not a wait without end.  A *transport*
+/// failure (the write or the read died or timed out, the stream
+/// desynchronized) closes the socket, so
 /// connected() afterwards distinguishes "the server answered an error"
 /// (still connected) from "the connection is gone" (reconnect and retry).
 ///
@@ -33,6 +37,10 @@
 #include "serve/Protocol.h"
 
 namespace dmp::serve {
+
+/// How long roundTrip() waits for a reply frame.  Generous, because an
+/// in-process server runs a cell on its event loop between replies.
+constexpr int kReplyTimeoutMs = 30'000;
 
 /// Reconnect/resubmit policy for runCampaign() and connectWithRetry().
 /// Deterministic: the delay before attempt N is a pure function of
@@ -90,7 +98,8 @@ public:
 
   /// One request/reply exchange.  A server Error frame is decoded into its
   /// carried Status; an unexpected reply type is Corrupt.  On a transport
-  /// failure the socket is closed (connected() turns false).
+  /// failure, no reply within kReplyTimeoutMs included, the socket is
+  /// closed (connected() turns false).
   StatusOr<Frame> roundTrip(MsgType Type,
                             const std::vector<uint8_t> &Payload);
 

@@ -6,8 +6,11 @@
 
 #include "serve/Protocol.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -138,7 +141,10 @@ Status serve::writeFrame(int Fd, MsgType Type,
   return Status();
 }
 
-StatusOr<Frame> serve::readFrame(int Fd) {
+StatusOr<Frame> serve::readFrame(int Fd, int TimeoutMs) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Deadline =
+      Clock::now() + std::chrono::milliseconds(std::max(TimeoutMs, 0));
   FrameDecoder Decoder;
   uint8_t Chunk[4096];
   while (true) {
@@ -152,6 +158,24 @@ StatusOr<Frame> serve::readFrame(int Fd) {
       return Err;
     case FrameDecoder::Outcome::NeedMore:
       break;
+    }
+    if (TimeoutMs >= 0) {
+      const long long Left =
+          std::chrono::ceil<std::chrono::milliseconds>(Deadline - Clock::now())
+              .count();
+      pollfd P = {Fd, POLLIN, 0};
+      const int Ready = ::poll(&P, 1, static_cast<int>(std::max(Left, 0LL)));
+      if (Ready < 0) {
+        if (errno == EINTR)
+          continue;
+        return Status::transient(std::string("frame poll failed: ") +
+                                     std::strerror(errno),
+                                 "serve::Protocol");
+      }
+      if (Ready == 0)
+        return Status::transient("no frame within " +
+                                     std::to_string(TimeoutMs) + " ms",
+                                 "serve::Protocol");
     }
     const ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
     if (N < 0) {

@@ -132,8 +132,11 @@ Status writeFrame(int Fd, MsgType Type, const std::vector<uint8_t> &Payload);
 
 /// Blocks until one full frame arrives.  NotFound on a clean EOF at a
 /// frame boundary, Corrupt on a truncated/garbled stream, Transient on
-/// read errors.
-StatusOr<Frame> readFrame(int Fd);
+/// read errors.  \p TimeoutMs >= 0 bounds the wait for the whole frame:
+/// each recv is preceded by a poll for the time left, and a frame that has
+/// not fully arrived by then is Transient (a silent peer, not an error the
+/// stream carries).  Negative waits forever.
+StatusOr<Frame> readFrame(int Fd, int TimeoutMs = -1);
 
 // --- Payload codecs -----------------------------------------------------
 // Every decoder is exact-match strict: trailing bytes are Corrupt.

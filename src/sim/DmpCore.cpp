@@ -9,6 +9,7 @@
 #include "sim/WrongPathWalker.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace dmp;
 using namespace dmp::ir;
@@ -64,6 +65,40 @@ DmpCore::DmpCore(const Program &P, const core::DivergeMap &Diverge,
         AnnotationAt[Addr] = &Ann;
   }
   CallStack.reserve(64);
+}
+
+core::DivergeMap sim::machineView(const core::DivergeMap &Diverge) {
+  core::DivergeMap View;
+  for (const auto &[Addr, Ann] : Diverge.all()) {
+    core::DivergeAnnotation Seen;
+    Seen.AlwaysPredicate = Ann.AlwaysPredicate;
+    if (Ann.Kind == core::DivergeKind::Loop) {
+      Seen.Kind = core::DivergeKind::Loop;
+      Seen.LoopSelectUops = Ann.LoopSelectUops;
+      Seen.LoopStayTaken = Ann.LoopStayTaken;
+    } else {
+      Seen.Kind = core::DivergeKind::SimpleHammock;
+      for (const core::CfmPoint &Cfm : Ann.Cfms)
+        Seen.Cfms.push_back(Cfm.PointKind == core::CfmPoint::Kind::Return
+                                ? core::CfmPoint::atReturn(0.0)
+                                : core::CfmPoint::atAddress(Cfm.Addr, 0.0));
+      const auto Key = [](const core::CfmPoint &C) {
+        return std::make_pair(C.PointKind, C.Addr);
+      };
+      std::sort(Seen.Cfms.begin(), Seen.Cfms.end(),
+                [&](const core::CfmPoint &A, const core::CfmPoint &B) {
+                  return Key(A) < Key(B);
+                });
+      Seen.Cfms.erase(std::unique(Seen.Cfms.begin(), Seen.Cfms.end(),
+                                  [&](const core::CfmPoint &A,
+                                      const core::CfmPoint &B) {
+                                    return Key(A) == Key(B);
+                                  }),
+                      Seen.Cfms.end());
+    }
+    View.add(Addr, std::move(Seen));
+  }
+  return View;
 }
 
 //===----------------------------------------------------------------------===//

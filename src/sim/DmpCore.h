@@ -76,6 +76,20 @@
 
 namespace dmp::sim {
 
+/// The part of \p Diverge the core reads: each entry's branch address,
+/// AlwaysPredicate and whether it is a loop; a loop's LoopSelectUops and
+/// LoopStayTaken; a hammock's CFM points (return flag and address), sorted
+/// and deduplicated.  The rest is the compiler's and never reaches the
+/// machine: merge probabilities, which feed only the cost model (paper
+/// Section 4), the loop header, the hammock sub-kind, the CFM order, a
+/// loop's CFMs and a hammock's loop fields.  The view zeroes or clears
+/// those (every non-loop kind becomes SimpleHammock), so two maps with
+/// equal views replay to byte-identical statistics and one simulation
+/// serves both.
+/// Every entry is kept, so the view of the empty map (the baseline) is the
+/// empty map and no other.
+core::DivergeMap machineView(const core::DivergeMap &Diverge);
+
 /// One simulated core.  Construct per run.
 class DmpCore {
 public:

@@ -132,6 +132,21 @@ if [ "$MODE" = restart ]; then
   "$SERVED" --socket="$SOCK" --workers=2 --cache-dir="$CACHE" \
     >>"$LOG" 2>&1 &
   PID=$!
+  # Wait for the restarted daemon's readiness line before going on.  When
+  # the campaign finished before the kill, the final SIGTERM would follow at
+  # once and could land before the daemon runs (still this shell's forked
+  # child, under its TERM trap): that signal is lost and the wait for the
+  # drain never returns.
+  i=0
+  until [ "$(grep -c listening "$LOG")" -ge 2 ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      echo "FAIL: restarted daemon never reported listening"
+      cat "$LOG"
+      exit 1
+    fi
+    sleep 0.1
+  done
   wait "$CPID" && RC=0 || RC=$?
   if [ "$RC" -ne 0 ]; then
     echo "FAIL: dmpc --remote exited $RC across the daemon restart"

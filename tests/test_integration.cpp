@@ -16,6 +16,7 @@
 #include "serialize/ProfileIO.h"
 #include "support/RNG.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -54,6 +55,20 @@ core::DivergeMap reinserted(const core::DivergeMap &Map) {
   core::DivergeMap Out;
   for (auto It = Addrs.rbegin(); It != Addrs.rend(); ++It)
     Out.add(*It, *Map.find(*It));
+  return Out;
+}
+
+/// \p Map with every CFM's merge probability set to \p Prob and its CFM
+/// lists reversed: a different byte string the core cannot tell apart.
+core::DivergeMap reprobed(const core::DivergeMap &Map, double Prob) {
+  core::DivergeMap Out;
+  for (const auto &[Addr, Ann] : Map.all()) {
+    core::DivergeAnnotation Copy = Ann;
+    std::reverse(Copy.Cfms.begin(), Copy.Cfms.end());
+    for (core::CfmPoint &Cfm : Copy.Cfms)
+      Cfm.MergeProb = Prob;
+    Out.add(Addr, std::move(Copy));
+  }
   return Out;
 }
 
@@ -152,22 +167,32 @@ TEST(HarnessTest, ReportGeomeanAndRendering) {
   EXPECT_NE(Text.find("+10.0%"), std::string::npos);
 }
 
-// BenchContext computes every stage once through an in-flight memo: equal
-// annotation sets share one simulation, concurrent requests wait for it,
-// and failed or cancelled computations are recomputed, never replayed.
+// BenchContext computes every stage once through an in-flight memo:
+// annotation sets with one machine view share one simulation, concurrent
+// requests wait for it, and failed or cancelled computations are
+// recomputed, never replayed.
 
 TEST(BenchContextMemo, EqualMapsFromManyThreadsSimulateOnce) {
   BenchContext Bench(specFor("li"), fastOptions());
   const core::DivergeMap Map =
       Bench.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run);
   ASSERT_GT(Map.size(), 1u);
+  ASSERT_GT(Map.avgCfmPoints(), 0.0);
   const core::DivergeMap Reordered = reinserted(Map);
 
+  // Even threads pass the map or a reinsertion of it, odd ones a copy with
+  // other merge probabilities and CFM order: one machine view.
   constexpr unsigned N = 8;
+  std::vector<core::DivergeMap> Maps;
+  for (unsigned I = 0; I < N; ++I)
+    Maps.push_back(I % 2   ? reprobed(Map, (I + 1) / double(N + 1))
+                   : I % 4 ? Reordered
+                           : Map);
+  ASSERT_NE(serialize::encodeDivergeMap(Maps[1]),
+            serialize::encodeDivergeMap(Maps[3]));
   std::vector<std::vector<uint8_t>> Results(N);
   onThreads(N, [&](unsigned I) {
-    Results[I] =
-        serialize::encodeSimStats(Bench.simulateWith(I % 2 ? Reordered : Map));
+    Results[I] = serialize::encodeSimStats(Bench.simulateWith(Maps[I]));
   });
   EXPECT_EQ(Bench.dmpSims(), 1u);
   EXPECT_EQ(Bench.memoHits(), N - 1);
@@ -291,6 +316,45 @@ TEST(BenchContextMemo, MemoHitSkipsTheArtifactCache) {
   EXPECT_EQ(serialize::encodeSimStats(First),
             serialize::encodeSimStats(Second));
   EXPECT_EQ(Bench.memoHits(), 1u);
+  std::filesystem::remove_all(Dir);
+}
+
+// The disk key is the machine view too, and simCacheKey is the key
+// simulateWith stores under, so paperbench's stage cache, BenchContext and
+// serve's runCellSpec share one entry per view.
+TEST(BenchContextMemo, MachineEqualMapsShareOneDiskEntry) {
+  const std::filesystem::path Dir =
+      std::filesystem::temp_directory_path() /
+      ("dmp-view-key-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(Dir);
+  ExperimentOptions Options = fastOptions();
+  Options.Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
+  const workloads::BenchmarkSpec &Spec = specFor("li");
+
+  BenchContext First(Spec, Options);
+  const core::DivergeMap Map =
+      First.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run);
+  const core::DivergeMap Other = reprobed(Map, 0.5);
+  ASSERT_NE(serialize::encodeDivergeMap(Map),
+            serialize::encodeDivergeMap(Other));
+  const std::vector<uint8_t> Stats =
+      serialize::encodeSimStats(First.simulateWith(Map));
+  EXPECT_EQ(First.dmpSims(), 1u);
+
+  const serialize::Digest Key =
+      simCacheKey(Spec, Options.Sim, &Map, &Options.Selection);
+  EXPECT_EQ(simCacheKey(Spec, Options.Sim, &Other, &Options.Selection).hex(),
+            Key.hex());
+  const StatusOr<std::vector<uint8_t>> Stored = Options.Cache->load(Key);
+  ASSERT_TRUE(Stored.ok()) << Stored.status().toString();
+  EXPECT_EQ(*Stored, Stats);
+
+  BenchContext Fresh(Spec, Options);
+  const uint64_t Hits = Options.Cache->hits();
+  EXPECT_EQ(serialize::encodeSimStats(Fresh.simulateWith(Other)), Stats);
+  EXPECT_EQ(Fresh.dmpSims(), 0u);
+  EXPECT_EQ(Fresh.traces(), 0u);
+  EXPECT_EQ(Options.Cache->hits(), Hits + 1);
   std::filesystem::remove_all(Dir);
 }
 

@@ -19,6 +19,10 @@
 //     branches and is the baseline without any, and the baseline is
 //     invariant under the dpred-only SimConfig fields (but not under the
 //     confidence threshold);
+//   * the machine view: a map and sim::machineView of it replay to
+//     byte-identical statistics (17 workloads x the 12 paper-cold columns,
+//     and scrambled adversarial maps on 50 recipes), a view that lost what
+//     the core reads would not, and so gzip's 12 columns take 3 sims;
 //   * Fast vs Reference recording, the guards, the InjectFault canaries;
 //   * the trace blob and the BenchContext trace memo.
 //
@@ -36,6 +40,7 @@
 #include "sim/CorrectPathTrace.h"
 #include "sim/DmpCore.h"
 #include "sim/Simulator.h"
+#include "support/RNG.h"
 #include "workloads/SpecSuite.h"
 
 #include <gtest/gtest.h>
@@ -43,6 +48,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
 
 #include <unistd.h>
@@ -326,6 +332,179 @@ TEST(TimingOracle, BaselineIgnoresDpredOnlyFields) {
               Baseline)
         << Spec.Name << " conf-threshold=4";
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Machine view
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::vector<uint8_t> bytesOf(const core::DivergeMap &Map) {
+  return serialize::encodeDivergeMap(Map);
+}
+
+/// \p Map with everything the core does not read redrawn from \p Seed:
+/// every MergeProb, LoopHeaderAddr and non-loop kind, a return CFM's
+/// unused address, a hammock's loop fields, the CFM order (plus a
+/// duplicate of one CFM), and a loop's CFM list.
+core::DivergeMap scrambled(const core::DivergeMap &Map, uint64_t Seed) {
+  RNG Rng(Seed);
+  const core::DivergeKind Hammocks[] = {
+      core::DivergeKind::SimpleHammock, core::DivergeKind::NestedHammock,
+      core::DivergeKind::FreqHammock, core::DivergeKind::NoCfm};
+  core::DivergeMap Out;
+  for (uint32_t Addr : Map.sortedAddrs()) {
+    core::DivergeAnnotation Ann = *Map.find(Addr);
+    Ann.LoopHeaderAddr = static_cast<uint32_t>(Rng.next());
+    if (Ann.Kind == core::DivergeKind::Loop) {
+      Ann.Cfms.push_back(core::CfmPoint::atAddress(
+          static_cast<uint32_t>(Rng.next()), Rng.nextDouble()));
+      Ann.Cfms.push_back(core::CfmPoint::atReturn(Rng.nextDouble()));
+    } else {
+      Ann.Kind = Hammocks[Rng.nextBelow(4)];
+      Ann.LoopSelectUops = static_cast<uint32_t>(Rng.nextBelow(64));
+      Ann.LoopStayTaken = Rng.nextBool(0.5);
+      if (!Ann.Cfms.empty())
+        Ann.Cfms.push_back(Ann.Cfms[Rng.nextBelow(Ann.Cfms.size())]);
+      for (size_t I = Ann.Cfms.size(); I > 1; --I)
+        std::swap(Ann.Cfms[I - 1], Ann.Cfms[Rng.nextBelow(I)]);
+    }
+    for (core::CfmPoint &Cfm : Ann.Cfms) {
+      Cfm.MergeProb = Rng.nextDouble();
+      if (Cfm.PointKind == core::CfmPoint::Kind::Return)
+        Cfm.Addr = static_cast<uint32_t>(Rng.next());
+    }
+    Out.add(Addr, std::move(Ann));
+  }
+  return Out;
+}
+
+/// \p Map with \p Edit applied to every annotation.
+template <typename Fn>
+core::DivergeMap edited(const core::DivergeMap &Map, const Fn &Edit) {
+  core::DivergeMap Out;
+  for (const auto &[Addr, Ann] : Map.all()) {
+    core::DivergeAnnotation Copy = Ann;
+    Edit(Copy);
+    Out.add(Addr, std::move(Copy));
+  }
+  return Out;
+}
+
+} // namespace
+
+// The view keeps what the core reads and forgets the rest.
+TEST(MachineView, KeepsWhatTheCoreReads) {
+  core::DivergeMap Map;
+  core::DivergeAnnotation Hammock;
+  Hammock.Kind = core::DivergeKind::NestedHammock;
+  Hammock.AlwaysPredicate = true;
+  Hammock.LoopHeaderAddr = 7;
+  Hammock.Cfms = {core::CfmPoint::atAddress(40, 0.5),
+                  core::CfmPoint::atReturn(0.25),
+                  core::CfmPoint::atAddress(30, 0.125),
+                  core::CfmPoint::atAddress(40, 0.0625)};
+  Map.add(10, Hammock);
+  core::DivergeAnnotation Loop;
+  Loop.Kind = core::DivergeKind::Loop;
+  Loop.LoopHeaderAddr = 3;
+  Loop.LoopSelectUops = 5;
+  Loop.LoopStayTaken = true;
+  Loop.Cfms = {core::CfmPoint::atAddress(9, 0.5)};
+  Map.add(20, Loop);
+
+  const core::DivergeMap View = sim::machineView(Map);
+  ASSERT_EQ(View.size(), 2u);
+  const core::DivergeAnnotation &H = *View.find(10);
+  EXPECT_EQ(H.Kind, core::DivergeKind::SimpleHammock);
+  EXPECT_TRUE(H.AlwaysPredicate);
+  EXPECT_EQ(H.LoopHeaderAddr, 0u);
+  ASSERT_EQ(H.Cfms.size(), 3u);
+  EXPECT_EQ(H.Cfms[0].PointKind, core::CfmPoint::Kind::Address);
+  EXPECT_EQ(H.Cfms[0].Addr, 30u);
+  EXPECT_EQ(H.Cfms[1].Addr, 40u);
+  EXPECT_EQ(H.Cfms[2].PointKind, core::CfmPoint::Kind::Return);
+  for (const core::CfmPoint &Cfm : H.Cfms)
+    EXPECT_EQ(Cfm.MergeProb, 0.0);
+  const core::DivergeAnnotation &L = *View.find(20);
+  EXPECT_EQ(L.Kind, core::DivergeKind::Loop);
+  EXPECT_FALSE(L.AlwaysPredicate);
+  EXPECT_EQ(L.LoopHeaderAddr, 0u);
+  EXPECT_EQ(L.LoopSelectUops, 5u);
+  EXPECT_TRUE(L.LoopStayTaken);
+  EXPECT_TRUE(L.Cfms.empty());
+
+  EXPECT_EQ(bytesOf(sim::machineView(View)), bytesOf(View));
+  EXPECT_TRUE(sim::machineView(NoDiverge).empty());
+}
+
+// Every distinct paper-cold map replays identically from its view, and a view
+// that dropped AlwaysPredicate or a CFM point would not.
+TEST(MachineView, PaperColumnsReplayIdentically) {
+  const auto NoAlways = [](core::DivergeAnnotation &A) {
+    A.AlwaysPredicate = false;
+  };
+  const auto OneCfmLess = [](core::DivergeAnnotation &A) {
+    if (!A.Cfms.empty())
+      A.Cfms.pop_back();
+  };
+  unsigned NoAlwaysChanged = 0, OneCfmLessChanged = 0;
+  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
+    harness::BenchContext Ctx(Spec, harness::ExperimentOptions());
+    const ir::Program &P = *Ctx.workload().Prog;
+    const sim::SimConfig &Cfg = Ctx.options().Sim;
+    const auto Sim = [&](const core::DivergeMap &Map) {
+      return serialize::encodeSimStats(
+          sim::simulateDmp(P, Map, Ctx.trace(), Cfg));
+    };
+    std::set<std::vector<uint8_t>> Seen;
+    for (const Column &C : paperColumns()) {
+      const core::DivergeMap Map = Ctx.select(C.Features, C.Input);
+      if (!Seen.insert(bytesOf(Map)).second)
+        continue;
+      const core::DivergeMap View = sim::machineView(Map);
+      const std::vector<uint8_t> Stats = Sim(Map);
+      EXPECT_EQ(Sim(View), Stats) << Spec.Name << " " << C.Name;
+      if (std::string(C.Name) == "+loop") {
+        NoAlwaysChanged += Sim(edited(View, NoAlways)) != Stats;
+        OneCfmLessChanged += Sim(edited(View, OneCfmLess)) != Stats;
+      }
+    }
+  }
+  EXPECT_GT(NoAlwaysChanged, 0u);
+  EXPECT_GT(OneCfmLessChanged, 0u);
+}
+
+// Adversarial maps scrambled in everything the core does not read have the
+// unscrambled map's view and replay to its statistics.
+TEST(MachineView, ScrambledAdversarialMapsReplayIdentically) {
+  for (uint64_t Seed = 0; Seed < 50; ++Seed) {
+    const Recipe R(Seed);
+    const ir::Program &P = *R.G.Prog;
+    const core::DivergeMap Map = check::adversarialAnnotations(*R.PA);
+    const core::DivergeMap Scrambled = scrambled(Map, Seed);
+    const core::DivergeMap View = sim::machineView(Scrambled);
+    EXPECT_EQ(bytesOf(View), bytesOf(sim::machineView(Map)))
+        << "recipe " << Seed;
+    const sim::CorrectPathTrace Trace =
+        sim::recordCorrectPath(P, R.G.Image, R.Cfg);
+    EXPECT_EQ(serialize::encodeSimStats(
+                  sim::simulateDmp(P, Scrambled, Trace, R.Cfg)),
+              serialize::encodeSimStats(
+                  sim::simulateDmp(P, View, Trace, R.Cfg)))
+        << "recipe " << Seed;
+  }
+}
+
+// gzip's 12 paper-cold maps are 12 byte strings but 3 machine views, so a
+// context simulates 3 times (7 when it keyed on the map bytes).
+TEST(MachineView, GzipColumnsTakeThreeSims) {
+  harness::BenchContext Ctx(specFor("gzip"), harness::ExperimentOptions());
+  for (const Column &C : paperColumns())
+    Ctx.simulateWith(Ctx.select(C.Features, C.Input));
+  EXPECT_EQ(Ctx.dmpSims(), 3u);
+  EXPECT_EQ(Ctx.memoHits(), 9u);
 }
 
 //===----------------------------------------------------------------------===//

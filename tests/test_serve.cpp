@@ -36,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -192,6 +193,38 @@ TEST(ServeProtocolTest, TruncatedFrameStaysMidFrame) {
   Status Err;
   EXPECT_EQ(D.next(F, Err), FrameDecoder::Outcome::NeedMore);
   EXPECT_TRUE(D.midFrame()); // an EOF here is a truncated frame
+}
+
+// A reader with a deadline cannot be held by a silent peer: readFrame turns
+// silence into Transient, before the first byte or after half a frame, and
+// still reads a frame that arrives in time.
+TEST(ServeProtocolTest, ReadFrameDeadlineBoundsASilentPeer) {
+  using Clock = std::chrono::steady_clock;
+  int Pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Pair), 0);
+  const Clock::time_point Start = Clock::now();
+  StatusOr<Frame> Silent = readFrame(Pair[0], 50);
+  EXPECT_EQ(Silent.status().code(), ErrorCode::Transient)
+      << Silent.status().toString();
+  EXPECT_GE(Clock::now() - Start, std::chrono::milliseconds(50));
+
+  const std::vector<uint8_t> Bytes = encodeFrame(MsgType::Ping, {7});
+  ASSERT_EQ(::send(Pair[1], Bytes.data(), Bytes.size() - 1, MSG_NOSIGNAL),
+            static_cast<ssize_t>(Bytes.size() - 1));
+  StatusOr<Frame> Half = readFrame(Pair[0], 50);
+  EXPECT_EQ(Half.status().code(), ErrorCode::Transient)
+      << Half.status().toString();
+  ::close(Pair[0]);
+  ::close(Pair[1]);
+
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Pair), 0);
+  ASSERT_TRUE(writeFrame(Pair[1], MsgType::Ping, {7}).ok());
+  StatusOr<Frame> InTime = readFrame(Pair[0], 1000);
+  ASSERT_TRUE(InTime.ok()) << InTime.status().toString();
+  EXPECT_EQ(InTime->Type, MsgType::Ping);
+  EXPECT_EQ(InTime->Payload, std::vector<uint8_t>{7});
+  ::close(Pair[0]);
+  ::close(Pair[1]);
 }
 
 TEST(ServeProtocolTest, SubmitCodecRoundTrip) {

@@ -303,6 +303,10 @@ protected:
     DaemonPid = ::fork();
     ASSERT_GE(DaemonPid, 0);
     if (DaemonPid == 0) {
+      // Drop every descriptor inherited from the test process.  A
+      // ChaosProxy relay open at the fork would otherwise stay open in the
+      // daemon after the proxy cuts it, and its client would never see EOF.
+      ::closefrom(3);
       WorkerPoolOptions PO;
       PO.Workers = 0;
       PO.UseCache = true;
