@@ -14,7 +14,10 @@
 //     workloads x {baseline, all-best-cost} on seven non-default machines
 //     (one fetch, issue or retire port, a 16-wide fetch with one not-taken
 //     branch per cycle, a 32-entry ROB, a 1KB IL1, a 50-instruction dpred
-//     window);
+//     window); and, written by the simulator before the straight-line
+//     replay runs, the 17 workloads x {baseline, all-best-cost} with the
+//     trace cut at 1, 2, 3, 17, 1000 and 123457 instructions, plus a check
+//     that Progress beats leave the statistics unchanged;
 //   * the timing oracle: the default machine enters dpred-mode at annotated
 //     branches and is the baseline without any, and the baseline is
 //     invariant under the dpred-only SimConfig fields (but not under the
@@ -270,6 +273,67 @@ TEST(ReplayGolden, NonDefaultMachinesMatchDigests) {
   ASSERT_EQ(Actual.size(), Golden.size());
   for (size_t I = 0; I < Golden.size(); ++I)
     EXPECT_EQ(Actual[I], Golden[I]);
+}
+
+// Every workload with its trace cut at budgets that stop the replay inside
+// a straight-line run, at a trace event and inside a dpred episode:
+// baseline and all-best-cost (selected under ExperimentOptions defaults).
+// Regenerate (only after an intentional timing change) by emptying
+// tests/golden/replay_cuts.sha256: the test then reports every line it
+// computed as "missing golden line: <line>".
+TEST(ReplayGolden, CutBudgets) {
+  std::vector<std::string> Actual;
+  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
+    harness::BenchContext Ctx(Spec, harness::ExperimentOptions());
+    const core::DivergeMap Map =
+        Ctx.select(core::SelectionFeatures::allBestCost(), InputSetKind::Run);
+    const ir::Program &P = *Ctx.workload().Prog;
+    const std::vector<int64_t> Image =
+        Ctx.workload().buildImage(InputSetKind::Run);
+    for (const uint64_t Budget :
+         {1ull, 2ull, 3ull, 17ull, 1000ull, 123457ull}) {
+      sim::SimConfig Cfg = harness::ExperimentOptions().Sim;
+      Cfg.MaxInstrs = Budget;
+      const sim::CorrectPathTrace Trace =
+          sim::recordCorrectPath(P, Image, Cfg);
+      Actual.push_back(
+          std::string(Spec.Name) + " " + std::to_string(Budget) + " " +
+          digestOf(sim::simulateDmp(P, NoDiverge, Trace, Cfg)) + " " +
+          digestOf(sim::simulateDmp(P, Map, Trace, Cfg)));
+    }
+  }
+  const std::vector<std::string> Golden = goldenLines("replay_cuts.sha256");
+  for (size_t I = 0; I < Actual.size(); ++I) {
+    if (I < Golden.size())
+      EXPECT_EQ(Actual[I], Golden[I]);
+    else
+      ADD_FAILURE() << "missing golden line: " << Actual[I];
+  }
+  EXPECT_EQ(Actual.size(), Golden.size());
+}
+
+// A Progress hook beats every kCancelPollInstrs retired instructions, in
+// the middle of straight-line runs too, and never changes the statistics:
+// every workload, baseline and all-best-cost, at the campaign budget.
+TEST(ReplayGolden, ProgressBeatsLeaveStatsUnchanged) {
+  for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
+    harness::BenchContext Ctx(Spec, harness::ExperimentOptions());
+    const core::DivergeMap Map =
+        Ctx.select(core::SelectionFeatures::allBestCost(), InputSetKind::Run);
+    const ir::Program &P = *Ctx.workload().Prog;
+    const sim::CorrectPathTrace &Trace = Ctx.trace();
+    const sim::SimConfig &Plain = Ctx.options().Sim;
+    for (const core::DivergeMap *M : {&NoDiverge, &Map}) {
+      SCOPED_TRACE(std::string(Spec.Name) +
+                   (M == &NoDiverge ? " baseline" : " all-best-cost"));
+      sim::SimConfig Cfg = Plain;
+      uint64_t Beats = 0;
+      Cfg.Progress = [&] { ++Beats; };
+      EXPECT_EQ(digestOf(sim::simulateDmp(P, *M, Trace, Cfg)),
+                digestOf(sim::simulateDmp(P, *M, Trace, Plain)));
+      EXPECT_EQ(Beats, Trace.Instrs / sim::kCancelPollInstrs);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
