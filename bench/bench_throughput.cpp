@@ -50,9 +50,11 @@
 #include "sim/Simulator.h"
 #include "support/ExitCodes.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 #include "workloads/SpecSuite.h"
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -87,12 +89,23 @@ struct Options {
 
   static Options parseOrExit(int Argc, char **Argv) {
     Options O;
+    const auto Usage = [](int Code) {
+      std::fprintf(stderr,
+                   "usage: bench_throughput [--smoke] [--check=SNAPSHOT] "
+                   "[--out=PATH] [--reps=N] [--limit-benches=N]\n");
+      std::exit(Code);
+    };
+    const auto BadValue = [&](const std::string &Arg) {
+      std::fprintf(stderr, "error: bad value in %s\n", Arg.c_str());
+      Usage(exitcode::Usage);
+    };
     for (int I = 1; I < Argc; ++I) {
       const std::string Arg = Argv[I];
       auto Value = [&](const char *Prefix) -> const char * {
         return Arg.rfind(Prefix, 0) == 0 ? Arg.c_str() + std::strlen(Prefix)
                                          : nullptr;
       };
+      uint64_t N = 0;
       if (Arg == "--smoke") {
         O.Smoke = true;
       } else if (const char *V = Value("--check=")) {
@@ -100,15 +113,15 @@ struct Options {
       } else if (const char *V = Value("--out=")) {
         O.OutPath = V;
       } else if (const char *V = Value("--reps=")) {
-        O.Reps = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+        if (!parseU64(V, N) || N == 0 || N > UINT_MAX)
+          BadValue(Arg);
+        O.Reps = static_cast<unsigned>(N);
       } else if (const char *V = Value("--limit-benches=")) {
-        O.LimitBenches = std::strtoul(V, nullptr, 10);
+        if (!parseU64(V, N))
+          BadValue(Arg);
+        O.LimitBenches = N;
       } else {
-        std::fprintf(stderr,
-                     "usage: bench_throughput [--smoke] [--check=SNAPSHOT] "
-                     "[--out=PATH] [--reps=N] [--limit-benches=N]\n");
-        std::exit(Arg == "-h" || Arg == "--help" ? exitcode::Ok
-                                                 : exitcode::Usage);
+        Usage(Arg == "-h" || Arg == "--help" ? exitcode::Ok : exitcode::Usage);
       }
     }
     if (O.Smoke) {

@@ -6,14 +6,16 @@
 ///
 /// \file
 /// CycleResource: a ring-buffer tracker for resources with a fixed per-cycle
-/// capacity (issue ports, retire slots).  reserve(Earliest) returns the
-/// first cycle at or after Earliest with a free slot and consumes it.
+/// capacity (issue ports).  reserve(Earliest) returns the first cycle at or
+/// after Earliest with a free slot and consumes it; reserveMany(Earliest, N)
+/// books N such slots at once.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMP_SIM_CYCLERESOURCE_H
 #define DMP_SIM_CYCLERESOURCE_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -29,14 +31,15 @@ namespace dmp::sim {
 /// an immediate mask and shift.
 ///
 /// Each slot packs an epoch tag (the cycle divided by the ring size, i.e.
-/// which lap of the ring last wrote the slot) and the booked count into one
-/// 32-bit word, so a probe is a single aligned load and staleness is one
-/// compare.  Two live cycles never share a slot (the ring covers the live
-/// window), so a tag mismatch always means the slot is stale; the 28-bit
-/// tag itself aliases only after 2^(kRingBits+28) cycles — beyond any run
-/// the model's instruction budgets allow.  A zeroed slot reads as "epoch 0,
-/// count 0", which is exactly right for first-lap cycles and stale for
-/// every later lap, so construction is a plain zero-fill.
+/// which lap of the ring last wrote the slot) above the booked count in one
+/// 32-bit word, so a probe is a single aligned load.  Two live cycles never
+/// share a slot (the ring covers the live window), so a slot holds the
+/// probed cycle's lap or an earlier, stale one, whose word compares below
+/// the probed lap's empty word: the max of the two is the probed cycle's
+/// booked word.  The 28-bit tag wraps only after 2^(kRingBits+28) cycles —
+/// beyond any run the model's instruction budgets allow.  A zeroed slot
+/// reads as "epoch 0, count 0", which is exactly right for first-lap cycles
+/// and stale for every later lap, so construction is a plain zero-fill.
 class CycleResource {
   static constexpr unsigned kCountBits = 4;
 
@@ -53,27 +56,41 @@ public:
   /// Returns the first cycle >= \p Earliest with spare capacity and books
   /// one slot in it.
   uint64_t reserve(uint64_t Earliest) {
-    uint64_t Cycle = Earliest;
-    while (true) {
-      uint32_t &S = Slots[Cycle & (kRingSize - 1)];
-      const uint32_t Tag =
-          static_cast<uint32_t>(Cycle >> kRingBits) & kTagMask;
-      uint32_t Packed = S;
-      if ((Packed >> kCountBits) != Tag)
-        Packed = Tag << kCountBits; // Stale slot: reset to count 0.
-      if ((Packed & kCountMask) < Capacity) {
+    for (uint64_t Cycle = Earliest;; ++Cycle) {
+      uint32_t &S = slot(Cycle);
+      const uint32_t Empty = emptyWord(Cycle);
+      const uint32_t Packed = std::max(S, Empty);
+      if (Packed - Empty < Capacity) {
         S = Packed + 1;
         return Cycle;
       }
-      ++Cycle;
+    }
+  }
+
+  /// Books \p Count slots exactly as \p Count calls of reserve(Earliest)
+  /// would: fills each cycle's spare slots from \p Earliest on.
+  void reserveMany(uint64_t Earliest, unsigned Count) {
+    for (uint64_t Cycle = Earliest; Count != 0; ++Cycle) {
+      uint32_t &S = slot(Cycle);
+      const uint32_t Empty = emptyWord(Cycle);
+      const uint32_t Packed = std::max(S, Empty);
+      const unsigned Booked = std::min(Count, Empty + Capacity - Packed);
+      S = Packed + Booked;
+      Count -= Booked;
     }
   }
 
 private:
   static constexpr unsigned kRingBits = 18;
   static constexpr uint64_t kRingSize = 1ull << kRingBits;
-  static constexpr uint32_t kCountMask = (1u << kCountBits) - 1;
-  static constexpr uint32_t kTagMask = (1u << (32 - kCountBits)) - 1;
+
+  uint32_t &slot(uint64_t Cycle) { return Slots[Cycle & (kRingSize - 1)]; }
+  /// The word of \p Cycle's slot with nothing booked: its lap's tag above a
+  /// zero count.  A stale slot holds an earlier lap's tag, so its word
+  /// compares below this one.
+  static uint32_t emptyWord(uint64_t Cycle) {
+    return static_cast<uint32_t>(Cycle >> kRingBits) << kCountBits;
+  }
 
   unsigned Capacity;
   std::vector<uint32_t> Slots;

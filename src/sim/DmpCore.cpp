@@ -124,8 +124,8 @@ void DmpCore::consumeFetchSlots(PipeState &S, unsigned Count) {
   }
 }
 
-uint64_t DmpCore::fetchInstr(PipeState &S, Opcode Op, bool PredictedTaken,
-                             unsigned Events, bool Alternate) {
+uint64_t DmpCore::fetchSlot(PipeState &S, unsigned Events,
+                            bool NotTakenBranch) {
   // ROB back-pressure: instruction i cannot fetch before instruction
   // i - RobSize retires.
   const uint64_t RobGate = RobRetireRing[S.RobCursor];
@@ -149,8 +149,7 @@ uint64_t DmpCore::fetchInstr(PipeState &S, Opcode Op, bool PredictedTaken,
     S.NtBranchesThisCycle = 0;
   }
 
-  const bool IsCondBr = Op == Opcode::CondBr;
-  if (IsCondBr && !PredictedTaken) {
+  if (NotTakenBranch) {
     if (S.NtBranchesThisCycle >= MaxNtBranches) {
       ++S.FetchCycle;
       S.SlotsUsed = 0;
@@ -161,6 +160,14 @@ uint64_t DmpCore::fetchInstr(PipeState &S, Opcode Op, bool PredictedTaken,
 
   const uint64_t Assigned = S.FetchCycle;
   ++S.SlotsUsed;
+  return Assigned;
+}
+
+uint64_t DmpCore::fetchInstr(PipeState &S, Opcode Op, bool PredictedTaken,
+                             unsigned Events, bool Alternate) {
+  const bool IsCondBr = Op == Opcode::CondBr;
+  const uint64_t Assigned =
+      fetchSlot(S, Events, IsCondBr && !PredictedTaken);
 
   // In dpred-mode the front end alternates between the two paths: each
   // correct-path instruction costs one extra slot while the wrong path is
@@ -208,9 +215,11 @@ uint64_t DmpCore::scheduleInstr(uint32_t Addr, uint64_t FetchedAt,
 }
 
 void DmpCore::chargeWrongPathIssue(unsigned Ops, uint64_t FetchedAt) {
-  const uint64_t Base = FetchedAt + FrontEndDepth;
-  for (unsigned K = 0; K < Ops; ++K)
-    IssuePorts.reserve(Base + K / FetchWidth);
+  // The ops arrive FetchWidth per cycle: group g issues from
+  // FetchedAt + FrontEndDepth + g on.
+  uint64_t Earliest = FetchedAt + FrontEndDepth;
+  for (unsigned K = 0; K < Ops; K += FetchWidth, ++Earliest)
+    IssuePorts.reserveMany(Earliest, std::min(FetchWidth, Ops - K));
 }
 
 void DmpCore::occupyRobPhantoms(unsigned Count, uint64_t RetireCycle) {
@@ -653,37 +662,37 @@ SimStats DmpCore::run(const CorrectPathTrace &Trace) {
   uint64_t Index = 0;
   while (Index < N) {
     // The inline step, up to the next instruction with a trace event or a
-    // guard beat: outside an episode, an instruction that is not a Jmp,
-    // Call, Ret or Halt and, if a branch, cannot enter dpred-mode.
+    // guard beat: outside an episode, a straight-line run at a time, and a
+    // conditional branch that cannot enter dpred-mode.
     if (!Ep.Active) {
       const uint64_t Stop =
           std::min({N, Events.nextIndex(), Guard.nextCheck() - 1});
-      for (; Index < Stop; ++Index) {
+      while (Index < Stop) {
         const profile::DecodedInstr &D = Decoded[Addr];
-        const Opcode Op = D.Op;
-        uint8_t Bits = 0;
-        if (Op == Opcode::CondBr) {
-          if (DMP_UNLIKELY(Branch == BranchEnd))
-            break;
-          Bits = *Branch;
-          const core::DivergeAnnotation *Ann = annotationAt(Addr);
-          if (DMP_UNLIKELY(Ann && entersDpred(*Ann, Bits)))
-            break;
-          ++Branch;
-        } else if (DMP_UNLIKELY(isControlFlow(Op))) {
+        if (const uint32_t Run = D.RunLen) {
+          // No instruction of a run transfers control, so Addr counts the
+          // run off on its own.
+          const uint32_t Len =
+              static_cast<uint32_t>(std::min<uint64_t>(Run, Stop - Index));
+          Index += Len;
+          for (const uint32_t End = Addr + Len; Addr != End; ++Addr)
+            retireInstr(S, scheduleInstr(Addr, fetchSlot(S, 0, false), 0));
+          continue;
+        }
+        if (D.Op != Opcode::CondBr || DMP_UNLIKELY(Branch == BranchEnd))
           break;
-        }
-        const uint64_t FetchedAt =
-            fetchInstr(S, Op, Bits & CorrectPathTrace::Predicted, 0, false);
+        const uint8_t Bits = *Branch;
+        const core::DivergeAnnotation *Ann = annotationAt(Addr);
+        if (DMP_UNLIKELY(Ann && entersDpred(*Ann, Bits)))
+          break;
+        ++Branch;
+        const uint64_t FetchedAt = fetchInstr(
+            S, Opcode::CondBr, Bits & CorrectPathTrace::Predicted, 0, false);
         const uint64_t DoneCycle = scheduleInstr(Addr, FetchedAt, 0);
-        uint32_t Next = Addr + 1;
-        if (Op == Opcode::CondBr) {
-          resolveBranch(S, Addr, Bits, DoneCycle);
-          if (Bits & CorrectPathTrace::Taken)
-            Next = D.Target;
-        }
+        resolveBranch(S, Addr, Bits, DoneCycle);
         retireInstr(S, DoneCycle);
-        Addr = Next;
+        Addr = (Bits & CorrectPathTrace::Taken) ? D.Target : Addr + 1;
+        ++Index;
       }
       if (Index == N)
         break;

@@ -39,21 +39,27 @@
 /// The inline step.  The fetch, retire and ROB cursors (PipeState) change
 /// on every instruction, so run() keeps them in a local that the
 /// always-inline fetch, schedule and retire helpers take by reference, and
-/// steps most instructions entirely on it: outside a dpred episode, an
-/// instruction with no trace event that is not a Jmp, Call, Ret or Halt,
-/// and a conditional branch only if it cannot enter dpred-mode (no
-/// annotation, or one that is neither low-confidence nor AlwaysPredicate),
-/// which then only counts, flushes on a misprediction and trains.  These
-/// run in a tight loop bounded by the next trace event and the next
-/// RunGuard beat, so it checks neither.  Every other instruction is the
-/// single sync point: run() writes the local back to the member Pipe,
-/// steps the instruction out of line (step(): the guards, the events,
-/// episodes, calls and returns, dpred entries, loop iterations) and reloads
-/// the local.  Both paths call the same helpers in the same order on the
-/// same state, so the statistics are exactly those of stepping every
+/// steps most instructions entirely on it.  Outside a dpred episode, up to
+/// the next trace event and the next RunGuard beat (so it checks neither),
+/// it takes a whole straight-line run at a time: where the PC's
+/// DecodedInstr::RunLen is not 0, the instructions up to the bound
+/// transfer no control, so each one is only fetchSlot, scheduleInstr and
+/// retireInstr — no opcode dispatch, no branch record, no annotation — and
+/// the PC simply counts up.  Between runs, a conditional branch that
+/// cannot enter dpred-mode (no annotation, or one that is neither
+/// low-confidence nor AlwaysPredicate) only counts, flushes on a
+/// misprediction and trains.  Every other instruction is the single sync
+/// point: run() writes the local back to the member Pipe, steps the
+/// instruction out of line (step(): the guards, the events, episodes,
+/// calls and returns, dpred entries, loop iterations) and reloads the
+/// local.  Both paths call the same helpers in the same order on the same
+/// state, so the statistics are exactly those of stepping every
 /// instruction out of line; the local only lets the compiler keep the
 /// cursors in registers instead of storing and reloading them around calls
 /// that might write them.
+///
+/// A dpred episode's wrong-path ops arrive FetchWidth per cycle; each
+/// cycle's group is booked with one CycleResource::reserveMany.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,11 +154,17 @@ private:
   uint32_t step(const Retired &R, unsigned Events, bool Last);
 
   // -- Fetch engine -------------------------------------------------------
-  /// Assigns a fetch cycle to the next correct-path instruction.  Handles
-  /// fetch width, taken-branch group breaks, the not-taken-branch limit,
-  /// I-cache misses, and BTB bubbles (\p Events: the instruction's event
-  /// mask).  \p Alternate: a hammock episode is still fetching its wrong
-  /// path, which takes every other slot.
+  /// Assigns the next fetch slot: ROB back-pressure, I-cache misses
+  /// (\p Events: the instruction's event mask), fetch width and, for a
+  /// \p NotTakenBranch, the not-taken-branch limit.  Outside a hammock
+  /// episode, all an instruction that transfers no control pays.
+  DMP_ALWAYS_INLINE uint64_t fetchSlot(PipeState &S, unsigned Events,
+                                       bool NotTakenBranch);
+
+  /// Assigns a fetch cycle to the next correct-path instruction: its
+  /// fetchSlot, then taken-branch group breaks and BTB bubbles.
+  /// \p Alternate: a hammock episode is still fetching its wrong path,
+  /// which takes every other slot.
   DMP_ALWAYS_INLINE uint64_t fetchInstr(PipeState &S, ir::Opcode Op,
                                         bool PredictedTaken, unsigned Events,
                                         bool Alternate);

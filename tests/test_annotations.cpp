@@ -251,3 +251,38 @@ TEST(CycleResourceTest, MonotoneUnderLoad) {
     EXPECT_GE(Got, Cycle);
   }
 }
+
+// reserveMany(E, N) books exactly what N calls of reserve(E) book: a
+// resource driven by a random mix of both, and a twin driven by reserve
+// alone, answer every later probe with the same cycle.  The earliest cycle
+// drifts forward and sometimes jumps by about the ring's 2^18 cycles, so
+// probes land on slots still holding an earlier lap's bookings.
+TEST(CycleResourceTest, ReserveManyIsRepeatedReserve) {
+  for (unsigned Capacity = 1; Capacity <= sim::CycleResource::kMaxCapacity;
+       ++Capacity) {
+    for (uint64_t Seed = 0; Seed < 4; ++Seed) {
+      SCOPED_TRACE("capacity " + std::to_string(Capacity) + " seed " +
+                   std::to_string(Seed));
+      sim::CycleResource Mixed(Capacity), Twin(Capacity);
+      RNG Rng(Seed * 16 + Capacity);
+      uint64_t Base = Rng.nextBelow(1000);
+      for (int I = 0; I < 3000; ++I) {
+        Base += Rng.nextBool(0.002) ? (1u << 18) - 32 + Rng.nextBelow(64)
+                                    : Rng.nextBelow(4);
+        const uint64_t Earliest = Base + Rng.nextBelow(40);
+        if (Rng.nextBool(0.5)) {
+          const unsigned Count = static_cast<unsigned>(Rng.nextBelow(50));
+          Mixed.reserveMany(Earliest, Count);
+          for (unsigned K = 0; K < Count; ++K)
+            Twin.reserve(Earliest);
+        } else {
+          ASSERT_EQ(Mixed.reserve(Earliest), Twin.reserve(Earliest)) << I;
+        }
+      }
+      for (int I = 0; I < 500; ++I) {
+        const uint64_t Earliest = Base + Rng.nextBelow(200);
+        ASSERT_EQ(Mixed.reserve(Earliest), Twin.reserve(Earliest)) << I;
+      }
+    }
+  }
+}
