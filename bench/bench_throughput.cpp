@@ -21,6 +21,9 @@
 //   * dmp-replay-MIPS: a replay of the same trace on the DMP machine with
 //     the workload's all-best-cost DivergeMap, the replay the paper's DMP
 //     columns pay (a live predictor, wrong-path walks, dpred episodes);
+//   * replay_per_trace and dmp_replay_per_trace: each replay leg's MIPS over
+//     trace-MIPS, a host-speed reference measured in the same run, so two
+//     snapshots taken on a faster and a slower host stay comparable;
 //   * the 17-cell campaign digest (the same campaign paperbench's
 //     serve-cells and the serve_remote_digest test pin), so a throughput
 //     optimization that changes *results* shows up in this file's diff,
@@ -389,6 +392,8 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
   J.number("trace_mips", A.Trace, 1);
   J.number("replay_mips", A.Replay, 1);
   J.number("dmp_replay_mips", A.DmpReplay, 1);
+  J.number("replay_per_trace", A.Replay / A.Trace, 3);
+  J.number("dmp_replay_per_trace", A.DmpReplay / A.Trace, 3);
   J.endObject();
   J.beginArray("workloads");
   for (const WorkloadResult &R : Results) {
@@ -401,6 +406,8 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
     J.number("trace_mips", R.Trace, 1);
     J.number("replay_mips", R.Replay, 1);
     J.number("dmp_replay_mips", R.DmpReplay, 1);
+    J.number("replay_per_trace", R.Replay / R.Trace, 3);
+    J.number("dmp_replay_per_trace", R.DmpReplay / R.Trace, 3);
     J.number("sim_ipc", R.SimIpc, 3);
     J.endElement();
   }

@@ -51,23 +51,6 @@ void hashSimConfig(serialize::Hasher &H, const sim::SimConfig &C) {
   // machine, and a token pointer would make keys unstable run to run.
 }
 
-void hashSelectionConfig(serialize::Hasher &H,
-                         const core::SelectionConfig &C) {
-  for (uint64_t V :
-       {uint64_t(C.MaxInstr), uint64_t(C.MaxCondBr), uint64_t(C.MaxCfmPoints),
-        uint64_t(C.ShortHammockMaxInstr), uint64_t(C.StaticLoopSize),
-        uint64_t(C.DynamicLoopSize), uint64_t(C.FetchWidth),
-        uint64_t(C.MispPenaltyCycles), uint64_t(C.CostScopeMaxInstr),
-        uint64_t(C.CostScopeMaxCondBr), uint64_t(C.MaxPaths),
-        uint64_t(C.CallExtraWeight)})
-    H.updateU64(V);
-  for (double V :
-       {C.MinExecProb, C.MinMergeProb, C.ShortHammockMinMergeProb,
-        C.ShortHammockMinMispRate, C.ReturnCfmMinMergeProb, C.LoopIter,
-        C.AccConf, C.MinPathProb})
-    H.updateDouble(V);
-}
-
 } // namespace
 
 serialize::Digest
@@ -89,11 +72,10 @@ namespace {
 
 /// simCacheKey over the already-encoded machine view of the annotations
 /// (\p DivergeBytes, null for the baseline), so the memo and the cache key
-/// share one encoding.
+/// share one encoding.  The key is exactly the simulation's input.
 serialize::Digest simKey(const workloads::BenchmarkSpec &Spec,
                          const sim::SimConfig &Config,
                          const void *DivergeBytes, size_t DivergeSize,
-                         const core::SelectionConfig *Selection,
                          uint32_t SchemaVersion) {
   serialize::Hasher H;
   H.update(std::string(DivergeBytes ? "dmp-sim-key" : "dmp-baseline-key"));
@@ -102,8 +84,6 @@ serialize::Digest simKey(const workloads::BenchmarkSpec &Spec,
   hashSimConfig(H, Config);
   if (DivergeBytes)
     H.update(DivergeBytes, DivergeSize);
-  if (Selection)
-    hashSelectionConfig(H, *Selection);
   return H.finish();
 }
 
@@ -151,17 +131,17 @@ Status decodeStage(const fault::Injector *, const serialize::Digest &,
 
 } // namespace
 
-serialize::Digest harness::simCacheKey(const workloads::BenchmarkSpec &Spec,
-                                       const sim::SimConfig &Config,
-                                       const core::DivergeMap *Diverge,
-                                       const core::SelectionConfig *Selection,
-                                       uint32_t SchemaVersion) {
+serialize::Digest
+harness::simCacheKey(const workloads::BenchmarkSpec &Spec,
+                     const sim::SimConfig &Config,
+                     const core::DivergeMap *Diverge,
+                     [[maybe_unused]] const core::SelectionConfig *Selection,
+                     uint32_t SchemaVersion) {
   if (!Diverge)
-    return simKey(Spec, Config, nullptr, 0, Selection, SchemaVersion);
+    return simKey(Spec, Config, nullptr, 0, SchemaVersion);
   const std::vector<uint8_t> Bytes =
       serialize::encodeDivergeMap(sim::machineView(*Diverge));
-  return simKey(Spec, Config, Bytes.data(), Bytes.size(), Selection,
-                SchemaVersion);
+  return simKey(Spec, Config, Bytes.data(), Bytes.size(), SchemaVersion);
 }
 
 serialize::Digest harness::traceCacheKey(const workloads::BenchmarkSpec &Spec,
@@ -287,8 +267,7 @@ sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const 
       MemoKey,
       [&] {
         return simKey(Spec, Options.Sim, MemoKey.data() + 1,
-                      MemoKey.size() - 1, &Options.Selection,
-                      serialize::kCacheSchemaVersion);
+                      MemoKey.size() - 1, serialize::kCacheSchemaVersion);
       },
       [&] {
         DmpSims.fetch_add(1, std::memory_order_relaxed);

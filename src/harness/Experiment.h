@@ -31,7 +31,9 @@
 /// or the CFM order).  simulateWith simulates that view, and both its memo
 /// key and simCacheKey digest serialize::encodeDivergeMap of the view, so
 /// maps the core cannot tell apart share one simulation and one cache
-/// entry, and the memo key is the exact input simulated.
+/// entry.  Neither key folds in the core::SelectionConfig that produced
+/// the map: each is the exact input simulated, so every selector and
+/// threshold setting whose view is machine-equal shares one result.
 ///
 /// A BenchContext is safe to share between concurrent experiment tasks.
 /// Every stage — profile(run), profile(train), the correct-path trace, the
@@ -109,10 +111,11 @@ profileCacheKey(const workloads::BenchmarkSpec &Spec,
 /// Cache key for one simulation of \p Spec (run input) under \p Config.
 /// \p Diverge selects the DMP simulation keyed by the machine view of the
 /// annotations (sim::machineView), the key BenchContext::simulateWith
-/// stores under; null keys the baseline.  \p Selection (optional) folds a
-/// digest of the selector configuration that produced \p Diverge, so
-/// retuned selection thresholds can never replay a stale annotation set's
-/// simulation even when the annotations happen to collide.
+/// stores under; null keys the baseline.  The key is exactly the
+/// simulation's input, so \p Selection is not part of it: the simulator
+/// never reads the selector configuration, and maps selected under
+/// different thresholds but with an equal view share one entry.  The
+/// parameter stays so existing callers keep compiling.
 serialize::Digest
 simCacheKey(const workloads::BenchmarkSpec &Spec, const sim::SimConfig &Config,
             const core::DivergeMap *Diverge,

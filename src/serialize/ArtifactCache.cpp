@@ -12,7 +12,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <system_error>
+#include <utility>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -161,7 +163,21 @@ void ArtifactCache::ensureSwept() {
     if (SweepDone)
       return;
   }
-  sweepNow();
+  // The lazy sweep runs once per (directory, process): orphans are debris
+  // of a process that died, so a later handle in the same process has
+  // nothing new to reap.  The pid is part of the key because a forked
+  // child inherits this set but is a later process, and sweeps on its own.
+  static std::mutex SweptMutex;
+  static std::set<std::pair<std::string, pid_t>> Swept;
+  std::error_code EC;
+  const fs::path Canonical = fs::weakly_canonical(Root, EC);
+  bool First;
+  {
+    std::lock_guard<std::mutex> Lock(SweptMutex);
+    First = Swept.emplace(EC ? Root : Canonical.string(), ::getpid()).second;
+  }
+  if (First)
+    sweepNow();
   // One attempt only: if the sweep was skipped on contention, another live
   // process owns the cache and already ran its own sweep on open.  Marking
   // done either way keeps the hot path to a single mutex-guarded check.

@@ -63,7 +63,8 @@ class ArtifactCache {
 public:
   /// Opens (and lazily creates) the cache rooted at \p Dir.  The recovery
   /// sweep runs on the first load/store, not here, so constructing a cache
-  /// for a directory that is never touched costs nothing.
+  /// for a directory that is never touched costs nothing; later handles on
+  /// the same directory in the same process skip it.
   explicit ArtifactCache(std::string Dir);
   ~ArtifactCache();
 
@@ -78,9 +79,9 @@ public:
   Status store(const Digest &Key, const std::vector<uint8_t> &Payload);
 
   /// Runs the orphan-reaping recovery sweep now (it otherwise runs lazily
-  /// before the first I/O): every `*.tmp.*` file under the cache root —
-  /// debris of a process that died between temp write and rename — is
-  /// deleted and counted in orphansReaped().  Requires the exclusive
+  /// before a process's first I/O on the directory): every `*.tmp.*` file
+  /// under the cache root — debris of a process that died between temp
+  /// write and rename — is deleted and counted in orphansReaped().  Requires the exclusive
   /// advisory lock; if another process holds the cache, the sweep is
   /// skipped (lockContention() bumped) and retried on the next call.
   /// Idempotent and safe to call at any time.
@@ -136,8 +137,9 @@ private:
   /// cannot even be created (cache proceeds unlocked — advisory only).
   bool acquireShared();
   void releaseShared();
-  /// Ensures the one-time recovery sweep ran (or was skipped on
-  /// contention; a skip leaves it pending for the next I/O).
+  /// Runs the lazy recovery sweep on this handle's first I/O, unless a
+  /// handle on the same canonical directory in the same process (same
+  /// getpid(), so a forked child sweeps again) already attempted it.
   void ensureSwept();
   void sweepLocked();
 

@@ -89,7 +89,8 @@ TEST(BenchSnapshotTest, ThroughputSchema) {
   ASSERT_NE(Agg, nullptr);
   for (const char *Key :
        {"emu_run_mips", "emu_step_mips", "profile_mips", "sim_mips",
-        "trace_mips", "replay_mips", "dmp_replay_mips"}) {
+        "trace_mips", "replay_mips", "dmp_replay_mips", "replay_per_trace",
+        "dmp_replay_per_trace"}) {
     const json::Value *V = Agg->findNumber(Key);
     ASSERT_NE(V, nullptr) << Key;
     EXPECT_GT(V->asNumber(), 0.0) << Key;
@@ -111,7 +112,8 @@ TEST(BenchSnapshotTest, ThroughputSchema) {
               I < Suite.size() ? Suite[I].Name : "longrun");
     for (const char *Key :
          {"emu_run_mips", "emu_step_mips", "profile_mips", "sim_mips",
-          "trace_mips", "replay_mips", "dmp_replay_mips", "sim_ipc"}) {
+          "trace_mips", "replay_mips", "dmp_replay_mips", "replay_per_trace",
+          "dmp_replay_per_trace", "sim_ipc"}) {
       const json::Value *V = Row.findNumber(Key);
       ASSERT_NE(V, nullptr) << Name->asString() << "." << Key;
       EXPECT_GT(V->asNumber(), 0.0) << Name->asString() << "." << Key;

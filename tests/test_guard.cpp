@@ -36,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sys/file.h>
+#include <sys/wait.h>
 #include <fcntl.h>
 #include <thread>
 #include <unistd.h>
@@ -399,6 +400,50 @@ TEST(CacheRecoveryTest, SweepReapsOrphanedTempFiles) {
   // Idempotent: nothing left to reap.
   Fresh.sweepNow();
   EXPECT_EQ(Fresh.orphansReaped(), 1u);
+
+  std::error_code EC;
+  std::filesystem::remove_all(Dir, EC);
+}
+
+// The lazy sweep runs once per (directory, process): a later handle in the
+// same process skips it, an explicit sweepNow() does not, and a forked
+// child is a later process whose first I/O sweeps again.
+TEST(CacheRecoveryTest, LazySweepRunsOncePerProcess) {
+  const std::filesystem::path Dir = freshTempDir("sweep-once");
+  const std::filesystem::path Orphan = Dir / "ab" / "cafe.blob.tmp.42.1";
+  const auto Plant = [&] {
+    std::filesystem::create_directories(Orphan.parent_path());
+    std::ofstream(Orphan) << "torn write";
+  };
+  {
+    serialize::ArtifactCache First(Dir.string());
+    ASSERT_TRUE(First.store(digestOf("k"), payloadOf("v")).ok());
+  }
+  Plant();
+  // The same directory by another spelling is the same directory.
+  serialize::ArtifactCache Second((Dir / "ab" / "..").string());
+  ASSERT_TRUE(Second.load(digestOf("k")).ok());
+  EXPECT_TRUE(std::filesystem::exists(Orphan));
+  EXPECT_EQ(Second.orphansReaped(), 0u);
+  Second.sweepNow();
+  EXPECT_FALSE(std::filesystem::exists(Orphan));
+  EXPECT_EQ(Second.orphansReaped(), 1u);
+
+  Plant();
+  const pid_t Child = ::fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0) {
+    serialize::ArtifactCache Forked(Dir.string());
+    const bool Loaded = Forked.load(digestOf("k")).ok();
+    ::_exit(Loaded && Forked.orphansReaped() == 1 &&
+                    !std::filesystem::exists(Orphan)
+                ? 0
+                : 1);
+  }
+  int WaitStatus = 0;
+  ASSERT_EQ(::waitpid(Child, &WaitStatus, 0), Child);
+  EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) == 0);
+  EXPECT_FALSE(std::filesystem::exists(Orphan));
 
   std::error_code EC;
   std::filesystem::remove_all(Dir, EC);

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -355,6 +356,46 @@ TEST(BenchContextMemo, MachineEqualMapsShareOneDiskEntry) {
   EXPECT_EQ(Fresh.dmpSims(), 0u);
   EXPECT_EQ(Fresh.traces(), 0u);
   EXPECT_EQ(Options.Cache->hits(), Hits + 1);
+  std::filesystem::remove_all(Dir);
+}
+
+// Served cells share results only through the disk cache, and the DMP-sim
+// key is the machine view, not the selection thresholds: a second cell
+// whose thresholds select a machine-equal map stores nothing new, and both
+// cells' digests equal an uncached run.
+TEST(CellRunCache, ThresholdsShareMachineEqualSims) {
+  const std::filesystem::path Dir =
+      std::filesystem::temp_directory_path() /
+      ("dmp-cell-cache-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(Dir);
+  const auto Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
+  const auto CellAt = [](const char *Algo, double MinMergeProb) {
+    CellSpec Spec;
+    Spec.Benchmark = "mcf";
+    Spec.Algo = Algo;
+    Spec.MinMergeProb = MinMergeProb;
+    Spec.SimInstrs = 100'000;
+    Spec.ProfileInstrs = 400'000;
+    return Spec;
+  };
+  const auto Digest = [](const CellSpec &Spec,
+                         std::shared_ptr<serialize::ArtifactCache> C) {
+    const StatusOr<CellResult> R = runCellSpec(Spec, std::move(C));
+    EXPECT_TRUE(R.ok()) << R.status().toString();
+    return R.ok() ? cellResultDigest(*R).hex() : std::string();
+  };
+  // every-br ignores the thresholds; all's maps for mcf have one view at
+  // these two merge probabilities.
+  for (const auto &[Algo, First, Second] :
+       {std::tuple("every-br", 0.05, 0.90), std::tuple("all", 0.01, 0.30)}) {
+    const CellSpec A = CellAt(Algo, First), B = CellAt(Algo, Second);
+    const std::string DigestA = Digest(A, Cache);
+    const uint64_t Stores = Cache->stores();
+    const std::string DigestB = Digest(B, Cache);
+    EXPECT_EQ(Cache->stores(), Stores) << Algo;
+    EXPECT_EQ(DigestA, Digest(A, nullptr)) << Algo;
+    EXPECT_EQ(DigestB, Digest(B, nullptr)) << Algo;
+  }
   std::filesystem::remove_all(Dir);
 }
 

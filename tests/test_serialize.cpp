@@ -379,19 +379,39 @@ TEST(CacheSchemaTest, SchemaBumpMissesOldSimEntry) {
   EXPECT_FALSE(Cache.load(NewKey).has_value());
 }
 
-TEST(CacheSchemaTest, SelectorConfigIsPartOfDmpSimKey) {
+// The DMP-sim key is exactly the simulation's input (spec, SimConfig and
+// the machine view), so maps selected under different thresholds but with
+// an equal view share one entry.  Folding the SelectionConfig back into
+// the key fails the first expectation.
+TEST(CacheSchemaTest, SelectorConfigIsNotPartOfDmpSimKey) {
   const workloads::BenchmarkSpec &Spec = workloads::specSuite().front();
   const sim::SimConfig Config;
   const core::DivergeMap Map = sampleMap();
   const core::SelectionConfig Defaults;
-  const core::SelectionConfig Tweaked = Defaults.withMaxInstr(
-      Defaults.MaxInstr + 1);
+  const core::SelectionConfig Tweaked =
+      Defaults.withMaxInstr(Defaults.MaxInstr + 1)
+          .withMinMergeProb(Defaults.MinMergeProb + 0.5);
 
-  const Digest A = harness::simCacheKey(Spec, Config, &Map, &Defaults);
-  const Digest B = harness::simCacheKey(Spec, Config, &Map, &Tweaked);
-  EXPECT_NE(A, B);
+  const Digest Key = harness::simCacheKey(Spec, Config, &Map, &Defaults);
+  EXPECT_EQ(harness::simCacheKey(Spec, Config, &Map, &Tweaked), Key);
+  EXPECT_EQ(harness::simCacheKey(Spec, Config, &Map), Key);
 
-  // Same inputs hash to the same key (the digest is pure).
-  const Digest A2 = harness::simCacheKey(Spec, Config, &Map, &Defaults);
-  EXPECT_EQ(A, A2);
+  // The key still follows every input the simulator reads.
+  core::DivergeMap MoreCfms = Map;
+  core::DivergeAnnotation Hammock = *Map.find(0x40);
+  Hammock.Cfms.push_back(core::CfmPoint::atAddress(0x80, 0.9));
+  MoreCfms.add(0x40, Hammock);
+  EXPECT_NE(harness::simCacheKey(Spec, Config, &MoreCfms, &Defaults), Key);
+
+  sim::SimConfig Wider = Config;
+  ++Wider.FetchWidth;
+  EXPECT_NE(harness::simCacheKey(Spec, Wider, &Map, &Defaults), Key);
+
+  workloads::BenchmarkSpec Reseeded = Spec;
+  ++Reseeded.Seed;
+  EXPECT_NE(harness::simCacheKey(Reseeded, Config, &Map, &Defaults), Key);
+
+  EXPECT_NE(harness::simCacheKey(Spec, Config, &Map, &Defaults,
+                                 kCacheSchemaVersion + 1),
+            Key);
 }
