@@ -137,7 +137,8 @@ harness::simCacheKey(const workloads::BenchmarkSpec &Spec,
                      const core::DivergeMap *Diverge,
                      [[maybe_unused]] const core::SelectionConfig *Selection,
                      uint32_t SchemaVersion) {
-  if (!Diverge)
+  // An empty map's simulation is the baseline: both share its entry.
+  if (!Diverge || Diverge->empty())
     return simKey(Spec, Config, nullptr, 0, SchemaVersion);
   const std::vector<uint8_t> Bytes =
       serialize::encodeDivergeMap(sim::machineView(*Diverge));
@@ -243,26 +244,36 @@ const sim::CorrectPathTrace &BenchContext::trace() const {
       });
 }
 
-const sim::SimStats &BenchContext::baseline() {
+const sim::SimStats &BenchContext::baseline() { return baselineStage(); }
+
+const sim::SimStats &BenchContext::baselineStage(bool *Hit) const {
   return stage<sim::SimStats>(
       std::string(1, kBaselineKey),
       [&] { return simCacheKey(Spec, Options.Sim, nullptr); },
       [&] {
         return sim::simulateDmp(*W.Prog, core::DivergeMap(), trace(),
                                 Options.Sim);
-      });
+      },
+      Hit);
 }
 
 sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const {
   // The memo key is the exact input simulated: maps the core cannot tell
   // apart share one simulation.
   const core::DivergeMap View = sim::machineView(Diverge);
+  bool Hit = false;
+  if (View.empty()) {
+    // The empty view is the baseline machine: its simulation is baseline().
+    const sim::SimStats &Stats = baselineStage(&Hit);
+    if (Hit)
+      MemoHits.fetch_add(1, std::memory_order_relaxed);
+    return Stats;
+  }
   std::string MemoKey(1, kDmpSimKey);
   {
     const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(View);
     MemoKey.append(Bytes.begin(), Bytes.end());
   }
-  bool Hit = false;
   const sim::SimStats &Stats = stage<sim::SimStats>(
       MemoKey,
       [&] {

@@ -33,7 +33,8 @@
 /// maps the core cannot tell apart share one simulation and one cache
 /// entry.  Neither key folds in the core::SelectionConfig that produced
 /// the map: each is the exact input simulated, so every selector and
-/// threshold setting whose view is machine-equal shares one result.
+/// threshold setting whose view is machine-equal shares one result.  An
+/// empty view is the baseline machine, so it shares the baseline's.
 ///
 /// A BenchContext is safe to share between concurrent experiment tasks.
 /// Every stage — profile(run), profile(train), the correct-path trace, the
@@ -115,7 +116,8 @@ profileCacheKey(const workloads::BenchmarkSpec &Spec,
 /// simulation's input, so \p Selection is not part of it: the simulator
 /// never reads the selector configuration, and maps selected under
 /// different thresholds but with an equal view share one entry.  The
-/// parameter stays so existing callers keep compiling.
+/// parameter stays so existing callers keep compiling.  An empty
+/// \p Diverge keys the baseline too: its simulation is the baseline.
 serialize::Digest
 simCacheKey(const workloads::BenchmarkSpec &Spec, const sim::SimConfig &Config,
             const core::DivergeMap *Diverge,
@@ -152,7 +154,8 @@ public:
   const sim::SimStats &baseline();
 
   /// DMP simulation on the run input with the given annotations: runs
-  /// their machine view, memoized by its content.
+  /// their machine view, memoized by its content.  An empty map returns
+  /// baseline().
   sim::SimStats simulateWith(const core::DivergeMap &Diverge) const;
 
   /// Convenience: select with \p Features (profiling on \p ProfileInput)
@@ -187,6 +190,9 @@ private:
   template <typename V, typename KeyFn, typename ComputeFn>
   const V &stage(const std::string &MemoKey, const KeyFn &CacheKey,
                  const ComputeFn &Compute, bool *Hit = nullptr) const;
+
+  /// The baseline stage; \p Hit, when given, reports a memo hit.
+  const sim::SimStats &baselineStage(bool *Hit = nullptr) const;
 
   ExperimentOptions Options;
   workloads::BenchmarkSpec Spec;

@@ -359,6 +359,39 @@ TEST(BenchContextMemo, MachineEqualMapsShareOneDiskEntry) {
   std::filesystem::remove_all(Dir);
 }
 
+// An empty map is the baseline machine: simulateWith answers it from the
+// baseline stage and simCacheKey names the baseline's entry, so a selector
+// that picks nothing costs no DMP simulation and no blob of its own.
+TEST(BenchContextMemo, EmptyViewIsTheBaseline) {
+  const std::filesystem::path Dir =
+      std::filesystem::temp_directory_path() /
+      ("dmp-empty-view-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(Dir);
+  ExperimentOptions Options = fastOptions();
+  Options.Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
+  const workloads::BenchmarkSpec &Spec = specFor("mcf");
+  const core::DivergeMap Empty;
+  EXPECT_EQ(simCacheKey(Spec, Options.Sim, &Empty, &Options.Selection).hex(),
+            simCacheKey(Spec, Options.Sim, nullptr).hex());
+
+  BenchContext First(Spec, Options);
+  const std::vector<uint8_t> Stats =
+      serialize::encodeSimStats(First.simulateWith(Empty));
+  EXPECT_EQ(First.dmpSims(), 0u);
+  EXPECT_EQ(First.memoHits(), 0u);
+  EXPECT_EQ(Options.Cache->stores(), 2u); // the trace and the baseline
+  EXPECT_EQ(serialize::encodeSimStats(First.baseline()), Stats);
+  First.simulateWith(Empty);
+  EXPECT_EQ(First.memoHits(), 1u);
+
+  BenchContext Uncached(Spec, fastOptions());
+  EXPECT_EQ(serialize::encodeSimStats(sim::simulateDmp(
+                *Uncached.workload().Prog, Empty, Uncached.trace(),
+                Uncached.options().Sim)),
+            Stats);
+  std::filesystem::remove_all(Dir);
+}
+
 // Served cells share results only through the disk cache, and the DMP-sim
 // key is the machine view, not the selection thresholds: a second cell
 // whose thresholds select a machine-equal map stores nothing new, and both
