@@ -13,11 +13,10 @@
 //
 //   dmp_paper [--figure ID|all] [engine flags]     (default: all)
 //
-// The ablations' sweep points are columns too.  A point that only changes
-// the selection thresholds selects on the shared context, as Figure 7
-// does; a point that changes the simulator builds its own context for the
-// cell from the engine's options, so the cache, the deadline and the
-// instruction budget still apply.
+// Sweep points are columns too, run on the shared context under the
+// engine's options with selection thresholds or simulator fields changed;
+// the context keys each stage by the options it reads, so e.g. a
+// dpred-mode budget point reuses the benchmark's trace and baseline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +43,7 @@ namespace {
 
 using core::SelectionFeatures;
 using harness::Cell;
+using harness::ExperimentOptions;
 using workloads::InputSetKind;
 using Matrix = std::vector<std::vector<StatusOr<double>>>;
 
@@ -85,48 +85,32 @@ const harness::SelectionPreset &preset(const char *Name) {
   return *P;
 }
 
-/// DMP simulation of preset \p Preset's selection, profiled on \p Input.
-sim::SimStats simulatePreset(Cell &C, const harness::SelectionPreset &P,
-                             InputSetKind Input) {
-  return C.Bench.simulateWith(P.Select(C.Bench, Input));
-}
-
 /// IPC improvement of preset \p Preset over the baseline.
 Column gain(std::string Name, const char *Preset,
             InputSetKind Input = InputSetKind::Run) {
   const harness::SelectionPreset &P = preset(Preset);
   return {std::move(Name), [&P, Input](Cell &C) {
-            return harness::ipcImprovement(C.Bench.baseline(),
-                                           simulatePreset(C, P, Input));
+            return harness::ipcImprovement(
+                C.Bench.baseline(),
+                C.Bench.simulateWith(P.Select(C.Bench, Input)));
           }};
 }
 
-/// IPC improvement of \p Features under the engine's selection thresholds
-/// changed by \p Mutate; selects on the shared context, as Figure 7 does.
-Column selectionVariant(std::string Name, SelectionFeatures Features,
-                        std::function<void(core::SelectionConfig &)> Mutate) {
+/// IPC improvement of \p Features under the engine's options changed by
+/// \p Mutate (selection thresholds or simulator fields), on the shared
+/// context: each stage is shared with every column whose options it does
+/// not read.
+Column variant(std::string Name, SelectionFeatures Features,
+               std::function<void(ExperimentOptions &)> Mutate) {
   return {std::move(Name), [Features, Mutate](Cell &C) {
-            core::SelectionConfig Config = C.Bench.options().Selection;
-            Mutate(Config);
+            ExperimentOptions Options = C.Bench.options();
+            Mutate(Options);
             const core::DivergeMap Map = core::selectDivergeBranches(
                 C.Bench.analysis(), C.Bench.profileData(InputSetKind::Run),
-                Config, Features);
-            return harness::ipcImprovement(C.Bench.baseline(),
-                                           C.Bench.simulateWith(Map));
-          }};
-}
-
-/// IPC improvement of All-best-heur on a simulator changed by \p Mutate;
-/// the cell builds its own context (and baseline) from the engine options.
-Column simVariant(std::string Name,
-                  std::function<void(sim::SimConfig &)> Mutate) {
-  return {std::move(Name), [Mutate](Cell &C) {
-            harness::ExperimentOptions Options = C.Bench.options();
-            Mutate(Options.Sim);
-            harness::BenchContext Variant(C.Bench.spec(), Options);
-            const sim::SimStats Dmp =
-                Variant.runSelection(SelectionFeatures::allBestHeur());
-            return harness::ipcImprovement(Variant.baseline(), Dmp);
+                Options.Selection, Features);
+            return harness::ipcImprovement(
+                C.Bench.baseline(Options.Sim),
+                C.Bench.simulateWith(Map, Options.Sim));
           }};
 }
 
@@ -271,7 +255,8 @@ Figure fig6() {
   for (const auto &[Name, Preset] : Presets) {
     const harness::SelectionPreset &P = preset(Preset);
     Columns.push_back({Name, [&P](Cell &C) {
-                         return simulatePreset(C, P, InputSetKind::Run)
+                         return C.Bench
+                             .simulateWith(P.Select(C.Bench, InputSetKind::Run))
                              .flushesPerKiloInstr();
                        }});
   }
@@ -331,39 +316,25 @@ const double Fig7MergeProb[] = {0.01, 0.05, 0.30, 0.90};
 
 /// Figure 7: MAX_INSTR x MIN_MERGE_PROB sweep with Alg-exact + Alg-freq.
 /// Paper: MAX_INSTR 10 and 200 both hurt; 50 with a small MIN_MERGE_PROB
-/// is best.  Cells hold 1 + improvement, the form journals store.
+/// is best.
 Figure fig7() {
   std::vector<Column> Columns;
   for (unsigned MaxInstr : Fig7MaxInstr)
     for (double MergeProb : Fig7MergeProb)
-      Columns.push_back(
-          {formatString("max-instr=%u merge-prob=%.2f", MaxInstr, MergeProb),
-           [MaxInstr, MergeProb](Cell &C) {
-             const core::SelectionConfig Config =
-                 C.Bench.options()
-                     .Selection.withMaxInstr(MaxInstr)
-                     .withMinMergeProb(MergeProb);
-             const core::DivergeMap Map = core::selectDivergeBranches(
-                 C.Bench.analysis(), C.Bench.profileData(InputSetKind::Run),
-                 Config, SelectionFeatures::exactFreq());
-             return 1.0 + harness::ipcImprovement(C.Bench.baseline(),
-                                                  C.Bench.simulateWith(Map));
-           }});
+      Columns.push_back(variant(
+          formatString("max-instr=%u min-merge=%.2f", MaxInstr, MergeProb),
+          SelectionFeatures::exactFreq(), [=](ExperimentOptions &O) {
+            O.Selection =
+                O.Selection.withMaxInstr(MaxInstr).withMinMergeProb(MergeProb);
+          }));
   return {"fig7", std::move(Columns), {}, [](const FigureRun &R) {
             Table T({"MAX_INSTR", "MIN_MERGE=1%", "5%", "30%", "90%"});
             const size_t NP = std::size(Fig7MergeProb);
             for (size_t MI = 0; MI < std::size(Fig7MaxInstr); ++MI) {
               std::vector<std::string> Row = {
                   formatString("%u", Fig7MaxInstr[MI])};
-              for (size_t MP = 0; MP < NP; ++MP) {
-                std::vector<double> Ratios;
-                for (const std::vector<StatusOr<double>> &PerBench : R.Cells)
-                  if (PerBench[MI * NP + MP].ok())
-                    Ratios.push_back(*PerBench[MI * NP + MP]);
-                Row.push_back(Ratios.empty()
-                                  ? "--"
-                                  : formatPercent(geomean(Ratios) - 1.0));
-              }
+              for (size_t MP = 0; MP < NP; ++MP)
+                Row.push_back(percentOrGap(geomeanGain(R.Cells, MI * NP + MP)));
               T.addRow(Row);
             }
             std::printf("== Figure 7: DMP IPC improvement (geomean) vs "
@@ -492,30 +463,30 @@ const ShortHammockPoint ShortHammockPoints[] = {
 Figure ablationCostModel() {
   std::vector<Column> Columns;
   for (double Acc : AccConfValues)
-    Columns.push_back(selectionVariant(
+    Columns.push_back(variant(
         formatString("acc-conf=%.2f", Acc), SelectionFeatures::allBestCost(),
-        [Acc](core::SelectionConfig &S) { S.AccConf = Acc; }));
+        [Acc](ExperimentOptions &O) { O.Selection.AccConf = Acc; }));
   Columns.push_back({"select-uops/entry", [](Cell &C) {
                        return C.Bench
-                           .runSelection(SelectionFeatures::allBestHeur())
+                           .simulateWith(C.Bench.select(
+                               SelectionFeatures::allBestHeur(),
+                               InputSetKind::Run))
                            .selectUopsPerEntry();
                      }});
   for (const ShortHammockPoint &Pt : ShortHammockPoints)
-    Columns.push_back(selectionVariant(
+    Columns.push_back(variant(
         formatString("short=%u/%.2f/%.2f", Pt.MaxInstr, Pt.MinMerge,
                      Pt.MinMisp),
-        SelectionFeatures::allBestHeur(), [Pt](core::SelectionConfig &S) {
-          S.ShortHammockMaxInstr = Pt.MaxInstr;
-          S.ShortHammockMinMergeProb = Pt.MinMerge;
-          S.ShortHammockMinMispRate = Pt.MinMisp;
+        SelectionFeatures::allBestHeur(), [Pt](ExperimentOptions &O) {
+          O.Selection.ShortHammockMaxInstr = Pt.MaxInstr;
+          O.Selection.ShortHammockMinMergeProb = Pt.MinMerge;
+          O.Selection.ShortHammockMinMispRate = Pt.MinMisp;
         }));
   Columns.push_back(gain("always-predicate", "all"));
-  Columns.push_back({"confidence-gated", [](Cell &C) {
-                       SelectionFeatures F = SelectionFeatures::allBestHeur();
-                       F.ShortHammocks = false;
-                       return harness::ipcImprovement(C.Bench.baseline(),
-                                                      C.Bench.runSelection(F));
-                     }});
+  SelectionFeatures Gated = SelectionFeatures::allBestHeur();
+  Gated.ShortHammocks = false;
+  Columns.push_back(
+      variant("confidence-gated", Gated, [](ExperimentOptions &) {}));
 
   return {"ablation-costmodel", std::move(Columns), {}, [](const FigureRun &R) {
             const size_t NAcc = std::size(AccConfValues);
@@ -616,14 +587,15 @@ Figure ablationDpred() {
          return harness::ipcImprovement(C.Bench.baseline(),
                                         C.Bench.simulateWith(stripCfms(Map)));
        }}};
-  for (unsigned Budget : DpredBudgets)
+  const SelectionFeatures Heur = SelectionFeatures::allBestHeur();
+  for (unsigned B : DpredBudgets)
     Columns.push_back(
-        simVariant(formatString("max-dpred-instrs=%u", Budget),
-                   [Budget](sim::SimConfig &S) { S.MaxDpredInstrs = Budget; }));
-  for (unsigned Threshold : ConfThresholds)
-    Columns.push_back(simVariant(
-        formatString("conf-threshold=%u", Threshold),
-        [Threshold](sim::SimConfig &S) { S.ConfThreshold = Threshold; }));
+        variant(formatString("max-dpred-instrs=%u", B), Heur,
+                [B](ExperimentOptions &O) { O.Sim.MaxDpredInstrs = B; }));
+  for (unsigned T : ConfThresholds)
+    Columns.push_back(
+        variant(formatString("conf-threshold=%u", T), Heur,
+                [T](ExperimentOptions &O) { O.Sim.ConfThreshold = T; }));
 
   return {"ablation-dpred", std::move(Columns), {}, [](const FigureRun &R) {
             const size_t Budgets = 2;

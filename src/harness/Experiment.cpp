@@ -12,6 +12,9 @@
 using namespace dmp;
 using namespace dmp::harness;
 
+/// In the order their SimConfig field groups nest.
+enum class dmp::harness::SimStage { Trace, Baseline, Dmp };
+
 namespace {
 
 /// Folds every field of \p Spec into \p H.  The workload builder is a pure
@@ -29,26 +32,40 @@ void hashSpec(serialize::Hasher &H, const workloads::BenchmarkSpec &Spec) {
   H.updateU64(Spec.Seed);
 }
 
-void hashSimConfig(serialize::Hasher &H, const sim::SimConfig &C) {
+/// The key bytes of simulation stage \p Stage under \p C: a tag byte, then
+/// each SimConfig field the stage reads as a LEB128 varint.  They start the
+/// stage's memo key, which its disk key digests, so a memo hit hashes
+/// nothing.  C.Cancel and C.Progress are deliberately left out: they are
+/// execution-time concerns, not part of the simulated machine.
+std::string simConfigKey(const sim::SimConfig &C, SimStage Stage) {
+  std::string Key(1, "cbs"[static_cast<int>(Stage)]);
+  const auto Put = [&Key](uint64_t V) {
+    for (; V > 0x7f; V >>= 7)
+      Key.push_back(static_cast<char>((V & 0x7f) | 0x80));
+    Key.push_back(static_cast<char>(V));
+  };
+  // The correct-path recorder.
   for (uint64_t V :
-       {uint64_t(C.FetchWidth), uint64_t(C.MaxNotTakenBranchesPerFetch),
-        uint64_t(C.FrontEndDepth), uint64_t(C.IssueWidth),
-        uint64_t(C.RetireWidth), uint64_t(C.RobSize), uint64_t(C.LsqSize),
-        uint64_t(C.Predictor), uint64_t(C.BtbEntries), uint64_t(C.RasEntries),
+       {uint64_t(C.Predictor), uint64_t(C.BtbEntries), uint64_t(C.RasEntries),
         uint64_t(C.ConfIndexBits), uint64_t(C.ConfHistoryBits),
         uint64_t(C.ConfThreshold), C.Memory.IL1Size, uint64_t(C.Memory.IL1Assoc),
         uint64_t(C.Memory.IL1Latency), C.Memory.DL1Size,
         uint64_t(C.Memory.DL1Assoc), uint64_t(C.Memory.DL1Latency),
         C.Memory.L2Size, uint64_t(C.Memory.L2Assoc),
         uint64_t(C.Memory.L2Latency), uint64_t(C.Memory.LineBytes),
-        uint64_t(C.Memory.MemoryLatency), uint64_t(C.NumPredicateRegs),
-        uint64_t(C.NumCfmRegisters), uint64_t(C.MaxDpredInstrs),
-        uint64_t(C.MaxLoopDpredIters), C.MaxInstrs, uint64_t(C.InjectFault),
-        C.WatchdogInstrBudget})
-    H.updateU64(V);
-  // C.Cancel and C.Progress are deliberately NOT hashed: cancellation and
-  // liveness beats are execution-time concerns, not part of the simulated
-  // machine, and a token pointer would make keys unstable run to run.
+        uint64_t(C.Memory.MemoryLatency), C.MaxInstrs, C.WatchdogInstrBudget,
+        uint64_t(C.InjectFault)})
+    Put(V);
+  if (Stage == SimStage::Trace)
+    return Key;
+  // The core the baseline replays the trace through.
+  for (unsigned V : {C.FetchWidth, C.MaxNotTakenBranchesPerFetch,
+                     C.FrontEndDepth, C.IssueWidth, C.RetireWidth, C.RobSize})
+    Put(V);
+  if (Stage == SimStage::Dmp) // dpred-mode
+    for (unsigned V : {C.MaxDpredInstrs, C.MaxLoopDpredIters})
+      Put(V);
+  return Key;
 }
 
 } // namespace
@@ -70,30 +87,31 @@ harness::profileCacheKey(const workloads::BenchmarkSpec &Spec,
 
 namespace {
 
-/// simCacheKey over the already-encoded machine view of the annotations
-/// (\p DivergeBytes, null for the baseline), so the memo and the cache key
-/// share one encoding.  The key is exactly the simulation's input.
+/// The disk key of a simulation stage: digests its memo key, whose tag
+/// byte names the stage.
 serialize::Digest simKey(const workloads::BenchmarkSpec &Spec,
-                         const sim::SimConfig &Config,
-                         const void *DivergeBytes, size_t DivergeSize,
-                         uint32_t SchemaVersion) {
+                         const std::string &MemoKey, uint32_t SchemaVersion) {
   serialize::Hasher H;
-  H.update(std::string(DivergeBytes ? "dmp-sim-key" : "dmp-baseline-key"));
+  H.update(std::string("dmp-sim-key"));
   H.updateU64(SchemaVersion);
   hashSpec(H, Spec);
-  hashSimConfig(H, Config);
-  if (DivergeBytes)
-    H.update(DivergeBytes, DivergeSize);
+  H.update(MemoKey);
   return H.finish();
 }
 
-/// First byte of every memo key: which stage the key names.  A DMP sim
-/// key continues with the encoded machine view of the annotations.
+/// First byte of a profile's memo key (simConfigKey tags the others).
 constexpr char kRunProfileKey = 'r';
 constexpr char kTrainProfileKey = 't';
-constexpr char kTraceKey = 'c';
-constexpr char kBaselineKey = 'b';
-constexpr char kDmpSimKey = 's';
+
+/// The memo key of a DMP simulation of machine view \p View: its
+/// simConfigKey \p ConfigKey, then the encoded view.
+std::string viewKey(const std::string &ConfigKey,
+                    const core::DivergeMap &View) {
+  const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(View);
+  std::string Key;
+  Key.reserve(ConfigKey.size() + Bytes.size());
+  return Key.append(ConfigKey).append(Bytes.begin(), Bytes.end());
+}
 
 std::vector<uint8_t> encodeStage(const profile::ProfileData &Data) {
   return serialize::encodeProfileData(Data);
@@ -139,21 +157,18 @@ harness::simCacheKey(const workloads::BenchmarkSpec &Spec,
                      uint32_t SchemaVersion) {
   // An empty map's simulation is the baseline: both share its entry.
   if (!Diverge || Diverge->empty())
-    return simKey(Spec, Config, nullptr, 0, SchemaVersion);
-  const std::vector<uint8_t> Bytes =
-      serialize::encodeDivergeMap(sim::machineView(*Diverge));
-  return simKey(Spec, Config, Bytes.data(), Bytes.size(), SchemaVersion);
+    return simKey(Spec, simConfigKey(Config, SimStage::Baseline),
+                  SchemaVersion);
+  return simKey(Spec,
+                viewKey(simConfigKey(Config, SimStage::Dmp),
+                        sim::machineView(*Diverge)),
+                SchemaVersion);
 }
 
 serialize::Digest harness::traceCacheKey(const workloads::BenchmarkSpec &Spec,
                                          const sim::SimConfig &Config,
                                          uint32_t SchemaVersion) {
-  serialize::Hasher H;
-  H.update(std::string("dmp-trace-key"));
-  H.updateU64(SchemaVersion);
-  hashSpec(H, Spec);
-  hashSimConfig(H, Config);
-  return H.finish();
+  return simKey(Spec, simConfigKey(Config, SimStage::Trace), SchemaVersion);
 }
 
 BenchContext::BenchContext(const workloads::BenchmarkSpec &Spec,
@@ -161,6 +176,16 @@ BenchContext::BenchContext(const workloads::BenchmarkSpec &Spec,
     : Options(Options), Spec(Spec), W(workloads::buildBenchmark(Spec)) {
   PA = std::make_unique<cfg::ProgramAnalysis>(*W.Prog);
   RunImage = W.buildImage(workloads::InputSetKind::Run);
+  for (SimStage Stage : {SimStage::Trace, SimStage::Baseline, SimStage::Dmp})
+    OwnConfigKeys[static_cast<int>(Stage)] = simConfigKey(Options.Sim, Stage);
+}
+
+const std::string &BenchContext::configKey(const sim::SimConfig &Config,
+                                           SimStage Stage,
+                                           std::string &Scratch) const {
+  if (&Config == &Options.Sim)
+    return OwnConfigKeys[static_cast<int>(Stage)];
+  return Scratch = simConfigKey(Config, Stage);
 }
 
 template <typename V, typename KeyFn, typename ComputeFn>
@@ -234,57 +259,46 @@ BenchContext::profileData(workloads::InputSetKind Kind) {
       });
 }
 
-const sim::CorrectPathTrace &BenchContext::trace() const {
+const sim::CorrectPathTrace &
+BenchContext::trace(const sim::SimConfig &Config) const {
+  std::string Scratch;
+  const std::string &MemoKey = configKey(Config, SimStage::Trace, Scratch);
   return stage<sim::CorrectPathTrace>(
-      std::string(1, kTraceKey),
-      [&] { return traceCacheKey(Spec, Options.Sim); },
+      MemoKey,
+      [&] { return simKey(Spec, MemoKey, serialize::kCacheSchemaVersion); },
       [&] {
         Traces.fetch_add(1, std::memory_order_relaxed);
-        return sim::recordCorrectPath(*W.Prog, RunImage, Options.Sim);
+        return sim::recordCorrectPath(*W.Prog, RunImage, Config);
       });
 }
 
-const sim::SimStats &BenchContext::baseline() { return baselineStage(); }
-
-const sim::SimStats &BenchContext::baselineStage(bool *Hit) const {
+const sim::SimStats &BenchContext::simStage(const core::DivergeMap &View,
+                                            const sim::SimConfig &Config,
+                                            bool *Hit) const {
+  // The empty view is the baseline machine: its stage is the baseline.
+  const SimStage Stage = View.empty() ? SimStage::Baseline : SimStage::Dmp;
+  std::string Scratch;
+  const std::string &ConfigKey = configKey(Config, Stage, Scratch);
+  const std::string DmpKey = View.empty() ? "" : viewKey(ConfigKey, View);
+  const std::string &MemoKey = View.empty() ? ConfigKey : DmpKey;
   return stage<sim::SimStats>(
-      std::string(1, kBaselineKey),
-      [&] { return simCacheKey(Spec, Options.Sim, nullptr); },
+      MemoKey,
+      [&] { return simKey(Spec, MemoKey, serialize::kCacheSchemaVersion); },
       [&] {
-        return sim::simulateDmp(*W.Prog, core::DivergeMap(), trace(),
-                                Options.Sim);
+        if (Stage == SimStage::Dmp)
+          DmpSims.fetch_add(1, std::memory_order_relaxed);
+        return sim::simulateDmp(*W.Prog, View, trace(Config), Config);
       },
       Hit);
 }
 
-sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge) const {
+sim::SimStats BenchContext::simulateWith(const core::DivergeMap &Diverge,
+                                         const sim::SimConfig &Config) const {
   // The memo key is the exact input simulated: maps the core cannot tell
   // apart share one simulation.
-  const core::DivergeMap View = sim::machineView(Diverge);
   bool Hit = false;
-  if (View.empty()) {
-    // The empty view is the baseline machine: its simulation is baseline().
-    const sim::SimStats &Stats = baselineStage(&Hit);
-    if (Hit)
-      MemoHits.fetch_add(1, std::memory_order_relaxed);
-    return Stats;
-  }
-  std::string MemoKey(1, kDmpSimKey);
-  {
-    const std::vector<uint8_t> Bytes = serialize::encodeDivergeMap(View);
-    MemoKey.append(Bytes.begin(), Bytes.end());
-  }
-  const sim::SimStats &Stats = stage<sim::SimStats>(
-      MemoKey,
-      [&] {
-        return simKey(Spec, Options.Sim, MemoKey.data() + 1,
-                      MemoKey.size() - 1, serialize::kCacheSchemaVersion);
-      },
-      [&] {
-        DmpSims.fetch_add(1, std::memory_order_relaxed);
-        return sim::simulateDmp(*W.Prog, View, trace(), Options.Sim);
-      },
-      &Hit);
+  const sim::SimStats &Stats =
+      simStage(sim::machineView(Diverge), Config, &Hit);
   if (Hit)
     MemoHits.fetch_add(1, std::memory_order_relaxed);
   return Stats;
@@ -295,12 +309,6 @@ core::DivergeMap BenchContext::select(const core::SelectionFeatures &Features,
                                       core::SelectionStats *Stats) {
   return core::selectDivergeBranches(*PA, profileData(ProfileInput),
                                      Options.Selection, Features, Stats);
-}
-
-sim::SimStats
-BenchContext::runSelection(const core::SelectionFeatures &Features,
-                           workloads::InputSetKind ProfileInput) {
-  return simulateWith(select(Features, ProfileInput));
 }
 
 double harness::ipcImprovement(const sim::SimStats &Base,

@@ -39,15 +39,17 @@
 /// A BenchContext is safe to share between concurrent experiment tasks.
 /// Every stage — profile(run), profile(train), the correct-path trace, the
 /// baseline and each DMP simulation — goes through one in-flight memo
-/// keyed by the stage (a DMP simulation by its machine view, above).  The
-/// first request for a key computes it (around the artifact cache when one
-/// is configured); concurrent requests for the same key wait for that
-/// computation; later requests read the result without touching the
-/// simulator or the cache.  A computation that throws (e.g. a
-/// ResourceExhausted cell watchdog or a guard cancellation) is erased from
-/// the memo before its failure reaches every waiter, so a failure is
-/// never replayed: the next request recomputes.  Everything else is
-/// read-only after construction.
+/// keyed by the stage and what it reads: the last three run under a
+/// sim::SimConfig (options().Sim when omitted) and are keyed by the field
+/// groups they read (SimConfig.h), so a dpred-mode sweep shares the trace
+/// and the baseline.  The first request for a key computes it (around the
+/// artifact cache when one is configured); concurrent requests for the
+/// same key wait for that computation; later requests read the result
+/// without touching the simulator or the cache.  A computation that throws
+/// (e.g. a ResourceExhausted cell watchdog or a guard cancellation) is
+/// erased from the memo before its failure reaches every waiter, so a
+/// failure is never replayed: the next request recomputes.  Everything
+/// else is read-only after construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,11 +127,14 @@ simCacheKey(const workloads::BenchmarkSpec &Spec, const sim::SimConfig &Config,
             uint32_t SchemaVersion = serialize::kCacheSchemaVersion);
 
 /// Cache key for the correct-path trace of \p Spec's run input under
-/// \p Config (every field, so any configuration change re-records).
+/// \p Config's recorder fields (the only ones the recorder reads).
 serialize::Digest
 traceCacheKey(const workloads::BenchmarkSpec &Spec,
               const sim::SimConfig &Config,
               uint32_t SchemaVersion = serialize::kCacheSchemaVersion);
+
+/// The trace, the baseline or a DMP simulation (Experiment.cpp).
+enum class SimStage;
 
 /// One benchmark, prepared once, simulated many times.
 class BenchContext {
@@ -146,23 +151,25 @@ public:
   /// an artifact cache is configured, on disk).
   const profile::ProfileData &profileData(workloads::InputSetKind Kind);
 
-  /// The recorded correct path of the run input under options().Sim, which
-  /// the baseline and every DMP simulation replay (cached).
-  const sim::CorrectPathTrace &trace() const;
+  /// The recorded correct path of the run input, which the baseline and
+  /// every DMP simulation under \p Config replay (cached).
+  const sim::CorrectPathTrace &trace(const sim::SimConfig &Config) const;
+  const sim::CorrectPathTrace &trace() const { return trace(Options.Sim); }
 
-  /// Baseline simulation on the run input (cached).
-  const sim::SimStats &baseline();
+  /// Baseline simulation on the run input under \p Config (cached).
+  const sim::SimStats &baseline(const sim::SimConfig &Config) const {
+    return simStage(core::DivergeMap(), Config);
+  }
+  const sim::SimStats &baseline() const { return baseline(Options.Sim); }
 
   /// DMP simulation on the run input with the given annotations: runs
   /// their machine view, memoized by its content.  An empty map returns
-  /// baseline().
-  sim::SimStats simulateWith(const core::DivergeMap &Diverge) const;
-
-  /// Convenience: select with \p Features (profiling on \p ProfileInput)
-  /// and simulate.
-  sim::SimStats runSelection(const core::SelectionFeatures &Features,
-                             workloads::InputSetKind ProfileInput =
-                                 workloads::InputSetKind::Run);
+  /// baseline(\p Config).
+  sim::SimStats simulateWith(const core::DivergeMap &Diverge,
+                             const sim::SimConfig &Config) const;
+  sim::SimStats simulateWith(const core::DivergeMap &Diverge) const {
+    return simulateWith(Diverge, Options.Sim);
+  }
 
   /// Selection only (no simulation), for selection-centric experiments.
   core::DivergeMap select(const core::SelectionFeatures &Features,
@@ -191,14 +198,25 @@ private:
   const V &stage(const std::string &MemoKey, const KeyFn &CacheKey,
                  const ComputeFn &Compute, bool *Hit = nullptr) const;
 
-  /// The baseline stage; \p Hit, when given, reports a memo hit.
-  const sim::SimStats &baselineStage(bool *Hit = nullptr) const;
+  /// The key bytes of \p Config for \p Stage: OwnConfigKeys' when \p Config
+  /// is options().Sim, else built in \p Scratch.
+  const std::string &configKey(const sim::SimConfig &Config, SimStage Stage,
+                               std::string &Scratch) const;
+
+  /// The simulation of machine view \p View under \p Config, the baseline
+  /// when \p View is empty; \p Hit, when given, reports a memo hit.
+  const sim::SimStats &simStage(const core::DivergeMap &View,
+                                const sim::SimConfig &Config,
+                                bool *Hit = nullptr) const;
 
   ExperimentOptions Options;
   workloads::BenchmarkSpec Spec;
   workloads::Workload W;
   std::unique_ptr<cfg::ProgramAnalysis> PA;
   std::vector<int64_t> RunImage;
+  /// The key bytes of options().Sim for each SimStage, computed once so a
+  /// memo hit under the context's own config builds none.
+  std::string OwnConfigKeys[3];
 
   mutable std::mutex MemoMutex;
   /// Stage key -> its (possibly in-flight) value.  Entries are erased only

@@ -83,8 +83,8 @@ std::string SimConfig::toString() const {
                           : "gshare",
                       BtbEntries, RasEntries);
   Out += formatString("Execution core : %u-wide issue/retire, %u-entry ROB, "
-                      "%u-entry LSQ\n",
-                      IssueWidth, RobSize, LsqSize);
+                      "128-entry LSQ\n",
+                      IssueWidth, RobSize);
   Out += formatString("Memory         : IL1 %lluKB/%u-way/%uc, DL1 "
                       "%lluKB/%u-way/%uc, L2 %lluKB/%u-way/%uc, mem %uc\n",
                       static_cast<unsigned long long>(Memory.IL1Size / 1024),
@@ -94,8 +94,7 @@ std::string SimConfig::toString() const {
                       static_cast<unsigned long long>(Memory.L2Size / 1024),
                       Memory.L2Assoc, Memory.L2Latency, Memory.MemoryLatency);
   Out += formatString("DMP support    : enabled, JRS conf (%u-bit history, "
-                      "threshold %u), %u predicate regs, %u CFM regs\n",
-                      ConfHistoryBits, ConfThreshold, NumPredicateRegs,
-                      NumCfmRegisters);
+                      "threshold %u), 32 predicate regs, 3 CFM regs\n",
+                      ConfHistoryBits, ConfThreshold);
   return Out;
 }

@@ -19,6 +19,11 @@
 ///   DMP support:  2KB enhanced JRS confidence estimator (12-bit history,
 ///                 threshold 14); 32 predicate registers; 3 CFM registers.
 ///
+/// The LSQ and predicate registers are not modelled and the CFM registers
+/// are core::SelectionConfig::MaxCfmPoints: toString prints them as text.
+/// The fields nest in three reader groups, recorder, core and dpred-mode,
+/// listed once in simConfigKey (harness/Experiment.cpp).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMP_SIM_SIMCONFIG_H
@@ -54,7 +59,6 @@ struct SimConfig {
   unsigned IssueWidth = 8;
   unsigned RetireWidth = 8;
   unsigned RobSize = 512;
-  unsigned LsqSize = 128;
 
   // Predictors.
   uarch::PredictorKind Predictor = uarch::PredictorKind::Perceptron;
@@ -74,8 +78,6 @@ struct SimConfig {
   uarch::MemoryConfig Memory;
 
   // DMP support (always present; an empty DivergeMap makes the baseline).
-  unsigned NumPredicateRegs = 32;
-  unsigned NumCfmRegisters = 3;
   /// dpred-mode instruction budget per episode; entering instructions
   /// beyond this fills the window and forces the episode to end.
   unsigned MaxDpredInstrs = 400;
@@ -97,7 +99,7 @@ struct SimConfig {
   /// Cooperative cancellation for the inner loop: when set, the run polls
   /// the token every kCancelPollInstrs retired instructions and aborts
   /// with the token's Status (StatusError).  Not part of the simulated
-  /// machine, so excluded from cache-key hashing (hashSimConfig).  The
+  /// machine, so excluded from cache-key hashing (simConfigKey).  The
   /// token must outlive the run.
   const guard::CancelToken *Cancel = nullptr;
 
@@ -106,7 +108,7 @@ struct SimConfig {
   /// The dmp::serve workers use it to emit CELL_PROGRESS heartbeats so the
   /// supervisor's hung-worker watchdog can tell "slow" from "wedged".
   /// Like Cancel, not part of the simulated machine and excluded from
-  /// cache-key hashing (hashSimConfig); must be cheap and must not throw.
+  /// cache-key hashing (simConfigKey); must be cheap and must not throw.
   std::function<void()> Progress;
 
   /// Deliberate retired-state corruption for differential-oracle canary

@@ -11,6 +11,7 @@
 
 #include "TestPrograms.h"
 #include "core/CostModel.h"
+#include "sim/SimConfig.h"
 
 #include <gtest/gtest.h>
 
@@ -280,4 +281,14 @@ TEST(LoopCostTest, MoreLateExitMoreBenefit) {
     EXPECT_LT(Cost.CostCycles, Last);
     Last = Cost.CostCycles;
   }
+}
+
+// The cost model copies two values of the simulated machine; its defaults
+// must be the simulator's.
+TEST(CostModelTest, MachineDefaultsMatchTheSimulator) {
+  const SelectionConfig Selection;
+  const sim::SimConfig Sim;
+  EXPECT_EQ(Selection.FetchWidth, Sim.FetchWidth);
+  EXPECT_EQ(Selection.MispPenaltyCycles,
+            Sim.FrontEndDepth + Sim.latencyFor(ir::Opcode::CondBr));
 }

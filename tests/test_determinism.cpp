@@ -56,7 +56,8 @@ runCells(unsigned Jobs,
   };
   return Engine.runMatrix<sim::SimStats>(
       miniSuite(), std::size(Configs), [&Configs](harness::Cell &C) {
-        return C.Bench.runSelection(Configs[C.Config]);
+        return C.Bench.simulateWith(
+            C.Bench.select(Configs[C.Config], workloads::InputSetKind::Run));
       });
 }
 

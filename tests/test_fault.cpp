@@ -217,14 +217,21 @@ harness::ExperimentOptions miniOptions() {
   return Options;
 }
 
-std::filesystem::path freshTempDir(const std::string &Tag) {
-  const std::filesystem::path Dir =
-      std::filesystem::temp_directory_path() /
-      ("dmp-fault-" + Tag + "-" + std::to_string(::getpid()));
-  std::error_code EC;
-  std::filesystem::remove_all(Dir, EC);
-  return Dir;
-}
+/// A cache directory under the temp directory, emptied before use and
+/// removed when the test that owns it ends.
+struct TempDir {
+  const std::filesystem::path Path;
+  explicit TempDir(const std::string &Tag)
+      : Path(std::filesystem::temp_directory_path() /
+             ("dmp-fault-" + Tag + "-" + std::to_string(::getpid()))) {
+    std::error_code EC;
+    std::filesystem::remove_all(Path, EC);
+  }
+  ~TempDir() {
+    std::error_code EC;
+    std::filesystem::remove_all(Path, EC);
+  }
+};
 
 /// The full result matrix of a 2-bench x 2-config campaign, optionally
 /// cached at \p CacheDir and perturbed by \p Faults.
@@ -245,7 +252,8 @@ runCampaign(unsigned Jobs, const std::string &CacheDir,
   };
   return Engine.runMatrix<sim::SimStats>(
       miniSuite(), std::size(Configs), [&Configs](harness::Cell &C) {
-        return C.Bench.runSelection(Configs[C.Config]);
+        return C.Bench.simulateWith(
+            C.Bench.select(Configs[C.Config], workloads::InputSetKind::Run));
       });
 }
 
@@ -280,14 +288,15 @@ TEST(FaultCampaignTest, TransientFaultsPreserveResultsAcrossJobsAndSeeds) {
   // on attempt 0 then succeeds on its first retry.
   auto Inj = std::make_shared<fault::Injector>(
       fault::Plan::transientEverywhere(/*Seed=*/101, /*Rate=*/1.0));
-  const auto Faulted = runCampaign(2, freshTempDir("seedA").string(), Inj);
+  const TempDir SeedA("seedA"), SeedB("seedB");
+  const auto Faulted = runCampaign(2, SeedA.Path.string(), Inj);
   EXPECT_TRUE(identical(Reference, Faulted));
   EXPECT_GT(Inj->injected(fault::Site::TaskRun), 0u);
   EXPECT_GT(Inj->totalInjected(), 0u);
 
   // Different --jobs and a different fault schedule: still bit-identical.
   const auto FaultedWide = runCampaign(
-      5, freshTempDir("seedB").string(),
+      5, SeedB.Path.string(),
       std::make_shared<fault::Injector>(
           fault::Plan::transientEverywhere(/*Seed=*/202, /*Rate=*/0.7,
                                            /*MaxFaultsPerOp=*/2)));
@@ -359,7 +368,8 @@ TEST(FaultCampaignTest, PermanentCellFaultIsIsolatedNotFatal) {
 }
 
 TEST(FaultCampaignTest, InterruptedCampaignResumesJournaledCells) {
-  const std::filesystem::path Dir = freshTempDir("resume");
+  const TempDir Resume("resume");
+  const std::filesystem::path &Dir = Resume.Path;
   const std::vector<workloads::BenchmarkSpec> Suite = miniSuite();
   const serialize::Digest ParamsKey =
       harness::paramsDigest({"cfg-a", "cfg-b"});
@@ -426,7 +436,4 @@ TEST(FaultCampaignTest, InterruptedCampaignResumesJournaledCells) {
       Cache, "camp/matrix", harness::paramsDigest({"cfg-a", "cfg-c"}),
       Suite.size(), 2);
   EXPECT_EQ(Retuned.entries(), 0u);
-
-  std::error_code EC;
-  std::filesystem::remove_all(Dir, EC);
 }

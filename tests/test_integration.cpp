@@ -14,12 +14,14 @@
 #include "harness/Reports.h"
 #include "profile/Emulator.h"
 #include "serialize/ProfileIO.h"
+#include "sim/CorrectPathTrace.h"
 #include "support/RNG.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -392,6 +394,164 @@ TEST(BenchContextMemo, EmptyViewIsTheBaseline) {
   std::filesystem::remove_all(Dir);
 }
 
+// A simulator sweep runs on one context: each stage is keyed by the
+// SimConfig fields it reads, so a dpred-mode budget shares the trace and
+// the baseline, and a confidence threshold, which the recorder reads,
+// records a trace of its own.
+TEST(BenchContextMemo, SimVariantsShareWhatTheyDoNotRead) {
+  const workloads::BenchmarkSpec &Spec = specFor("gcc");
+  BenchContext Bench(Spec, fastOptions());
+  const core::DivergeMap Map =
+      Bench.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run);
+  ExperimentOptions BudgetOptions = fastOptions();
+  BudgetOptions.Sim.MaxDpredInstrs = 50;
+  ExperimentOptions ConfOptions = fastOptions();
+  ConfOptions.Sim.ConfThreshold = 4;
+
+  // Even threads run the default machine, odd ones the smaller budget.
+  constexpr unsigned N = 6;
+  std::vector<std::vector<uint8_t>> Base(N), Dmp(N);
+  onThreads(N, [&](unsigned I) {
+    const sim::SimConfig &Config =
+        I % 2 ? BudgetOptions.Sim : Bench.options().Sim;
+    Base[I] = serialize::encodeSimStats(Bench.baseline(Config));
+    Dmp[I] = serialize::encodeSimStats(Bench.simulateWith(Map, Config));
+  });
+  EXPECT_EQ(Bench.traces(), 1u);
+  EXPECT_EQ(Bench.dmpSims(), 2u);
+  EXPECT_EQ(&Bench.baseline(BudgetOptions.Sim), &Bench.baseline());
+  EXPECT_NE(Dmp[0], Dmp[1]);
+  BenchContext FreshBudget(Spec, BudgetOptions);
+  for (unsigned I = 0; I < N; ++I) {
+    EXPECT_EQ(Base[I], Base[0]) << "thread " << I;
+    EXPECT_EQ(Dmp[I], Dmp[I % 2]) << "thread " << I;
+  }
+  EXPECT_EQ(Dmp[1],
+            serialize::encodeSimStats(FreshBudget.simulateWith(Map)));
+
+  // Odd threads ask for the baseline, even ones a DMP simulation.
+  std::vector<std::vector<uint8_t>> Conf(N);
+  onThreads(N, [&](unsigned I) {
+    Conf[I] = serialize::encodeSimStats(
+        I % 2 ? Bench.baseline(ConfOptions.Sim)
+              : Bench.simulateWith(Map, ConfOptions.Sim));
+  });
+  EXPECT_EQ(Bench.traces(), 2u);
+  EXPECT_EQ(Bench.dmpSims(), 3u);
+  EXPECT_NE(Conf[1], Base[0]);
+  BenchContext FreshConf(Spec, ConfOptions);
+  const std::vector<uint8_t> Fresh[2] = {
+      serialize::encodeSimStats(FreshConf.simulateWith(Map)),
+      serialize::encodeSimStats(FreshConf.baseline())};
+  for (unsigned I = 0; I < N; ++I)
+    EXPECT_EQ(Conf[I], Fresh[I % 2]) << "thread " << I;
+}
+
+// Every stage's memo and disk key covers every SimConfig field the stage
+// reads: one mutator per field, and wherever a mutation changes the trace,
+// the baseline or an All-best-cost DMP simulation, the matching key
+// changes too and the memo answers with the mutated result.
+TEST(StageKeys, ChangeWithEveryFieldTheStageReads) {
+  using Mutator =
+      std::pair<const char *, std::function<void(sim::SimConfig &)>>;
+  const std::vector<Mutator> Mutators = {
+      {"FetchWidth", [](sim::SimConfig &C) { C.FetchWidth = 4; }},
+      {"MaxNotTakenBranchesPerFetch",
+       [](sim::SimConfig &C) { C.MaxNotTakenBranchesPerFetch = 1; }},
+      {"FrontEndDepth", [](sim::SimConfig &C) { C.FrontEndDepth = 10; }},
+      {"IssueWidth", [](sim::SimConfig &C) { C.IssueWidth = 2; }},
+      {"RetireWidth", [](sim::SimConfig &C) { C.RetireWidth = 2; }},
+      {"RobSize", [](sim::SimConfig &C) { C.RobSize = 32; }},
+      {"Predictor",
+       [](sim::SimConfig &C) { C.Predictor = uarch::PredictorKind::GShare; }},
+      {"BtbEntries", [](sim::SimConfig &C) { C.BtbEntries = 16; }},
+      {"RasEntries", [](sim::SimConfig &C) { C.RasEntries = 1; }},
+      {"ConfIndexBits", [](sim::SimConfig &C) { C.ConfIndexBits = 4; }},
+      {"ConfHistoryBits", [](sim::SimConfig &C) { C.ConfHistoryBits = 0; }},
+      {"ConfThreshold", [](sim::SimConfig &C) { C.ConfThreshold = 4; }},
+      {"IL1Size", [](sim::SimConfig &C) { C.Memory.IL1Size = 1024; }},
+      {"IL1Assoc", [](sim::SimConfig &C) { C.Memory.IL1Assoc = 1; }},
+      {"IL1Latency", [](sim::SimConfig &C) { C.Memory.IL1Latency = 5; }},
+      {"DL1Size", [](sim::SimConfig &C) { C.Memory.DL1Size = 1024; }},
+      {"DL1Assoc", [](sim::SimConfig &C) { C.Memory.DL1Assoc = 1; }},
+      {"DL1Latency", [](sim::SimConfig &C) { C.Memory.DL1Latency = 5; }},
+      {"L2Size", [](sim::SimConfig &C) { C.Memory.L2Size = 4096; }},
+      {"L2Assoc", [](sim::SimConfig &C) { C.Memory.L2Assoc = 1; }},
+      {"L2Latency", [](sim::SimConfig &C) { C.Memory.L2Latency = 30; }},
+      {"LineBytes", [](sim::SimConfig &C) { C.Memory.LineBytes = 16; }},
+      {"MemoryLatency", [](sim::SimConfig &C) { C.Memory.MemoryLatency = 50; }},
+      {"MaxDpredInstrs", [](sim::SimConfig &C) { C.MaxDpredInstrs = 20; }},
+      {"MaxLoopDpredIters", [](sim::SimConfig &C) { C.MaxLoopDpredIters = 1; }},
+      {"MaxInstrs", [](sim::SimConfig &C) { C.MaxInstrs /= 2; }},
+      {"WatchdogInstrBudget",
+       [](sim::SimConfig &C) { C.WatchdogInstrBudget = 10 * C.MaxInstrs; }},
+      {"InjectFault", [](sim::SimConfig &C) { C.InjectFault = 1; }},
+  };
+  ExperimentOptions Options = fastOptions();
+  Options.Sim.MaxInstrs = 100'000;
+  // How many mutations changed each stage's result, over both workloads.
+  unsigned Changed[3] = {0, 0, 0};
+  for (const char *Name : {"li", "gcc"}) {
+    const workloads::BenchmarkSpec &Spec = specFor(Name);
+    BenchContext Bench(Spec, Options);
+    const core::DivergeMap Map =
+        Bench.select(core::SelectionFeatures::allBestCost(), InputSetKind::Run);
+    ASSERT_FALSE(Map.empty()) << Name;
+    const ir::Program &P = *Bench.workload().Prog;
+    const std::vector<int64_t> Image =
+        Bench.workload().buildImage(InputSetKind::Run);
+    const sim::SimConfig &Base = Options.Sim;
+    const sim::CorrectPathTrace BaseTrace =
+        sim::recordCorrectPath(P, Image, Base);
+    const std::vector<uint8_t> BaseBytes[3] = {
+        serialize::encodeCorrectPathTrace(BaseTrace),
+        serialize::encodeSimStats(
+            sim::simulateDmp(P, core::DivergeMap(), BaseTrace, Base)),
+        serialize::encodeSimStats(sim::simulateDmp(P, Map, BaseTrace, Base))};
+    const std::string BaseKeys[3] = {
+        traceCacheKey(Spec, Base).hex(),
+        simCacheKey(Spec, Base, nullptr).hex(),
+        simCacheKey(Spec, Base, &Map).hex()};
+    // The default machine's stages sit in the memo first, so a memo key
+    // that misses a field answers a mutation with the default's result.
+    ASSERT_EQ(serialize::encodeCorrectPathTrace(Bench.trace()), BaseBytes[0]);
+    ASSERT_EQ(serialize::encodeSimStats(Bench.baseline()), BaseBytes[1]);
+    ASSERT_EQ(serialize::encodeSimStats(Bench.simulateWith(Map)),
+              BaseBytes[2]);
+    for (const auto &[Field, Mutate] : Mutators) {
+      sim::SimConfig Config = Base;
+      Mutate(Config);
+      const sim::CorrectPathTrace Trace =
+          sim::recordCorrectPath(P, Image, Config);
+      const std::vector<uint8_t> Bytes[3] = {
+          serialize::encodeCorrectPathTrace(Trace),
+          serialize::encodeSimStats(
+              sim::simulateDmp(P, core::DivergeMap(), Trace, Config)),
+          serialize::encodeSimStats(sim::simulateDmp(P, Map, Trace, Config))};
+      const std::string Keys[3] = {traceCacheKey(Spec, Config).hex(),
+                                   simCacheKey(Spec, Config, nullptr).hex(),
+                                   simCacheKey(Spec, Config, &Map).hex()};
+      const std::vector<uint8_t> Memo[3] = {
+          serialize::encodeCorrectPathTrace(Bench.trace(Config)),
+          serialize::encodeSimStats(Bench.baseline(Config)),
+          serialize::encodeSimStats(Bench.simulateWith(Map, Config))};
+      const char *Stages[3] = {"trace", "baseline", "dmp"};
+      for (unsigned S = 0; S < 3; ++S) {
+        EXPECT_EQ(Memo[S], Bytes[S])
+            << Name << " " << Field << " " << Stages[S];
+        if (Bytes[S] == BaseBytes[S])
+          continue;
+        ++Changed[S];
+        EXPECT_NE(Keys[S], BaseKeys[S]) << Name << " " << Field << " "
+                                        << Stages[S];
+      }
+    }
+  }
+  // The mutators reach every stage: the check above is not vacuous.
+  for (unsigned S = 0; S < 3; ++S)
+    EXPECT_GT(Changed[S], 10u) << "stage " << S;
+}
+
 // Served cells share results only through the disk cache, and the DMP-sim
 // key is the machine view, not the selection thresholds: a second cell
 // whose thresholds select a machine-equal map stores nothing new, and both
@@ -438,10 +598,10 @@ TEST(IntegrationTest, HeadlineClaimHolds) {
   // naive exact-only selection gains less.
   BenchContext Bench(specFor("vpr"), fastOptions());
   const sim::SimStats &Base = Bench.baseline();
-  const sim::SimStats Exact =
-      Bench.runSelection(core::SelectionFeatures::exactOnly());
-  const sim::SimStats All =
-      Bench.runSelection(core::SelectionFeatures::allBestHeur());
+  const sim::SimStats Exact = Bench.simulateWith(
+      Bench.select(core::SelectionFeatures::exactOnly(), InputSetKind::Run));
+  const sim::SimStats All = Bench.simulateWith(
+      Bench.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run));
   EXPECT_GT(ipcImprovement(Base, All), 0.10);
   EXPECT_GT(ipcImprovement(Base, All), ipcImprovement(Base, Exact));
 }
@@ -452,9 +612,11 @@ TEST(IntegrationTest, CostModelMatchesHeuristics) {
   BenchContext Bench(specFor("twolf"), fastOptions());
   const sim::SimStats &Base = Bench.baseline();
   const double Heur = ipcImprovement(
-      Base, Bench.runSelection(core::SelectionFeatures::allBestHeur()));
+      Base, Bench.simulateWith(Bench.select(
+                core::SelectionFeatures::allBestHeur(), InputSetKind::Run)));
   const double Cost = ipcImprovement(
-      Base, Bench.runSelection(core::SelectionFeatures::allBestCost()));
+      Base, Bench.simulateWith(Bench.select(
+                core::SelectionFeatures::allBestCost(), InputSetKind::Run)));
   EXPECT_NEAR(Heur, Cost, 0.10);
 }
 
@@ -463,11 +625,11 @@ TEST(IntegrationTest, InputSetInsensitivity) {
   BenchContext Bench(specFor("bzip2"), fastOptions());
   const sim::SimStats &Base = Bench.baseline();
   const double Same = ipcImprovement(
-      Base, Bench.runSelection(core::SelectionFeatures::allBestHeur(),
-                               workloads::InputSetKind::Run));
+      Base, Bench.simulateWith(Bench.select(
+                core::SelectionFeatures::allBestHeur(), InputSetKind::Run)));
   const double Diff = ipcImprovement(
-      Base, Bench.runSelection(core::SelectionFeatures::allBestHeur(),
-                               workloads::InputSetKind::Train));
+      Base, Bench.simulateWith(Bench.select(
+                core::SelectionFeatures::allBestHeur(), InputSetKind::Train)));
   EXPECT_GT(Diff, Same - 0.08);
 }
 
@@ -480,8 +642,8 @@ class SuiteProperty : public ::testing::TestWithParam<const char *> {};
 TEST_P(SuiteProperty, DmpNeverCollapsesAndReducesFlushes) {
   BenchContext Bench(specFor(GetParam()), fastOptions());
   const sim::SimStats &Base = Bench.baseline();
-  const sim::SimStats Dmp =
-      Bench.runSelection(core::SelectionFeatures::allBestHeur());
+  const sim::SimStats Dmp = Bench.simulateWith(
+      Bench.select(core::SelectionFeatures::allBestHeur(), InputSetKind::Run));
   // DMP must reduce pipeline flushes and must not catastrophically lose
   // performance on any benchmark (the paper's Figure 5/6 shapes).
   EXPECT_LE(Dmp.Flushes, Base.Flushes) << GetParam();

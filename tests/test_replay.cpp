@@ -373,8 +373,6 @@ TEST(TimingOracle, BaselineIgnoresDpredOnlyFields) {
     Edit(Cfg);
     DpredOnly.emplace_back(Name, Cfg);
   };
-  Add("predicate-regs=4", [](sim::SimConfig &C) { C.NumPredicateRegs = 4; });
-  Add("cfm-regs=1", [](sim::SimConfig &C) { C.NumCfmRegisters = 1; });
   Add("max-dpred-instrs=50", [](sim::SimConfig &C) { C.MaxDpredInstrs = 50; });
   Add("max-loop-dpred-iters=2",
       [](sim::SimConfig &C) { C.MaxLoopDpredIters = 2; });
