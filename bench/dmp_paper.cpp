@@ -6,10 +6,10 @@
 // the two ablation studies.  Each is one entry of a registry — an id, a
 // column list whose entries carry their cell functions, and a renderer —
 // and every entry runs the same path: its (benchmark x column) matrix on
-// the shared ExperimentEngine, journaled under the figure id, then its
-// renderer.  So every figure honours the engine flags alike (--journal,
-// --deadline, --cell-instr-budget, --limit-benches, the SIGINT drain), and
-// each benchmark's context, profile and baseline is built once per run.
+// the shared ExperimentEngine, then its renderer.  So every figure honours
+// the engine flags alike (--cache-dir, --deadline, --cell-instr-budget,
+// --limit-benches, the SIGINT drain), and each benchmark's context,
+// profile and baseline is built once per run.
 //
 //   dmp_paper [--figure ID|all] [engine flags]     (default: all)
 //
@@ -47,8 +47,8 @@ using harness::ExperimentOptions;
 using workloads::InputSetKind;
 using Matrix = std::vector<std::vector<StatusOr<double>>>;
 
-/// One column of a figure: its label (table header and journal
-/// params-digest input) and the function computing one of its cells.
+/// One column of a figure: its label (the table header) and the function
+/// computing one of its cells.
 struct Column {
   std::string Name;
   std::function<double(Cell &)> Fn;
@@ -65,7 +65,7 @@ struct FigureRun {
 };
 
 struct Figure {
-  const char *Id; ///< --figure value and journal matrix name.
+  const char *Id; ///< --figure value.
   std::vector<Column> Columns;
   harness::CellNeeds Needs;
   std::function<void(const FigureRun &)> Render;
@@ -637,23 +637,15 @@ std::vector<Figure> figures() {
           ablationCostModel(), ablationDpred()};
 }
 
-/// Runs \p Fig's matrix on \p Engine (journaled under its id) and renders.
+/// Runs \p Fig's matrix on \p Engine and renders.
 void runFigure(const Figure &Fig,
                const std::vector<workloads::BenchmarkSpec> &Suite,
                harness::ExperimentEngine &Engine) {
   Matrix Cells;
-  if (!Fig.Columns.empty()) {
-    std::vector<std::string> Names;
-    for (const Column &Col : Fig.Columns)
-      Names.push_back(Col.Name);
-    harness::CampaignJournal *Journal =
-        Engine.journalFor(Fig.Id, harness::paramsDigest(Names), Suite.size(),
-                          Fig.Columns.size());
+  if (!Fig.Columns.empty())
     Cells = Engine.runMatrix<double>(
         Suite, Fig.Columns.size(),
-        [&Fig](Cell &C) { return Fig.Columns[C.Config].Fn(C); }, Fig.Needs,
-        Journal, &harness::doubleCellCodec());
-  }
+        [&Fig](Cell &C) { return Fig.Columns[C.Config].Fn(C); }, Fig.Needs);
   Fig.Render({Fig, Suite, Cells, Engine});
 }
 

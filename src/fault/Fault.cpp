@@ -24,8 +24,6 @@ const char *fault::siteName(Site S) {
     return "profile-decode";
   case Site::CrashMidStore:
     return "crash-mid-store";
-  case Site::CrashMidJournalRewrite:
-    return "crash-mid-journal-rewrite";
   }
   return "unknown";
 }
@@ -76,8 +74,8 @@ Plan Plan::transientEverywhere(uint64_t Seed, double Rate,
   Plan P;
   P.Seed = Seed;
   // Fault-return sites only: "everywhere" deliberately excludes the
-  // CrashMid* crashpoints, which kill the process instead of returning a
-  // Status and are armed individually by the crash harness.
+  // CrashMidStore crashpoint, which kills the process instead of returning
+  // a Status and is armed individually by the crash harness.
   for (Site S : {Site::CacheLoad, Site::CacheStore, Site::TaskRun,
                  Site::ProfileDecode}) {
     SiteSpec &Spec = P.at(S);

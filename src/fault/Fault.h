@@ -14,17 +14,15 @@
 ///   TaskRun       harness::ExperimentEngine cells   (task execution)
 ///   ProfileDecode harness::BenchContext cached-blob decode
 ///
-/// Two further sites are *crashpoints* rather than fault returns: when the
-/// plan selects them, Injector::maybeCrash() _exit(137)s the process at
-/// the most hostile instant of a write protocol.  They exist solely for
-/// the fork-based crash harness (tests/test_crash.cpp), which forks a
+/// One further site is a *crashpoint* rather than a fault return: when the
+/// plan selects it, Injector::maybeCrash() _exit(137)s the process at the
+/// most hostile instant of the cache's write protocol.  It exists solely
+/// for the fork-based crash harness (tests/test_crash.cpp), which forks a
 /// child with such a plan and verifies the parent-side recovery
 /// guarantees:
 ///
-///   CrashMidStore         ArtifactCache::store, after the temp file is
-///                         written but before the atomic rename
-///   CrashMidJournalRewrite CampaignJournal checkpoint, before the
-///                         whole-blob rewrite reaches the cache
+///   CrashMidStore ArtifactCache::store, after the temp file is written
+///                 but before the atomic rename
 ///
 /// Whether an operation faults is a *pure function* of (plan seed, site,
 /// operation key, attempt number) — no wall-clock, no global counters — so
@@ -60,10 +58,9 @@ enum class Site : uint8_t {
   TaskRun,
   ProfileDecode,
   CrashMidStore,
-  CrashMidJournalRewrite,
 };
 
-constexpr size_t kNumSites = 6;
+constexpr size_t kNumSites = 5;
 
 /// Stable lowercase name of \p S ("cache-load", ...).
 const char *siteName(Site S);
@@ -117,7 +114,7 @@ public:
   /// Crashpoint hook: if the plan selects (\p S, \p Key), bumps the site
   /// counter and kills the process with ::_exit(exitcode::CrashChild) —
   /// no destructors, no stdio flush, exactly like a kill -9 landing at
-  /// this instruction.  Only meaningful for the CrashMid* sites; a plan
+  /// this instruction.  Only meaningful for CrashMidStore; a plan
   /// with Rate 0 there (the default) makes this a no-op.
   void maybeCrash(Site S, const std::string &Key) const;
 

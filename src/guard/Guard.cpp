@@ -69,9 +69,8 @@ int SelfPipe[2] = {-1, -1};
 
 extern "C" void handleShutdownSignal(int Sig) {
   if (SignalSeen) {
-    // Second signal: the user really means it.  No draining, no flushing
-    // — the cache recovery sweep and journal old-or-new guarantee cover
-    // whatever was in flight.  128+sig keeps the conventional identity
+    // Second signal: the user really means it.  No draining — the cache's
+    // atomic stores and recovery sweep cover whatever was in flight.  128+sig keeps the conventional identity
     // (130 for ^C^C, 143 for a double SIGTERM).
     ::_exit(128 + Sig);
   }

@@ -26,14 +26,15 @@
 ///  - Signal handling: installSignalHandlers() arms SIGINT/SIGTERM with an
 ///    async-signal-safe handler (sig_atomic_t flag + self-pipe write +
 ///    processToken() trip).  The first signal requests a graceful drain —
-///    drivers stop launching cells, flush a final journal checkpoint,
+///    drivers stop launching cells, let in-flight cells finish (their
+///    stages land in the artifact cache, the campaign's checkpoint),
 ///    print a partial report, and exit exitcode::Interrupted (130).  A
 ///    second signal hard-exits immediately with the same code.
 ///
 /// Everything here is deliberately *cooperative*: nothing is ever killed
-/// mid-write, which is what keeps the artifact cache and campaign journal
-/// crash-consistent (serialize::ArtifactCache handles the non-cooperative
-/// cases — kill -9, power loss — with its recovery sweep).
+/// mid-write, which is what keeps the artifact cache crash-consistent
+/// (serialize::ArtifactCache handles the non-cooperative cases — kill -9,
+/// power loss — with its recovery sweep).
 ///
 //===----------------------------------------------------------------------===//
 

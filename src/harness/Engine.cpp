@@ -27,8 +27,7 @@ std::string EngineOptions::defaultCacheDir() {
 void EngineOptions::printUsage(const char *Prog, std::FILE *Out) {
   std::fprintf(
       Out,
-      "usage: %s [--jobs N] [--cache-dir DIR] [--no-cache] "
-      "[--journal NAME]\n"
+      "usage: %s [--jobs N] [--cache-dir DIR] [--no-cache]\n"
       "          [--deadline SEC] [--cell-instr-budget N] "
       "[--cache-budget BYTES] [--limit-benches N]\n"
       "  --jobs N             worker threads for the experiment matrix "
@@ -37,17 +36,15 @@ void EngineOptions::printUsage(const char *Prog, std::FILE *Out) {
       "$DMP_CACHE_DIR or .dmp-cache)\n"
       "  --no-cache           recompute everything; do not read or "
       "write the artifact cache\n"
-      "  --journal NAME       checkpoint completed cells under campaign "
-      "NAME and resume them on rerun\n"
       "  --deadline SEC       stop launching cells after SEC seconds; "
       "unfinished cells render as gaps\n"
       "  --cell-instr-budget N abort any cell still simulating after N "
       "retired instructions (ResourceExhausted)\n"
       "  --cache-budget BYTES evict oldest cache blobs down to BYTES "
-      "after the run (journals are kept)\n"
+      "after the run\n"
       "  --limit-benches N    run only the first N suite benchmarks\n"
       "exit codes: 0 ok, 1 failure, 2 usage, 130 interrupted "
-      "(checkpoint flushed; rerun with --journal to resume)\n",
+      "(rerun with the same --cache-dir to reuse completed work)\n",
       Prog);
 }
 
@@ -104,10 +101,6 @@ EngineOptions EngineOptions::parseOrExit(int Argc, char **Argv) {
       Opts.CacheDir = V;
       continue;
     }
-    if (const char *V = flagValue("--journal", I, Argc, Argv)) {
-      Opts.Journal = V;
-      continue;
-    }
     if (const char *V = flagValue("--deadline", I, Argc, Argv)) {
       double Sec = 0.0;
       if (!parseF64(V, Sec) || !(Sec > 0.0))
@@ -134,35 +127,9 @@ EngineOptions EngineOptions::parseOrExit(int Argc, char **Argv) {
   return Opts;
 }
 
-const CellCodec<double> &dmp::harness::doubleCellCodec() {
-  static const CellCodec<double> Codec{
-      [](const double &Value) {
-        uint64_t Bits = 0;
-        static_assert(sizeof(Bits) == sizeof(Value));
-        std::memcpy(&Bits, &Value, sizeof(Bits));
-        std::vector<uint8_t> Bytes(8);
-        for (size_t I = 0; I < 8; ++I)
-          Bytes[I] = static_cast<uint8_t>(Bits >> (8 * I));
-        return Bytes;
-      },
-      [](const std::vector<uint8_t> &Bytes) -> StatusOr<double> {
-        if (Bytes.size() != 8)
-          return Status::corrupt("journaled double cell is not 8 bytes",
-                                 "harness::CellCodec");
-        uint64_t Bits = 0;
-        for (size_t I = 0; I < 8; ++I)
-          Bits |= static_cast<uint64_t>(Bytes[I]) << (8 * I);
-        double Value = 0.0;
-        std::memcpy(&Value, &Bits, sizeof(Value));
-        return Value;
-      }};
-  return Codec;
-}
-
 ExperimentEngine::ExperimentEngine(ExperimentOptions Options,
                                    const EngineOptions &Engine)
     : Options(std::move(Options)), Pool(Engine.Jobs),
-      CellRetries(Engine.CellRetries), JournalName(Engine.Journal),
       Drain(Engine.DrainToken ? Engine.DrainToken : &guard::processToken()),
       CacheBudgetBytes(Engine.CacheBudgetBytes),
       Faults(this->Options.Faults) {
@@ -192,45 +159,10 @@ Status ExperimentEngine::cancelStatus() const {
   return DeadlineToken.status();
 }
 
-Status ExperimentEngine::flushJournals() {
-  std::lock_guard<std::mutex> Lock(JournalsMutex);
-  Status First;
-  for (auto &[Name, Journal] : Journals) {
-    const Status S = Journal->flush();
-    if (!S.ok() && First.ok())
-      First = S;
-  }
-  return First;
-}
-
 uint64_t ExperimentEngine::evictCacheToBudget() {
   if (!Options.Cache || CacheBudgetBytes == 0)
     return 0;
-  std::vector<serialize::Digest> Protect;
-  {
-    std::lock_guard<std::mutex> Lock(JournalsMutex);
-    for (const auto &[Name, Journal] : Journals)
-      Protect.push_back(Journal->key());
-  }
-  return Options.Cache->evictToBudget(CacheBudgetBytes, Protect);
-}
-
-CampaignJournal *
-ExperimentEngine::journalFor(const std::string &MatrixName,
-                             const serialize::Digest &ParamsKey,
-                             size_t Benchmarks, size_t Configs) {
-  if (JournalName.empty() || !Options.Cache)
-    return nullptr;
-  std::lock_guard<std::mutex> Lock(JournalsMutex);
-  auto It = Journals.find(MatrixName);
-  if (It == Journals.end())
-    It = Journals
-             .emplace(MatrixName,
-                      std::make_unique<CampaignJournal>(
-                          Options.Cache, JournalName + "/" + MatrixName,
-                          ParamsKey, Benchmarks, Configs))
-             .first;
-  return It->second.get();
+  return Options.Cache->evictToBudget(CacheBudgetBytes);
 }
 
 BenchContext &ExperimentEngine::contextFor(const workloads::BenchmarkSpec &Spec) {
@@ -282,11 +214,6 @@ void ExperimentEngine::noteRetry() {
   ++Campaign.TransientRetries;
 }
 
-void ExperimentEngine::noteResumed() {
-  std::lock_guard<std::mutex> Lock(CampaignMutex);
-  ++Campaign.CellsResumed;
-}
-
 void ExperimentEngine::noteFailure(const std::string &Bench, size_t Config,
                                    const Status &S) {
   std::lock_guard<std::mutex> Lock(CampaignMutex);
@@ -318,7 +245,7 @@ std::string ExperimentEngine::statsLine() const {
         "jobs=%u cache=%s hits=%llu misses=%llu stores=%llu corrupt=%llu "
         "store-failures=%llu orphans-reaped=%llu evicted=%llu "
         "lock-contention=%llu retries=%llu failed-cells=%llu "
-        "cancelled=%llu resumed=%llu sims=%llu memo-hits=%llu traces=%llu",
+        "cancelled=%llu sims=%llu memo-hits=%llu traces=%llu",
         Pool.threadCount(), C->dir().c_str(),
         static_cast<unsigned long long>(C->hits()),
         static_cast<unsigned long long>(C->misses()),
@@ -330,19 +257,17 @@ std::string ExperimentEngine::statsLine() const {
         static_cast<unsigned long long>(C->lockContention()),
         static_cast<unsigned long long>(Counters.TransientRetries),
         static_cast<unsigned long long>(Counters.CellsFailed),
-        static_cast<unsigned long long>(Counters.CellsCancelled),
-        static_cast<unsigned long long>(Counters.CellsResumed), Sims,
+        static_cast<unsigned long long>(Counters.CellsCancelled), Sims,
         MemoHits, Traces);
   } else {
     std::snprintf(
         Line, sizeof(Line),
         "jobs=%u cache=off retries=%llu failed-cells=%llu cancelled=%llu "
-        "resumed=%llu sims=%llu memo-hits=%llu traces=%llu",
+        "sims=%llu memo-hits=%llu traces=%llu",
         Pool.threadCount(),
         static_cast<unsigned long long>(Counters.TransientRetries),
         static_cast<unsigned long long>(Counters.CellsFailed),
-        static_cast<unsigned long long>(Counters.CellsCancelled),
-        static_cast<unsigned long long>(Counters.CellsResumed), Sims,
+        static_cast<unsigned long long>(Counters.CellsCancelled), Sims,
         MemoHits, Traces);
   }
   return Line;
@@ -369,16 +294,17 @@ harness::limitSuite(const std::vector<workloads::BenchmarkSpec> &Suite,
 }
 
 int harness::finishDriver(ExperimentEngine &Engine) {
-  // Make the checkpoint durable before reporting: everything the partial
-  // report shows as done must be resumable.
-  Engine.flushJournals();
   Engine.evictCacheToBudget();
   std::fprintf(stderr, "[engine] %s\n", Engine.statsLine().c_str());
   std::fprintf(stderr, "%s", Engine.failureLines().c_str());
   if (guard::interrupted()) {
-    std::fprintf(stderr,
-                 "[guard] interrupted: results above are partial; rerun "
-                 "with --journal to resume completed cells\n");
+    // Every stage a cell completed is already in the cache: that is the
+    // checkpoint, so there is nothing to flush.
+    std::fprintf(stderr, "[guard] interrupted: results above are partial; %s\n",
+                 Engine.cache() ? "rerun with the same --cache-dir to reuse "
+                                  "completed work"
+                                : "the cache is off, so no completed work "
+                                  "was kept");
     return exitcode::Interrupted;
   }
   return exitcode::Ok;

@@ -25,9 +25,10 @@
 /// blips) are retried a bounded, deterministic number of times — attempts
 /// are indexed, never wall-clock-timed, and each retry re-derives the same
 /// per-cell RNG stream, so a retried cell is bit-identical to an
-/// undisturbed one.  When a CampaignJournal is supplied with a CellCodec,
-/// completed cells are checkpointed through the artifact cache and an
-/// interrupted campaign resumes them instead of recomputing.
+/// undisturbed one.  The artifact cache is the campaign's only checkpoint:
+/// every profile, trace, baseline and DMP simulation a cell computes is
+/// stored there as it completes, so an interrupted campaign rerun on the
+/// same cache recomputes only what had not finished.
 ///
 /// Shutdown and deadlines (DESIGN.md "Shutdown, deadlines, and crash
 /// recovery"): the engine drains on guard::processToken() — after a SIGINT
@@ -40,7 +41,7 @@
 /// ResourceExhausted — a "--" gap, identically for any --jobs value.
 ///
 /// EngineOptions carries the shared bench-driver command line:
-/// --jobs N, --cache-dir DIR, --no-cache, --journal NAME, --deadline SEC,
+/// --jobs N, --cache-dir DIR, --no-cache, --deadline SEC,
 /// --cell-instr-budget N, --cache-budget BYTES, --limit-benches N.
 ///
 //===----------------------------------------------------------------------===//
@@ -53,7 +54,6 @@
 #include "fault/Fault.h"
 #include "guard/Guard.h"
 #include "harness/Experiment.h"
-#include "harness/Journal.h"
 #include "support/RNG.h"
 #include "support/Status.h"
 
@@ -67,16 +67,14 @@
 
 namespace dmp::harness {
 
+/// Bounded deterministic retries for Transient cell failures.
+constexpr unsigned kCellRetries = 3;
+
 /// Execution knobs shared by every bench driver.
 struct EngineOptions {
   unsigned Jobs = exec::ThreadPool::defaultThreadCount();
   std::string CacheDir = defaultCacheDir();
   bool UseCache = true;
-  /// Bounded deterministic retries for Transient cell failures.
-  unsigned CellRetries = 3;
-  /// When non-empty, campaigns named <Journal>/<matrix> checkpoint
-  /// completed cells through the cache and resume on rerun.
-  std::string Journal;
   /// Wall-clock budget for the whole campaign in seconds; 0 = none.  At
   /// expiry no new cell starts and in-flight simulations abort at their
   /// next cancel poll; drained cells render as "--" gaps.
@@ -85,8 +83,7 @@ struct EngineOptions {
   /// 0 = none.  Deterministic across --jobs values.
   uint64_t CellInstrBudget = 0;
   /// Cache size budget in bytes; 0 = unbounded.  After the campaign,
-  /// blobs are evicted oldest-first down to this budget, never touching
-  /// the live campaign journals.
+  /// blobs are evicted oldest-first down to this budget.
   uint64_t CacheBudgetBytes = 0;
   /// Truncate the benchmark suite to its first N entries (0 = all); for
   /// fast CLI-level tests and smoke runs, surfaced as --limit-benches.
@@ -100,8 +97,8 @@ struct EngineOptions {
   static std::string defaultCacheDir();
 
   /// Parses the shared driver flags (--jobs N, --cache-dir DIR, --no-cache,
-  /// --journal NAME, --deadline SEC, --cell-instr-budget N, --cache-budget
-  /// BYTES, --limit-benches N, --help).  Prints usage and exits with
+  /// --deadline SEC, --cell-instr-budget N, --cache-budget BYTES,
+  /// --limit-benches N, --help).  Prints usage and exits with
   /// exitcode::Usage on any unknown/invalid argument, so drivers reject
   /// stray flags instead of ignoring them.
   static EngineOptions parseOrExit(int Argc, char **Argv);
@@ -128,23 +125,13 @@ struct CellNeeds {
   bool Baseline = true;
 };
 
-/// Byte codec for journaling one cell result type.
-template <typename R> struct CellCodec {
-  std::function<std::vector<uint8_t>(const R &)> Encode;
-  std::function<StatusOr<R>(const std::vector<uint8_t> &)> Decode;
-};
-
-/// Codec for plain double cells (IEEE-754 bits, little-endian).
-const CellCodec<double> &doubleCellCodec();
-
 /// Campaign-level accounting across every runMatrix call of an engine.
 struct CampaignCounters {
   uint64_t CellsComputed = 0; ///< Cells whose function ran to success.
   uint64_t CellsFailed = 0;   ///< Cells that ended with a non-ok Status.
-  uint64_t CellsResumed = 0;  ///< Cells restored from a campaign journal.
   /// Cells shed by a drain (signal) or deadline — origin "guard" Statuses.
   /// Kept apart from CellsFailed: a cancelled cell is not a defect, and a
-  /// journaled rerun will compute it.
+  /// rerun will compute it.
   uint64_t CellsCancelled = 0;
   uint64_t TransientRetries = 0;
   /// One "<bench>/<config>: <status>" line per failed cell, in the order
@@ -167,48 +154,20 @@ public:
   /// [benchmark][config] result matrix in Specs × [0, ConfigCount) order,
   /// regardless of scheduling.  The campaign runs to completion: a failed
   /// cell holds its Status (rendered as a gap by Reports) and everything
-  /// else still computes.  With \p Journal and \p Codec, already-journaled
-  /// cells are resumed and fresh completions are checkpointed.
+  /// else still computes.
   template <typename R>
   std::vector<std::vector<StatusOr<R>>>
   runMatrix(const std::vector<workloads::BenchmarkSpec> &Specs,
             size_t ConfigCount, const std::function<R(Cell &)> &CellFn,
-            const CellNeeds &Needs = CellNeeds(),
-            CampaignJournal *Journal = nullptr,
-            const CellCodec<R> *Codec = nullptr) {
-    std::vector<std::vector<StatusOr<R>>> Results(Specs.size());
-    std::vector<std::vector<char>> Resumed(Specs.size());
-    for (size_t B = 0; B < Specs.size(); ++B) {
-      Results[B].assign(ConfigCount, StatusOr<R>());
-      Resumed[B].assign(ConfigCount, 0);
-    }
-
-    // Resume journaled cells up front (single-threaded, deterministic).
-    if (Journal && Codec) {
-      std::vector<uint8_t> Payload;
-      for (size_t B = 0; B < Specs.size(); ++B)
-        for (size_t C = 0; C < ConfigCount; ++C)
-          if (Journal->lookup(B, C, Payload)) {
-            StatusOr<R> Value = Codec->Decode(Payload);
-            if (Value.ok()) {
-              Results[B][C] = std::move(Value);
-              Resumed[B][C] = 1;
-              noteResumed();
-            }
-          }
-    }
-
+            const CellNeeds &Needs = CellNeeds()) {
+    std::vector<std::vector<StatusOr<R>>> Results(
+        Specs.size(), std::vector<StatusOr<R>>(ConfigCount));
     std::vector<BenchContext *> Contexts(Specs.size(), nullptr);
     exec::TaskGraph Graph;
     // Cell task id -> matrix slot, to map stage-failure cancellations.
     std::vector<std::pair<size_t, size_t>> SlotOf;
     std::vector<exec::TaskGraph::TaskId> CellTasks;
     for (size_t B = 0; B < Specs.size(); ++B) {
-      bool AnyFresh = false;
-      for (size_t C = 0; C < ConfigCount; ++C)
-        AnyFresh |= !Resumed[B][C];
-      if (!AnyFresh)
-        continue; // whole row journaled: skip stages too
       const workloads::BenchmarkSpec &Spec = Specs[B];
       const auto Build = Graph.add(
           [this, &Spec, &Contexts, B] { Contexts[B] = &contextFor(Spec); });
@@ -231,13 +190,9 @@ public:
       if (StageIds.empty())
         StageIds.push_back(Build);
       for (size_t C = 0; C < ConfigCount; ++C) {
-        if (Resumed[B][C])
-          continue;
         CellTasks.push_back(Graph.add(
-            [this, &Results, &Contexts, &Spec, &CellFn, B, C, Journal,
-             Codec] {
-              runCell<R>(Results[B][C], *Contexts[B], Spec, B, C, CellFn,
-                         Journal, Codec);
+            [this, &Results, &Contexts, &Spec, &CellFn, B, C] {
+              runCell<R>(Results[B][C], *Contexts[B], Spec, C, CellFn);
             },
             StageIds));
         SlotOf.push_back({B, C});
@@ -264,13 +219,6 @@ public:
     return Results;
   }
 
-  /// The journal for matrix \p MatrixName under this engine's --journal
-  /// campaign, or null when journaling is off or the cache is disabled.
-  /// The engine owns the journal; pointers stay valid for its lifetime.
-  CampaignJournal *journalFor(const std::string &MatrixName,
-                              const serialize::Digest &ParamsKey,
-                              size_t Benchmarks, size_t Configs);
-
   /// The prepared context for \p Spec, built on first use (thread-safe).
   BenchContext &contextFor(const workloads::BenchmarkSpec &Spec);
 
@@ -279,7 +227,7 @@ public:
 
   /// "jobs=N cache=DIR hits=H misses=M stores=S corrupt=C store-failures=F
   /// orphans-reaped=O evicted=E lock-contention=L retries=R failed-cells=X
-  /// cancelled=Z resumed=Y sims=N memo-hits=M traces=T" for driver footers
+  /// cancelled=Z sims=N memo-hits=M traces=T" for driver footers
   /// (cache fields omitted with cache=off).  sims counts the DMP
   /// simulations the contexts ran, memo-hits the simulateWith calls their
   /// memos answered (an equal machine view was already simulated), traces
@@ -300,26 +248,18 @@ public:
   /// True once the drain token or deadline tripped.
   bool draining() const { return !cancelStatus().ok(); }
 
-  /// Rewrites every live campaign journal's checkpoint now; drivers call
-  /// this on the shutdown path so the final on-disk state reflects every
-  /// completed cell before the partial report prints.  Returns the first
-  /// non-ok store outcome, if any.
-  Status flushJournals();
-
-  /// Runs the cache eviction pass when --cache-budget was given,
-  /// protecting every live journal blob.  Returns blobs evicted (0 when
-  /// unbudgeted, cache off, or under budget).
+  /// Runs the cache eviction pass when --cache-budget was given.  Returns
+  /// blobs evicted (0 when unbudgeted, cache off, or under budget).
   uint64_t evictCacheToBudget();
 
 private:
   template <typename R>
   void runCell(StatusOr<R> &Slot, BenchContext &Bench,
-               const workloads::BenchmarkSpec &Spec, size_t B, size_t C,
-               const std::function<R(Cell &)> &CellFn,
-               CampaignJournal *Journal, const CellCodec<R> *Codec) {
+               const workloads::BenchmarkSpec &Spec, size_t C,
+               const std::function<R(Cell &)> &CellFn) {
     const std::string OpKey =
         std::string(Spec.Name) + "/" + std::to_string(C);
-    const unsigned MaxAttempts = CellRetries + 1;
+    const unsigned MaxAttempts = kCellRetries + 1;
     for (unsigned Attempt = 0; Attempt < MaxAttempts; ++Attempt) {
       // Drain check per attempt: a retry loop must not outlive the
       // campaign's shutdown either.
@@ -339,10 +279,7 @@ private:
         // The cell RNG is re-derived per attempt, so a retried cell
         // computes on exactly the stream an undisturbed run would use.
         Cell Unit{Bench, C, cellRng(Spec, C)};
-        R Value = CellFn(Unit);
-        if (Journal && Codec)
-          Journal->record(B, C, Codec->Encode(Value));
-        Slot = std::move(Value);
+        Slot = CellFn(Unit);
         noteComputed();
         return;
       } catch (const StatusError &E) {
@@ -374,15 +311,12 @@ private:
 
   void noteComputed();
   void noteRetry();
-  void noteResumed();
   void noteCancelled();
   void noteFailure(const std::string &Bench, size_t Config,
                    const Status &S);
 
   ExperimentOptions Options;
   exec::ThreadPool Pool;
-  unsigned CellRetries;
-  std::string JournalName;
   /// Deadline state: an engine-owned token tripped by the wall-clock
   /// watchdog (also wired into Options.Sim.Cancel so in-flight simulations
   /// abort), plus the external drain token (process SIGINT token unless a
@@ -399,8 +333,6 @@ private:
   std::shared_ptr<const fault::Injector> Faults;
   mutable std::mutex ContextsMutex;
   std::map<std::string, std::unique_ptr<BenchContext>> Contexts;
-  std::mutex JournalsMutex;
-  std::map<std::string, std::unique_ptr<CampaignJournal>> Journals;
   mutable std::mutex CampaignMutex;
   CampaignCounters Campaign;
 };
@@ -412,12 +344,11 @@ std::vector<workloads::BenchmarkSpec>
 limitSuite(const std::vector<workloads::BenchmarkSpec> &Suite,
            const EngineOptions &Engine);
 
-/// The shared engine-driver epilogue: flushes campaign journals, runs the
-/// cache eviction pass, prints the "[engine] ..." stats footer and any
-/// failure lines to stderr, and returns the driver's exit code —
-/// exitcode::Interrupted (with a resume hint) after a SIGINT/SIGTERM
-/// drain, exitcode::Ok otherwise.  Call it as the driver's `return`
-/// statement.
+/// The shared engine-driver epilogue: runs the cache eviction pass, prints
+/// the "[engine] ..." stats footer and any failure lines to stderr, and
+/// returns the driver's exit code — exitcode::Interrupted (with a rerun
+/// hint) after a SIGINT/SIGTERM drain, exitcode::Ok otherwise.  Call it as
+/// the driver's `return` statement.
 int finishDriver(ExperimentEngine &Engine);
 
 } // namespace dmp::harness

@@ -68,6 +68,31 @@ std::string simConfigKey(const sim::SimConfig &C, SimStage Stage) {
   return Key;
 }
 
+/// Converts to any member type, so T{AnyField{}...} compiles exactly when
+/// aggregate T has at least that many members.
+struct AnyField {
+  template <typename T> operator T() const;
+};
+
+/// The number of members of aggregate \p T.
+template <typename T, typename... Fields> constexpr size_t fieldCount() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; })
+    return fieldCount<T, Fields..., AnyField>();
+  else
+    return sizeof...(Fields);
+}
+
+// A SimConfig field missing from simConfigKey would let a cache entry
+// answer for a different machine, so a new field must fail the build until
+// it is placed.
+static_assert(fieldCount<sim::SimConfig>() == 20 &&
+                  fieldCount<uarch::MemoryConfig>() == 11,
+              "sim::SimConfig or uarch::MemoryConfig gained or lost a field: "
+              "put it in simConfigKey's reader group (or exclude it there, as "
+              "Cancel and Progress are), add it to the StageKeys test's "
+              "mutator list (tests/test_integration.cpp), then update this "
+              "count");
+
 } // namespace
 
 serialize::Digest

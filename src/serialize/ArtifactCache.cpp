@@ -185,8 +185,7 @@ void ArtifactCache::ensureSwept() {
   SweepDone = true;
 }
 
-uint64_t ArtifactCache::evictToBudget(uint64_t BudgetBytes,
-                                      const std::vector<Digest> &Protect) {
+uint64_t ArtifactCache::evictToBudget(uint64_t BudgetBytes) {
   std::lock_guard<std::mutex> Lock(LockMutex);
   if (SharedHolders > 0) {
     LockContention.fetch_add(1, std::memory_order_relaxed);
@@ -230,10 +229,6 @@ uint64_t ArtifactCache::evictToBudget(uint64_t BudgetBytes,
 
   uint64_t Evicted = 0;
   if (TotalBytes > BudgetBytes) {
-    std::vector<std::string> Protected;
-    Protected.reserve(Protect.size());
-    for (const Digest &Key : Protect)
-      Protected.push_back(blobPath(Key));
     // Oldest first; path tiebreak keeps the pass deterministic when mtimes
     // collide (coarse filesystem timestamps).
     std::sort(Blobs.begin(), Blobs.end(),
@@ -245,9 +240,6 @@ uint64_t ArtifactCache::evictToBudget(uint64_t BudgetBytes,
     for (const BlobInfo &Blob : Blobs) {
       if (TotalBytes <= BudgetBytes)
         break;
-      if (std::find(Protected.begin(), Protected.end(), Blob.Path) !=
-          Protected.end())
-        continue;
       std::error_code Ignored;
       if (fs::remove(Blob.Path, Ignored) && !Ignored) {
         TotalBytes -= Blob.Size;

@@ -28,8 +28,7 @@
 /// open in a later process runs a recovery sweep that reaps such orphans
 /// (counted in orphansReaped()); blobs themselves are always either absent
 /// or complete.  evictToBudget() bounds total blob bytes (`--cache-budget`)
-/// by deleting oldest-first, never touching keys the caller protects (the
-/// live campaign-journal blob).
+/// by deleting oldest-first.
 ///
 /// Failure semantics (see DESIGN.md "Failure semantics"): load() reports a
 /// miss as NotFound, a rejected blob as Corrupt (the blob is deleted so a
@@ -88,13 +87,10 @@ public:
   void sweepNow();
 
   /// Deletes blobs oldest-first (by mtime, ties broken by path) until the
-  /// total blob bytes fit \p BudgetBytes.  Keys in \p Protect — the live
-  /// campaign-journal blobs — are never evicted, even if the budget cannot
-  /// be met without them.  Needs the exclusive advisory lock; skips
-  /// (counting lockContention()) when contended.  Returns the number of
-  /// blobs evicted (also accumulated in evictions()).
-  uint64_t evictToBudget(uint64_t BudgetBytes,
-                         const std::vector<Digest> &Protect = {});
+  /// total blob bytes fit \p BudgetBytes.  Needs the exclusive advisory
+  /// lock; skips (counting lockContention()) when contended.  Returns the
+  /// number of blobs evicted (also accumulated in evictions()).
+  uint64_t evictToBudget(uint64_t BudgetBytes);
 
   const std::string &dir() const { return Root; }
 

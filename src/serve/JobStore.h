@@ -7,11 +7,16 @@
 /// \file
 /// Crash-durable job state for the campaign service (DESIGN.md "Recovery &
 /// idempotency").  Every accepted SubmitRequest is filed in the artifact
-/// cache under its deterministic request key (serve::requestKey), following
-/// the same whole-blob atomic-rewrite protocol as harness::CampaignJournal:
-/// each checkpoint rewrites the complete record — the request plus every
-/// completed cell outcome — so a blob read after any crash is either the
+/// cache under its deterministic request key (serve::requestKey) as one
+/// whole blob: each checkpoint rewrites the complete record — the request
+/// plus every completed cell outcome — through the cache's atomic
+/// temp-file + rename store, so a blob read after any crash is either the
 /// previous checkpoint or the next one, never a torn mixture.
+///
+/// This is the repo's one journal.  A local campaign needs none (every
+/// stage a cell computes is already a cache blob), but a restarted daemon
+/// must know which requests it still owes, and no cache can recompute
+/// that.
 ///
 /// A small index blob under a fixed well-known key lists the request keys
 /// of jobs that have been accepted but not yet acknowledged; the cache has

@@ -8,7 +8,7 @@
 /// The process exit codes every CLI tool in this repo uses (dmpc, fuzz_dmp,
 /// and the bench drivers), so scripts and CI can distinguish "the run
 /// failed" from "you typed the command wrong" from "the run was interrupted
-/// but left a resumable checkpoint".  See DESIGN.md "Shutdown, deadlines,
+/// but kept its completed work".  See DESIGN.md "Shutdown, deadlines,
 /// and crash recovery".
 ///
 //===----------------------------------------------------------------------===//
@@ -29,9 +29,10 @@ inline constexpr int Failure = 1;
 /// operand.  Nothing was run.
 inline constexpr int Usage = 2;
 
-/// The run was interrupted by SIGINT/SIGTERM after draining in-flight work
-/// and flushing a campaign-journal checkpoint; rerunning with --journal
-/// resumes it.  128 + SIGINT, the conventional interrupted-by-signal code.
+/// The run was interrupted by SIGINT/SIGTERM after draining in-flight work;
+/// every stage that completed is in the artifact cache, so a rerun with the
+/// same --cache-dir recomputes only the rest.  128 + SIGINT, the
+/// conventional interrupted-by-signal code.
 inline constexpr int Interrupted = 130;
 
 /// The run was terminated by SIGTERM (128 + SIGTERM).  Only dmp_served

@@ -1,10 +1,10 @@
-//===- serve/ChaosProxy.cpp - Deterministic socket-chaos relay ------------===//
+//===- chaos/ChaosProxy.cpp - Deterministic socket-chaos relay ------------===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/ChaosProxy.h"
+#include "chaos/ChaosProxy.h"
 
 #include <algorithm>
 #include <cerrno>

@@ -1,4 +1,4 @@
-//===- serve/ChaosProxy.h - Deterministic socket-chaos relay ----*- C++ -*-===//
+//===- chaos/ChaosProxy.h - Deterministic socket-chaos relay ----*- C++ -*-===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
@@ -21,8 +21,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DMP_SERVE_CHAOSPROXY_H
-#define DMP_SERVE_CHAOSPROXY_H
+#ifndef DMP_CHAOS_CHAOSPROXY_H
+#define DMP_CHAOS_CHAOSPROXY_H
 
 #include "support/Status.h"
 
@@ -101,4 +101,4 @@ private:
 
 } // namespace dmp::serve
 
-#endif // DMP_SERVE_CHAOSPROXY_H
+#endif // DMP_CHAOS_CHAOSPROXY_H

@@ -1,10 +1,10 @@
-//===- serve/HostileClient.cpp - Deterministic adversarial client ---------===//
+//===- chaos/HostileClient.cpp - Deterministic adversarial client ---------===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/HostileClient.h"
+#include "chaos/HostileClient.h"
 
 #include "serve/Protocol.h"
 

@@ -1,4 +1,4 @@
-//===- serve/HostileClient.h - Deterministic adversarial client -*- C++ -*-===//
+//===- chaos/HostileClient.h - Deterministic adversarial client -*- C++ -*-===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
@@ -40,8 +40,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DMP_SERVE_HOSTILECLIENT_H
-#define DMP_SERVE_HOSTILECLIENT_H
+#ifndef DMP_CHAOS_HOSTILECLIENT_H
+#define DMP_CHAOS_HOSTILECLIENT_H
 
 #include "support/Status.h"
 
@@ -118,4 +118,4 @@ private:
 
 } // namespace dmp::serve
 
-#endif // DMP_SERVE_HOSTILECLIENT_H
+#endif // DMP_CHAOS_HOSTILECLIENT_H

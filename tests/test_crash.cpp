@@ -10,14 +10,15 @@
 //
 //   1. CrashMidStore leaves an orphan temp file, never a torn blob; the
 //      next process's recovery sweep reaps it and a store heals the key.
-//   2. CrashMidJournalRewrite leaves the *old* checkpoint intact: the
-//      journal is old-or-new, never torn.
-//   3. A campaign crashed mid-checkpoint resumes under --journal and its
-//      final checkpoint is bit-identical to an uninterrupted campaign's.
-//   4. SIGINT mid-campaign exits 130 after a checkpoint flush, and the
-//      rerun resumes the completed cells.
-//   5. Two writer processes and a reader hammering one cache directory
+//   2. A campaign crashed mid-store reruns on the same cache to the matrix
+//      an uninterrupted campaign computes, reusing the stages it stored.
+//   3. SIGINT mid-campaign exits 130, and the rerun on the same cache
+//      completes the matrix, reusing the stages the drained run stored.
+//   4. Two writer processes and a reader hammering one cache directory
 //      never observe a torn blob, and the shared counters stay sane.
+//
+// The artifact cache is a campaign's only checkpoint: every profile,
+// trace, baseline and DMP simulation is a blob as soon as it completes.
 //
 // These tests fork, wait, and run real campaigns, so they carry the "crash"
 // label next to "tier1" (see tests/CMakeLists.txt and scripts/check.sh
@@ -115,12 +116,68 @@ harness::ExperimentOptions miniOptions() {
   return Options;
 }
 
-/// The deterministic value of campaign cell (\p Spec, \p Config) — a pure
-/// function of the cell's RNG stream, so a crashed-then-resumed campaign
-/// and an uninterrupted one must agree byte-for-byte.
-double cellValue(const workloads::BenchmarkSpec &Spec, size_t Config) {
-  RNG Rng = harness::ExperimentEngine::cellRng(Spec, Config);
-  return static_cast<double>(Rng.next() % 100000);
+using Matrix = std::vector<std::vector<StatusOr<double>>>;
+
+/// A real stage cell: All-best-heur (column 0) or All-best-cost (column 1)
+/// selection, simulated against the baseline.
+double gainCell(harness::Cell &C) {
+  const core::SelectionFeatures Features =
+      C.Config == 0 ? core::SelectionFeatures::allBestHeur()
+                    : core::SelectionFeatures::allBestCost();
+  return harness::ipcImprovement(
+      C.Bench.baseline(),
+      C.Bench.simulateWith(
+          C.Bench.select(Features, workloads::InputSetKind::Run)));
+}
+
+/// An engine over \p CacheDir ("" turns the cache off).
+harness::EngineOptions engineOptions(unsigned Jobs,
+                                     const std::string &CacheDir) {
+  harness::EngineOptions EngineOpts;
+  EngineOpts.Jobs = Jobs;
+  EngineOpts.UseCache = !CacheDir.empty();
+  EngineOpts.CacheDir = CacheDir;
+  return EngineOpts;
+}
+
+/// Runs the gainCell matrix over \p Suite.
+Matrix runGains(harness::ExperimentEngine &Engine,
+                const std::vector<workloads::BenchmarkSpec> &Suite) {
+  return Engine.runMatrix<double>(Suite, 2, gainCell);
+}
+
+/// DMP simulations run by every context of \p Engine over \p Suite.
+uint64_t dmpSims(harness::ExperimentEngine &Engine,
+                 const std::vector<workloads::BenchmarkSpec> &Suite) {
+  uint64_t Sims = 0;
+  for (const workloads::BenchmarkSpec &Spec : Suite)
+    Sims += Engine.contextFor(Spec).dmpSims();
+  return Sims;
+}
+
+/// An uninterrupted, uncached campaign: its matrix and the DMP simulations
+/// it ran.  Its engine's threads are gone on return, so a test may fork.
+struct Uninterrupted {
+  Matrix Gains;
+  uint64_t Sims = 0;
+};
+
+Uninterrupted
+runUninterrupted(const std::vector<workloads::BenchmarkSpec> &Suite) {
+  harness::ExperimentEngine Engine(miniOptions(), engineOptions(2, ""));
+  Uninterrupted Run{runGains(Engine, Suite)};
+  Run.Sims = dmpSims(Engine, Suite);
+  return Run;
+}
+
+void expectSameMatrix(const Matrix &Got, const Matrix &Want) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t B = 0; B < Want.size(); ++B)
+    for (size_t C = 0; C < Want[B].size(); ++C) {
+      ASSERT_TRUE(Got[B][C].ok()) << Got[B][C].status().toString();
+      ASSERT_TRUE(Want[B][C].ok());
+      EXPECT_EQ(*Got[B][C], *Want[B][C]) << "cell " << B << "/" << C;
+    }
 }
 
 } // namespace
@@ -163,215 +220,88 @@ TEST(CrashStoreTest, MidStoreCrashLeavesOrphanNeverTornBlobAndSweepHeals) {
 }
 
 //===----------------------------------------------------------------------===//
-// 2. CrashMidJournalRewrite
+// 2. Crash mid-store, then rerun: the uninterrupted matrix
 //===----------------------------------------------------------------------===//
 
-TEST(CrashJournalTest, MidRewriteCrashKeepsOldCheckpointNeverTorn) {
-  const std::filesystem::path Dir = freshTempDir("journal");
-  const serialize::Digest Params = harness::paramsDigest({"cfg-a", "cfg-b"});
-  const harness::CellCodec<double> &Codec = harness::doubleCellCodec();
+TEST(CrashCampaignTest, CrashedCampaignRerunsToTheUninterruptedMatrix) {
+  const std::filesystem::path Dir = freshTempDir("campaign");
+  const std::vector<workloads::BenchmarkSpec> Suite = miniSuite();
+  const Uninterrupted Want = runUninterrupted(Suite);
 
-  // A healthy campaign checkpoints two cells.
-  {
-    auto Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
-    harness::CampaignJournal Journal(Cache, "camp/m", Params, 2, 2);
-    Journal.record(0, 0, Codec.Encode(10.5));
-    Journal.record(0, 1, Codec.Encode(11.5));
-    ASSERT_TRUE(Journal.lastCheckpointStatus().ok());
-  }
-
+  // The crashed campaign: the first benchmark's matrix completes and
+  // stores its stages, then the process dies in the middle of the first
+  // store of the full matrix's second benchmark.
   const int Exit = runForked([&] {
-    auto Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
-    harness::CampaignJournal Journal(Cache, "camp/m", Params, 2, 2);
-    if (Journal.entries() != 2)
-      return 3; // resume itself broke; fail loudly with a distinct code
-    const fault::Injector Inj(
-        crashPlan(fault::Site::CrashMidJournalRewrite));
-    Journal.setFaultInjector(&Inj);
-    Journal.record(1, 0, Codec.Encode(12.5)); // dies before the rewrite
-    return 0;
+    harness::ExperimentEngine Engine(miniOptions(),
+                                     engineOptions(1, Dir.string()));
+    runGains(Engine, {Suite[0]});
+    const fault::Injector Inj(crashPlan(fault::Site::CrashMidStore));
+    Engine.cache()->setFaultInjector(&Inj);
+    runGains(Engine, Suite);
+    return 0; // unreachable if the crashpoint fired
   });
   ASSERT_EQ(Exit, exitcode::CrashChild);
+  EXPECT_TRUE(anyTempFileUnder(Dir));
 
-  // Old-or-new, never torn: the pre-crash checkpoint is fully intact.
-  auto Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
-  harness::CampaignJournal Reopened(Cache, "camp/m", Params, 2, 2);
-  EXPECT_TRUE(Reopened.loadStatus().ok());
-  EXPECT_EQ(Reopened.entries(), 2u);
-  std::vector<uint8_t> Payload;
-  ASSERT_TRUE(Reopened.lookup(0, 0, Payload));
-  ASSERT_TRUE(Reopened.lookup(0, 1, Payload));
-  EXPECT_FALSE(Reopened.lookup(1, 0, Payload));
+  // The rerun reaps the orphan, loads the first benchmark's stages and
+  // computes only the second's, to exactly the uninterrupted values.
+  harness::ExperimentEngine Engine(miniOptions(),
+                                   engineOptions(2, Dir.string()));
+  expectSameMatrix(runGains(Engine, Suite), Want.Gains);
+  EXPECT_GE(Engine.cache()->orphansReaped(), 1u);
+  EXPECT_GT(Engine.cache()->hits(), 0u);
+  EXPECT_EQ(Engine.contextFor(Suite[0]).dmpSims(), 0u);
+  EXPECT_EQ(Engine.contextFor(Suite[0]).traces(), 0u);
+  EXPECT_GT(Engine.contextFor(Suite[1]).dmpSims(), 0u);
+  EXPECT_EQ(Engine.campaign().CellsComputed, 4u);
 
   std::error_code EC;
   std::filesystem::remove_all(Dir, EC);
 }
 
 //===----------------------------------------------------------------------===//
-// 3. Crash, then resume: bit-identical final checkpoint
-//===----------------------------------------------------------------------===//
-
-TEST(CrashJournalTest, CrashedCampaignResumesToBitIdenticalCheckpoint) {
-  const std::filesystem::path CrashDir = freshTempDir("resume-crashed");
-  const std::filesystem::path CleanDir = freshTempDir("resume-clean");
-  const std::vector<workloads::BenchmarkSpec> Suite = miniSuite();
-  const serialize::Digest Params = harness::paramsDigest({"cfg-a", "cfg-b"});
-  const harness::CellCodec<double> &Codec = harness::doubleCellCodec();
-  const auto CellFn = [](harness::Cell &C) {
-    return static_cast<double>(C.Rng.next() % 100000);
-  };
-
-  // The crashed campaign: three cells checkpointed, then the process dies
-  // in the middle of the fourth cell's checkpoint rewrite.
-  const int Exit = runForked([&] {
-    auto Cache = std::make_shared<serialize::ArtifactCache>(CrashDir.string());
-    harness::CampaignJournal Journal(Cache, "camp/m", Params, 2, 2);
-    Journal.record(0, 0, Codec.Encode(cellValue(Suite[0], 0)));
-    Journal.record(0, 1, Codec.Encode(cellValue(Suite[0], 1)));
-    Journal.record(1, 0, Codec.Encode(cellValue(Suite[1], 0)));
-    if (!Journal.lastCheckpointStatus().ok())
-      return 3;
-    const fault::Injector Inj(
-        crashPlan(fault::Site::CrashMidJournalRewrite));
-    Journal.setFaultInjector(&Inj);
-    Journal.record(1, 1, Codec.Encode(cellValue(Suite[1], 1)));
-    return 0;
-  });
-  ASSERT_EQ(Exit, exitcode::CrashChild);
-
-  // Resume under --journal: only the lost cell recomputes.
-  serialize::Digest Key;
-  {
-    harness::EngineOptions EngineOpts;
-    EngineOpts.Jobs = 2;
-    EngineOpts.CacheDir = CrashDir.string();
-    EngineOpts.Journal = "camp";
-    harness::ExperimentEngine Engine(miniOptions(), EngineOpts);
-    harness::CampaignJournal *Journal =
-        Engine.journalFor("m", Params, Suite.size(), 2);
-    ASSERT_NE(Journal, nullptr);
-    EXPECT_EQ(Journal->entries(), 3u);
-    Key = Journal->key();
-    const auto Matrix = Engine.runMatrix<double>(
-        Suite, 2, CellFn, harness::CellNeeds{false, false, false}, Journal,
-        &Codec);
-    for (size_t B = 0; B < Suite.size(); ++B)
-      for (size_t C = 0; C < 2u; ++C) {
-        ASSERT_TRUE(Matrix[B][C].ok());
-        EXPECT_DOUBLE_EQ(*Matrix[B][C], cellValue(Suite[B], C));
-      }
-    const harness::CampaignCounters Counters = Engine.campaign();
-    EXPECT_EQ(Counters.CellsResumed, 3u);
-    EXPECT_EQ(Counters.CellsComputed, 1u);
-  }
-
-  // An uninterrupted campaign in a fresh cache.
-  {
-    harness::EngineOptions EngineOpts;
-    EngineOpts.Jobs = 2;
-    EngineOpts.CacheDir = CleanDir.string();
-    EngineOpts.Journal = "camp";
-    harness::ExperimentEngine Engine(miniOptions(), EngineOpts);
-    harness::CampaignJournal *Journal =
-        Engine.journalFor("m", Params, Suite.size(), 2);
-    ASSERT_NE(Journal, nullptr);
-    Engine.runMatrix<double>(Suite, 2, CellFn,
-                             harness::CellNeeds{false, false, false}, Journal,
-                             &Codec);
-    EXPECT_EQ(Engine.campaign().CellsComputed, 4u);
-  }
-
-  // The acceptance bar: the resumed campaign's final checkpoint blob is
-  // bit-identical to the uninterrupted one's.
-  serialize::ArtifactCache Crashed(CrashDir.string());
-  serialize::ArtifactCache Clean(CleanDir.string());
-  const auto A = Crashed.load(Key);
-  const auto B = Clean.load(Key);
-  ASSERT_TRUE(A.ok()) << A.status().toString();
-  ASSERT_TRUE(B.ok()) << B.status().toString();
-  EXPECT_EQ(*A, *B);
-
-  std::error_code EC;
-  std::filesystem::remove_all(CrashDir, EC);
-  std::filesystem::remove_all(CleanDir, EC);
-}
-
-//===----------------------------------------------------------------------===//
-// 4. SIGINT mid-campaign: exit 130 after a checkpoint flush, then resume
+// 3. SIGINT mid-campaign: exit 130, then the rerun reuses the cache
 //===----------------------------------------------------------------------===//
 
 TEST(SignalTest, SigintMidCampaignExits130FlushesCheckpointAndResumes) {
   const std::filesystem::path Dir = freshTempDir("sigint");
   const std::vector<workloads::BenchmarkSpec> Suite = miniSuite();
-  const serialize::Digest Params = harness::paramsDigest({"cfg-a", "cfg-b"});
-  const harness::CellCodec<double> &Codec = harness::doubleCellCodec();
-  const auto CellFn = [](harness::Cell &C) {
-    return static_cast<double>(C.Rng.next() % 100000);
-  };
+  const Uninterrupted Want = runUninterrupted(Suite);
 
   // The interrupted campaign: a real SIGINT is raised after the second
   // computed cell (the deterministic-interrupt test hook), the drain sheds
-  // the rest, and the driver epilogue must exit 130 after flushing.
+  // the rest, and the driver epilogue exits 130.  The stages the finished
+  // cells computed are already in the cache.
   const int Exit = runForked([&] {
     ::setenv("DMP_TEST_RAISE_SIGINT_AFTER_CELLS", "2", 1);
     guard::installSignalHandlers();
-    harness::EngineOptions EngineOpts;
-    EngineOpts.Jobs = 1; // deterministic interrupt point
-    EngineOpts.CacheDir = Dir.string();
-    EngineOpts.Journal = "camp";
-    harness::ExperimentEngine Engine(miniOptions(), EngineOpts);
-    harness::CampaignJournal *Journal =
-        Engine.journalFor("m", Params, Suite.size(), 2);
-    if (!Journal)
-      return 3;
-    Engine.runMatrix<double>(Suite, 2, CellFn,
-                             harness::CellNeeds{false, false, false}, Journal,
-                             &Codec);
+    harness::ExperimentEngine Engine(miniOptions(),
+                                     engineOptions(1, Dir.string()));
+    runGains(Engine, Suite);
     if (Engine.campaign().CellsCancelled == 0)
       return 4; // the drain never happened
     return harness::finishDriver(Engine);
   });
   ASSERT_EQ(Exit, exitcode::Interrupted);
 
-  // The flush made the completed cells durable...
-  {
-    auto Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
-    harness::CampaignJournal Flushed(Cache, "camp/m", Params, Suite.size(),
-                                     2);
-    EXPECT_TRUE(Flushed.loadStatus().ok());
-    EXPECT_EQ(Flushed.entries(), 2u);
-  }
-
-  // ...and the rerun resumes them, completing the matrix with exactly the
-  // values an uninterrupted campaign computes.
-  harness::EngineOptions EngineOpts;
-  EngineOpts.Jobs = 2;
-  EngineOpts.CacheDir = Dir.string();
-  EngineOpts.Journal = "camp";
-  harness::ExperimentEngine Engine(miniOptions(), EngineOpts);
-  harness::CampaignJournal *Journal =
-      Engine.journalFor("m", Params, Suite.size(), 2);
-  ASSERT_NE(Journal, nullptr);
-  const auto Matrix = Engine.runMatrix<double>(
-      Suite, 2, CellFn, harness::CellNeeds{false, false, false}, Journal,
-      &Codec);
-  for (size_t B = 0; B < Suite.size(); ++B)
-    for (size_t C = 0; C < 2u; ++C) {
-      ASSERT_TRUE(Matrix[B][C].ok());
-      EXPECT_DOUBLE_EQ(*Matrix[B][C], cellValue(Suite[B], C));
-    }
+  // The rerun completes the matrix with exactly the uninterrupted values
+  // and simulates less than the uninterrupted campaign did: the finished
+  // cells' simulations load from the cache.
+  harness::ExperimentEngine Engine(miniOptions(),
+                                   engineOptions(2, Dir.string()));
+  expectSameMatrix(runGains(Engine, Suite), Want.Gains);
   const harness::CampaignCounters Counters = Engine.campaign();
-  EXPECT_EQ(Counters.CellsResumed, 2u);
-  EXPECT_EQ(Counters.CellsComputed, 2u);
+  EXPECT_EQ(Counters.CellsComputed, 4u);
   EXPECT_EQ(Counters.CellsFailed, 0u);
-  EXPECT_EQ(Journal->entries(), 4u);
+  EXPECT_GT(Engine.cache()->hits(), 0u);
+  EXPECT_LT(dmpSims(Engine, Suite), Want.Sims);
 
   std::error_code EC;
   std::filesystem::remove_all(Dir, EC);
 }
 
 //===----------------------------------------------------------------------===//
-// 5. Concurrent multi-process cache access
+// 4. Concurrent multi-process cache access
 //===----------------------------------------------------------------------===//
 
 TEST(ConcurrencyTest, TwoWritersAndAReaderNeverSeeTornBlobs) {

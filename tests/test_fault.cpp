@@ -11,8 +11,6 @@
 //      value and any fault seed.
 //   2. A permanent per-cell fault marks that cell failed without aborting
 //      the process or the rest of the campaign.
-//   3. A killed-then-resumed campaign restores journaled cells instead of
-//      recomputing them (verified through counters and sentinel payloads).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -365,75 +362,4 @@ TEST(FaultCampaignTest, PermanentCellFaultIsIsolatedNotFatal) {
   EXPECT_NE(Counters.Failures[0].find(BadBench + "/1"), std::string::npos);
   EXPECT_NE(Engine.failureLines().find("simulated permanent defect"),
             std::string::npos);
-}
-
-TEST(FaultCampaignTest, InterruptedCampaignResumesJournaledCells) {
-  const TempDir Resume("resume");
-  const std::filesystem::path &Dir = Resume.Path;
-  const std::vector<workloads::BenchmarkSpec> Suite = miniSuite();
-  const serialize::Digest ParamsKey =
-      harness::paramsDigest({"cfg-a", "cfg-b"});
-  const harness::CellCodec<double> &Codec = harness::doubleCellCodec();
-
-  // A prior campaign that was killed after journaling three of four cells.
-  // Sentinel values no cell function produces prove resume vs recompute.
-  {
-    auto Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
-    harness::CampaignJournal Journal(Cache, "camp/matrix", ParamsKey,
-                                     Suite.size(), 2);
-    Journal.record(0, 0, Codec.Encode(-100.5));
-    Journal.record(0, 1, Codec.Encode(-101.5));
-    Journal.record(1, 0, Codec.Encode(-110.5));
-    ASSERT_TRUE(Journal.lastCheckpointStatus().ok());
-  }
-
-  harness::EngineOptions EngineOpts;
-  EngineOpts.Jobs = 2;
-  EngineOpts.CacheDir = Dir.string();
-  EngineOpts.Journal = "camp";
-  harness::ExperimentEngine Engine(miniOptions(), EngineOpts);
-  harness::CampaignJournal *Journal =
-      Engine.journalFor("matrix", ParamsKey, Suite.size(), 2);
-  ASSERT_NE(Journal, nullptr);
-  EXPECT_EQ(Journal->entries(), 3u);
-
-  std::atomic<unsigned> CellRuns{0};
-  const auto Matrix = Engine.runMatrix<double>(
-      Suite, 2,
-      [&CellRuns](harness::Cell &C) -> double {
-        ++CellRuns;
-        return static_cast<double>(C.Config) + 1.0;
-      },
-      harness::CellNeeds{false, false, false}, Journal, &Codec);
-
-  // Only the unfinished cell recomputed; journaled cells kept their
-  // sentinel payloads untouched.
-  EXPECT_EQ(CellRuns.load(), 1u);
-  ASSERT_TRUE(Matrix[0][0].ok());
-  EXPECT_DOUBLE_EQ(*Matrix[0][0], -100.5);
-  ASSERT_TRUE(Matrix[0][1].ok());
-  EXPECT_DOUBLE_EQ(*Matrix[0][1], -101.5);
-  ASSERT_TRUE(Matrix[1][0].ok());
-  EXPECT_DOUBLE_EQ(*Matrix[1][0], -110.5);
-  ASSERT_TRUE(Matrix[1][1].ok());
-  EXPECT_DOUBLE_EQ(*Matrix[1][1], 2.0);
-
-  const harness::CampaignCounters Counters = Engine.campaign();
-  EXPECT_EQ(Counters.CellsResumed, 3u);
-  EXPECT_EQ(Counters.CellsComputed, 1u);
-  EXPECT_EQ(Counters.CellsFailed, 0u);
-  EXPECT_EQ(Journal->entries(), 4u);
-  EXPECT_NE(Engine.statsLine().find("resumed=3"), std::string::npos);
-
-  // The finished journal replays fully: a rerun recomputes nothing.
-  auto Cache = std::make_shared<serialize::ArtifactCache>(Dir.string());
-  harness::CampaignJournal Replay(Cache, "camp/matrix", ParamsKey,
-                                  Suite.size(), 2);
-  EXPECT_EQ(Replay.entries(), 4u);
-
-  // A retuned campaign (different params digest) must not resume.
-  harness::CampaignJournal Retuned(
-      Cache, "camp/matrix", harness::paramsDigest({"cfg-a", "cfg-c"}),
-      Suite.size(), 2);
-  EXPECT_EQ(Retuned.entries(), 0u);
 }

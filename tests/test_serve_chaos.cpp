@@ -36,9 +36,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "chaos/ChaosProxy.h"
+#include "chaos/HostileClient.h"
 #include "harness/CellRun.h"
-#include "serve/ChaosProxy.h"
-#include "serve/HostileClient.h"
 #include "serve/Client.h"
 #include "serve/Protocol.h"
 #include "serve/Server.h"
