@@ -1,4 +1,4 @@
-//===- serve/JobStore.cpp - Durable job records for dmp_served ------------===//
+//===- serve/JobStore.cpp - The requests dmp_served still owes ------------===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
@@ -9,172 +9,68 @@
 using namespace dmp;
 using namespace dmp::serve;
 
-namespace {
-
-constexpr uint8_t kRecordVersion = 1;
-constexpr uint8_t kIndexVersion = 1;
-
-Status corrupt(std::string Msg) {
-  return Status::corrupt(std::move(Msg), "serve::JobStore");
-}
-
-/// The one well-known address in the cache: the active-jobs index.
-serialize::Digest indexKey() {
-  const char Domain[] = "dmp-serve-active-index-v1";
+serialize::Digest JobStore::listKey() {
+  const char Domain[] = "dmp-serve-owed-v2";
   return serialize::Hasher::hash(Domain, sizeof(Domain) - 1);
 }
 
-std::vector<uint8_t> encodeRecord(const JobRecord &Record) {
-  serialize::ByteWriter W;
-  W.writeU8(kRecordVersion);
-  W.writeU8(Record.Acked ? 1 : 0);
-  if (Record.Acked) {
-    // Tombstone: the request and outcomes are gone for good, so a later
-    // identical submit starts a fresh run instead of replaying results.
-    W.writeU64(0);
-    W.writeU32(0);
-    return W.take();
-  }
-  const std::vector<uint8_t> Req = encodeSubmit(Record.Request);
-  W.writeU64(Req.size());
-  W.writeBytes(Req.data(), Req.size());
-  W.writeU32(static_cast<uint32_t>(Record.Outcomes.size()));
-  for (const std::optional<StatusOr<harness::CellResult>> &O :
-       Record.Outcomes) {
-    W.writeU8(O.has_value() ? 1 : 0);
-    if (O)
-      encodeCellOutcome(W, *O);
-  }
-  return W.take();
-}
-
-Status decodeRecord(const std::vector<uint8_t> &Blob, JobRecord &Record) {
-  serialize::ByteReader R(Blob);
-  const uint8_t Version = R.readU8();
-  const uint8_t Acked = R.readU8();
-  if (!R.ok())
-    return corrupt("truncated job record");
-  if (Version != kRecordVersion)
-    return corrupt("job record version " + std::to_string(Version) +
-                   " is not supported");
-  if (Acked > 1)
-    return corrupt("job record has an invalid acked flag");
-  JobRecord Out;
-  Out.Acked = Acked == 1;
-  const uint64_t ReqLen = R.readU64();
-  if (!R.ok() || ReqLen > R.remaining())
-    return corrupt("job record request blob is truncated");
-  std::vector<uint8_t> Req(ReqLen);
-  for (uint64_t I = 0; I < ReqLen; ++I)
-    Req[I] = R.readU8();
-  if (ReqLen > 0) {
-    if (Status S = decodeSubmit(Req, Out.Request); !S.ok())
-      return S;
-  }
-  const uint32_t Count = R.readU32();
-  if (!R.ok())
-    return corrupt("truncated job record");
-  if (Count > kMaxCellsPerSubmit)
-    return corrupt("job record cell count exceeds the protocol bound");
-  Out.Outcomes.reserve(Count);
-  for (uint32_t I = 0; I < Count; ++I) {
-    const uint8_t Present = R.readU8();
-    if (!R.ok())
-      return corrupt("truncated job record");
-    if (Present > 1)
-      return corrupt("job record has an invalid outcome-present flag");
-    if (Present) {
-      StatusOr<harness::CellResult> Outcome;
-      if (Status S = decodeCellOutcome(R, Outcome); !S.ok())
-        return S;
-      Out.Outcomes.push_back(std::move(Outcome));
-    } else {
-      Out.Outcomes.emplace_back();
-    }
-  }
-  if (!R.ok())
-    return corrupt("truncated job record");
-  if (!R.atEnd())
-    return corrupt("job record has trailing bytes");
-  if (!Out.Acked && Out.Outcomes.size() != Out.Request.Cells.size())
-    return corrupt("job record outcome count does not match its request");
-  Record = std::move(Out);
-  return Status();
-}
-
-} // namespace
-
 JobStore::JobStore(std::shared_ptr<serialize::ArtifactCache> Cache)
     : Cache(std::move(Cache)) {
-  // Load the active index once; a missing or corrupt index blob means "no
-  // jobs owed" (the records themselves are still healed by resubmission).
-  StatusOr<std::vector<uint8_t>> Blob = this->Cache->load(indexKey());
+  StatusOr<std::vector<uint8_t>> Blob = this->Cache->load(listKey());
   if (!Blob.ok())
     return;
   serialize::ByteReader R(*Blob);
-  const uint8_t Version = R.readU8();
   const uint32_t Count = R.readU32();
-  if (!R.ok() || Version != kIndexVersion)
-    return;
   for (uint32_t I = 0; I < Count && R.ok(); ++I) {
     serialize::Digest Key;
-    for (uint8_t &B : Key.Bytes)
-      B = R.readU8();
-    if (R.ok())
-      Index.emplace(Key.hex(), Key);
+    R.readBytes(Key.Bytes.data(), Key.Bytes.size());
+    const uint64_t Len = R.readU64();
+    if (!R.ok() || Len > R.remaining())
+      break;
+    std::vector<uint8_t> Bytes(Len);
+    R.readBytes(Bytes.data(), Bytes.size());
+    SubmitRequest Request;
+    if (!decodeSubmit(Bytes, Request).ok())
+      break;
+    Owed.emplace(Key.hex(), std::make_pair(Key, std::move(Bytes)));
   }
-  if (!R.ok() || !R.atEnd())
-    Index.clear();
+  if (!R.ok() || !R.atEnd() || Owed.size() != Count)
+    Owed.clear();
 }
 
-Status JobStore::persistIndex() {
+Status JobStore::persist() {
   serialize::ByteWriter W;
-  W.writeU8(kIndexVersion);
-  W.writeU32(static_cast<uint32_t>(Index.size()));
-  for (const auto &[Hex, Key] : Index)
-    W.writeBytes(Key.Bytes.data(), Key.Bytes.size());
-  return Cache->store(indexKey(), W.bytes());
+  W.writeU32(static_cast<uint32_t>(Owed.size()));
+  for (const auto &[Hex, Entry] : Owed) {
+    W.writeBytes(Entry.first.Bytes.data(), Entry.first.Bytes.size());
+    W.writeU64(Entry.second.size());
+    W.writeBytes(Entry.second.data(), Entry.second.size());
+  }
+  return Cache->store(listKey(), W.bytes());
 }
 
-StatusOr<JobRecord> JobStore::load(const serialize::Digest &Key) {
-  StatusOr<std::vector<uint8_t>> Blob = Cache->load(Key);
-  if (!Blob.ok())
-    return Blob.status();
-  JobRecord Record;
-  if (Status S = decodeRecord(*Blob, Record); !S.ok())
-    return S;
-  return Record;
-}
-
-Status JobStore::checkpoint(const serialize::Digest &Key,
-                            const JobRecord &Record) {
-  return Cache->store(Key, encodeRecord(Record));
-}
-
-Status JobStore::markAcked(const serialize::Digest &Key) {
-  JobRecord Tombstone;
-  Tombstone.Acked = true;
-  Status S = checkpoint(Key, Tombstone);
-  Status I = removeFromIndex(Key);
-  return S.ok() ? I : S;
-}
-
-std::vector<serialize::Digest> JobStore::indexed() const {
-  std::vector<serialize::Digest> Keys;
-  Keys.reserve(Index.size());
-  for (const auto &[Hex, Key] : Index)
-    Keys.push_back(Key);
-  return Keys;
-}
-
-Status JobStore::addToIndex(const serialize::Digest &Key) {
-  if (!Index.emplace(Key.hex(), Key).second)
+Status JobStore::add(const serialize::Digest &Key,
+                     const SubmitRequest &Request) {
+  if (!Owed.emplace(Key.hex(), std::make_pair(Key, encodeSubmit(Request)))
+           .second)
     return Status();
-  return persistIndex();
+  return persist();
 }
 
-Status JobStore::removeFromIndex(const serialize::Digest &Key) {
-  if (Index.erase(Key.hex()) == 0)
+Status JobStore::remove(const serialize::Digest &Key) {
+  if (Owed.erase(Key.hex()) == 0)
     return Status();
-  return persistIndex();
+  return persist();
+}
+
+std::vector<std::pair<serialize::Digest, SubmitRequest>>
+JobStore::owed() const {
+  std::vector<std::pair<serialize::Digest, SubmitRequest>> Out;
+  Out.reserve(Owed.size());
+  for (const auto &[Hex, Entry] : Owed) {
+    Out.emplace_back(Entry.first, SubmitRequest());
+    // Every entry decoded when it was loaded or added.
+    (void)decodeSubmit(Entry.second, Out.back().second);
+  }
+  return Out;
 }

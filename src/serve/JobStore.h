@@ -1,4 +1,4 @@
-//===- serve/JobStore.h - Durable job records for dmp_served ----*- C++ -*-===//
+//===- serve/JobStore.h - The requests dmp_served still owes ----*- C++ -*-===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
@@ -6,29 +6,24 @@
 ///
 /// \file
 /// Crash-durable job state for the campaign service (DESIGN.md "Recovery &
-/// idempotency").  Every accepted SubmitRequest is filed in the artifact
-/// cache under its deterministic request key (serve::requestKey) as one
-/// whole blob: each checkpoint rewrites the complete record — the request
-/// plus every completed cell outcome — through the cache's atomic
+/// idempotency"): the list of accepted requests a restarted daemon still
+/// owes its clients.  It is the repo's one journal, and it holds only what
+/// no cache can recompute.  Cell outcomes are not kept: every stage a cell
+/// computes (profile, trace, baseline, DMP sim) is already an artifact-cache
+/// blob, so a recovered job reruns its cells and the stages come back as
+/// cache hits.
+///
+/// The list is one blob under a fixed well-known key in the artifact cache
+/// (the cache has no enumeration API): each owed request's key
+/// (serve::requestKey) and its encodeSubmit bytes, in key order.  Every
+/// add() and remove() rewrites the whole blob through the cache's atomic
 /// temp-file + rename store, so a blob read after any crash is either the
-/// previous checkpoint or the next one, never a torn mixture.
-///
-/// This is the repo's one journal.  A local campaign needs none (every
-/// stage a cell computes is already a cache blob), but a restarted daemon
-/// must know which requests it still owes, and no cache can recompute
-/// that.
-///
-/// A small index blob under a fixed well-known key lists the request keys
-/// of jobs that have been accepted but not yet acknowledged; the cache has
-/// no enumeration API, so this is how a restarted daemon finds the jobs it
-/// owes.  When a client acknowledges a fetched job, the record is replaced
-/// by an "acked" tombstone (submitting the same request again later starts
-/// fresh instead of replaying stale results) and the key leaves the index.
+/// previous list or the next one, never a torn mixture.
 ///
 /// Durability here is an accelerator-grade promise, matching the cache it
 /// rides on: every store failure is logged-and-survivable (the job still
-/// runs, it just won't outlive a crash), and a corrupt blob on recovery is
-/// dropped, never trusted.
+/// runs, it just won't outlive a crash), and a missing or corrupt list on
+/// load means nothing is owed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,58 +35,44 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dmp::serve {
 
-/// Durable record of one accepted job: the request that created it plus
-/// the outcome of every cell that has finished (std::nullopt = still
-/// pending).  Outcomes.size() == Request.Cells.size() except in an acked
-/// tombstone, which carries neither.
-struct JobRecord {
-  bool Acked = false;
-  SubmitRequest Request;
-  std::vector<std::optional<StatusOr<harness::CellResult>>> Outcomes;
-};
-
-/// Files JobRecords in an ArtifactCache keyed by request digest, plus the
-/// active-jobs index.  Single-writer by design (one daemon owns a socket
-/// and its cache dir); all methods are cheap and synchronous.
+/// The owed-requests list in an ArtifactCache.  Single-writer by design
+/// (one daemon owns a socket and its cache dir); all methods are
+/// synchronous.
 class JobStore {
 public:
+  /// Loads the list; a missing or undecodable blob means nothing is owed.
   explicit JobStore(std::shared_ptr<serialize::ArtifactCache> Cache);
 
-  /// Loads the record filed under \p Key.  NotFound when no record exists;
-  /// Corrupt when the blob fails validation (the caller should drop the
-  /// key and start fresh).
-  StatusOr<JobRecord> load(const serialize::Digest &Key);
+  /// The cache key the list is stored under.
+  static serialize::Digest listKey();
 
-  /// Atomically rewrites the record under \p Key.  A failure is returned
-  /// (for logging / counters) but must be treated as survivable: the job
-  /// keeps running in memory, it just loses crash durability.
-  Status checkpoint(const serialize::Digest &Key, const JobRecord &Record);
+  /// Files \p Request as owed under \p Key and rewrites the list.  A
+  /// failure is returned (for logging) but must be treated as survivable:
+  /// the job keeps running in memory, it just loses crash durability.
+  Status add(const serialize::Digest &Key, const SubmitRequest &Request);
 
-  /// Replaces the record with an acked tombstone and drops \p Key from the
-  /// active index.  Idempotent.
-  Status markAcked(const serialize::Digest &Key);
+  /// Drops \p Key from the list and rewrites it.  A no-op when \p Key is
+  /// not owed.
+  Status remove(const serialize::Digest &Key);
 
-  /// The request keys of accepted-but-unacked jobs, in deterministic
-  /// (hex-sorted) order — what a restarted daemon must recover.
-  std::vector<serialize::Digest> indexed() const;
-
-  Status addToIndex(const serialize::Digest &Key);
-  Status removeFromIndex(const serialize::Digest &Key);
-
-  serialize::ArtifactCache &cache() { return *Cache; }
+  /// The owed requests with their keys, in key order: what a restarted
+  /// daemon must run again.
+  std::vector<std::pair<serialize::Digest, SubmitRequest>> owed() const;
 
 private:
-  Status persistIndex();
+  Status persist();
 
   std::shared_ptr<serialize::ArtifactCache> Cache;
-  /// hex(key) -> key; the map keeps the index deterministic and sorted.
-  std::map<std::string, serialize::Digest> Index;
+  /// hex(key) -> (key, encodeSubmit bytes); the map keeps the list in key
+  /// order.
+  std::map<std::string, std::pair<serialize::Digest, std::vector<uint8_t>>>
+      Owed;
 };
 
 } // namespace dmp::serve

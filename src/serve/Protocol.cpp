@@ -396,8 +396,12 @@ Status serve::decodePong(const std::vector<uint8_t> &Payload,
   return finishDecode(R, "pong");
 }
 
-void serve::encodeCellOutcome(serialize::ByteWriter &W,
-                              const StatusOr<harness::CellResult> &Outcome) {
+namespace {
+
+/// One cell outcome (ok flag, then a length-prefixed CellResult or an
+/// inline Status), shared by CellDone and FetchReply.
+void encodeCellOutcome(serialize::ByteWriter &W,
+                       const StatusOr<harness::CellResult> &Outcome) {
   W.writeU8(Outcome.ok() ? 1 : 0);
   if (Outcome.ok()) {
     const std::vector<uint8_t> Blob = harness::encodeCellResult(*Outcome);
@@ -410,8 +414,8 @@ void serve::encodeCellOutcome(serialize::ByteWriter &W,
   }
 }
 
-Status serve::decodeCellOutcome(serialize::ByteReader &R,
-                                StatusOr<harness::CellResult> &Outcome) {
+Status decodeCellOutcome(serialize::ByteReader &R,
+                         StatusOr<harness::CellResult> &Outcome) {
   const uint8_t Ok = R.readU8();
   if (!R.ok())
     return corrupt("truncated cell outcome");
@@ -442,6 +446,8 @@ Status serve::decodeCellOutcome(serialize::ByteReader &R,
                          std::move(Origin));
   return Status();
 }
+
+} // namespace
 
 std::vector<uint8_t> serve::encodeFetchReply(const FetchReplyData &Reply) {
   serialize::ByteWriter W;

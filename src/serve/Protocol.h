@@ -225,14 +225,6 @@ std::vector<uint8_t> encodePong(uint64_t Epoch, const PongLoad &Load);
 Status decodePong(const std::vector<uint8_t> &Payload, uint64_t &Epoch,
                   PongLoad *Load = nullptr, bool *HasLoad = nullptr);
 
-/// One cell outcome (ok flag, then a length-prefixed CellResult or an
-/// inline Status).  Shared by CellDone, FetchReply and the durable job
-/// store's record blobs.
-void encodeCellOutcome(serialize::ByteWriter &W,
-                       const StatusOr<harness::CellResult> &Outcome);
-Status decodeCellOutcome(serialize::ByteReader &R,
-                         StatusOr<harness::CellResult> &Outcome);
-
 std::vector<uint8_t> encodeRunCell(uint64_t Ticket,
                                    const harness::CellSpec &Spec);
 Status decodeRunCell(const std::vector<uint8_t> &Payload, uint64_t &Ticket,

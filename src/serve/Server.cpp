@@ -168,7 +168,7 @@ Status Server::listen() {
   // Durability rides on the pool's cache dir; uncached pools run exactly
   // as before (in-memory jobs only).
   const WorkerPoolOptions &PO = Pool.options();
-  if (Opts.DurableJobs && PO.UseCache && !PO.CacheDir.empty()) {
+  if (Opts.DurableJobs && !PO.CacheDir.empty()) {
     StoreCache = std::make_shared<serialize::ArtifactCache>(PO.CacheDir);
     Store = std::make_unique<JobStore>(StoreCache);
     recoverJobs();
@@ -194,7 +194,6 @@ Server::Counters Server::counters() const {
   C.CellsCompleted = CtrCompleted.load(std::memory_order_relaxed);
   C.CellsFailed = CtrFailed.load(std::memory_order_relaxed);
   C.CellsRetried = CtrRetried.load(std::memory_order_relaxed);
-  C.CellsResumed = CtrResumed.load(std::memory_order_relaxed);
   C.WorkerCrashes = CtrCrashes.load(std::memory_order_relaxed);
   C.ProtocolErrors = CtrProtocolErrors.load(std::memory_order_relaxed);
   C.Checkpoints = CtrCheckpoints.load(std::memory_order_relaxed);
@@ -265,83 +264,46 @@ void Server::forgetJob(uint64_t Id) {
   Jobs.erase(It);
 }
 
-void Server::checkpointJob(Job &J) {
-  if (!Store || !J.Durable)
-    return;
-  JobRecord Record;
-  Record.Request.DeadlineSeconds = J.ReqDeadlineSeconds;
-  Record.Request.Cells.reserve(J.Cells.size());
-  Record.Outcomes.reserve(J.Cells.size());
-  for (const CellState &C : J.Cells) {
-    Record.Request.Cells.push_back(C.Spec);
-    // Persist only deterministic-permanent outcomes: a successful result,
-    // or a failure no retry can change (Invariant/NotFound/Corrupt).
-    // Cancelled / Transient / ResourceExhausted cells restart from scratch
-    // on resume — a drain-shed cell must run again after the restart, not
-    // replay its shed status.
-    const ErrorCode Code = C.Result.status().code();
-    const bool Permanent =
-        C.Phase == CellPhase::Done &&
-        (C.Result.ok() || Code == ErrorCode::Invariant ||
-         Code == ErrorCode::NotFound || Code == ErrorCode::Corrupt);
-    if (Permanent)
-      Record.Outcomes.emplace_back(C.Result);
-    else
-      Record.Outcomes.emplace_back();
+Server::Job &Server::createJob(const serialize::Digest &Key,
+                              SubmitRequest Req) {
+  const uint64_t Id = NextJob++;
+  Job &J = Jobs[Id];
+  J.Id = Id;
+  J.Seq = NextSeq++;
+  J.ReqKey = Key;
+  J.Cells.resize(Req.Cells.size());
+  for (size_t I = 0; I < Req.Cells.size(); ++I)
+    J.Cells[I].Spec = std::move(Req.Cells[I]);
+  if (Req.DeadlineSeconds > 0) {
+    // A recovered job's budget restarts too: wall-clock spent under a dead
+    // daemon should not forfeit the job.
+    J.HasDeadline = true;
+    J.Deadline = std::chrono::steady_clock::now() +
+                 std::chrono::duration_cast<
+                     std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double>(Req.DeadlineSeconds));
   }
-  if (Status S = Store->checkpoint(J.ReqKey, Record); !S.ok())
-    log("checkpoint of job " + std::to_string(J.Id) + " failed: " +
-        S.toString());
-  else
+  ActiveByKey[Key.hex()] = Id;
+  enqueueRR(J);
+  return J;
+}
+
+void Server::noteStoreWrite(const Status &S) {
+  if (S.ok())
     CtrCheckpoints.fetch_add(1, std::memory_order_relaxed);
+  else
+    log("owed-list write failed: " + S.toString());
 }
 
 void Server::recoverJobs() {
-  if (!Store)
-    return;
-  for (const serialize::Digest &Key : Store->indexed()) {
-    StatusOr<JobRecord> Record = Store->load(Key);
-    if (!Record.ok() || Record->Acked) {
-      // Gone or already consumed: nothing is owed under this key.  A
-      // corrupt record is dropped the same way — resubmission heals it.
-      if (Status S = Store->removeFromIndex(Key); !S.ok())
-        log("index cleanup failed: " + S.toString());
-      continue;
-    }
-    const uint64_t Id = NextJob++;
-    Job &J = Jobs[Id];
-    J.Id = Id;
-    J.Seq = NextSeq++;
-    J.ReqKey = Key;
-    J.ReqDeadlineSeconds = Record->Request.DeadlineSeconds;
-    J.Durable = true;
+  for (auto &[Key, Req] : Store->owed()) {
+    // Every cell starts Pending: the stages the previous boot's workers
+    // stored come back from the artifact cache as hits.
+    Job &J = createJob(Key, std::move(Req));
     J.Submitters = 0;
-    J.Cells.resize(Record->Request.Cells.size());
-    uint64_t Resumed = 0;
-    for (size_t I = 0; I < J.Cells.size(); ++I) {
-      J.Cells[I].Spec = std::move(Record->Request.Cells[I]);
-      if (I < Record->Outcomes.size() && Record->Outcomes[I]) {
-        J.Cells[I].Phase = CellPhase::Done;
-        J.Cells[I].Result = std::move(*Record->Outcomes[I]);
-        ++Resumed;
-      }
-    }
-    if (J.ReqDeadlineSeconds > 0) {
-      // The deadline budget restarts at recovery: wall-clock spent under a
-      // dead daemon should not forfeit the job.
-      J.HasDeadline = true;
-      J.Deadline = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(J.ReqDeadlineSeconds));
-    }
-    ActiveByKey[Key.hex()] = Id;
     CtrRecovered.fetch_add(1, std::memory_order_relaxed);
-    CtrResumed.fetch_add(Resumed, std::memory_order_relaxed);
-    enqueueRR(J);
-    log("job " + std::to_string(Id) + " recovered from checkpoint (" +
-        std::to_string(Resumed) + " of " + std::to_string(J.Cells.size()) +
-        " cells already done)");
+    log("job " + std::to_string(J.Id) + " recovered (" +
+        std::to_string(J.Cells.size()) + " cells to rerun)");
   }
 }
 
@@ -450,12 +412,11 @@ void Server::gcFinishedJobs() {
     }
     if (VictimSeq == ~0ull)
       return;
-    // Eviction gives up on this client: the key leaves the recovery index
-    // (a restart won't resurrect the job), but the record blob stays so an
-    // identical resubmit still starts from the completed cells.
-    if (Job *J = findJob(VictimId); J && J->Durable && Store)
-      if (Status S = Store->removeFromIndex(J->ReqKey); !S.ok())
-        log("index cleanup failed: " + S.toString());
+    // Eviction gives up on this client: the request leaves the owed list
+    // (a restart won't resurrect the job), and an identical resubmit
+    // reruns over the stage cache.
+    if (Job *J = findJob(VictimId); J && Store)
+      noteStoreWrite(Store->remove(J->ReqKey));
     forgetJob(VictimId);
     log("job " + std::to_string(VictimId) + " evicted unacked");
   }
@@ -512,9 +473,6 @@ void Server::recordOutcome(Job &J, size_t CellIdx,
   else
     CtrFailed.fetch_add(1, std::memory_order_relaxed);
   C.Result = std::move(Outcome);
-  // Every completed cell advances the durable checkpoint, so a SIGKILL at
-  // any instant loses at most the cell in flight.
-  checkpointJob(J);
 }
 
 void Server::dispatch() {
@@ -535,10 +493,9 @@ void Server::dispatch() {
         // one recovery sweep, same directory either way.
         InProcCache = StoreCache;
       } else {
-        const WorkerPoolOptions &PO = Pool.options();
-        if (PO.UseCache && !PO.CacheDir.empty())
-          InProcCache =
-              std::make_shared<serialize::ArtifactCache>(PO.CacheDir);
+        const std::string &Dir = Pool.options().CacheDir;
+        if (!Dir.empty())
+          InProcCache = std::make_shared<serialize::ArtifactCache>(Dir);
       }
     }
     if (Job *J = nextRRJob()) {
@@ -1061,54 +1018,14 @@ void Server::handleFrame(Conn &C, const Frame &F) {
                 retryAfterHintMs());
       return;
     }
-    const uint64_t Id = NextJob++;
-    Job &J = Jobs[Id];
-    J.Id = Id;
-    J.Seq = NextSeq++;
-    J.ReqKey = Key;
-    J.ReqDeadlineSeconds = Req.DeadlineSeconds;
-    J.Durable = Store != nullptr;
-    J.Cells.resize(Req.Cells.size());
-    for (size_t I = 0; I < Req.Cells.size(); ++I)
-      J.Cells[I].Spec = std::move(Req.Cells[I]);
-    uint64_t Resumed = 0;
-    if (J.Durable) {
-      // A record under this key from a previous life (the job was evicted
-      // unacked, or the daemon died after finishing it) seeds the new job
-      // with its completed cells instead of re-executing them.
-      if (StatusOr<JobRecord> Old = Store->load(Key);
-          Old.ok() && !Old->Acked &&
-          Old->Outcomes.size() == J.Cells.size()) {
-        for (size_t I = 0; I < J.Cells.size(); ++I) {
-          if (!Old->Outcomes[I])
-            continue;
-          J.Cells[I].Phase = CellPhase::Done;
-          J.Cells[I].Result = std::move(*Old->Outcomes[I]);
-          ++Resumed;
-        }
-      }
-    }
-    if (Req.DeadlineSeconds > 0) {
-      J.HasDeadline = true;
-      J.Deadline = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(Req.DeadlineSeconds));
-    }
-    ActiveByKey[Key.hex()] = Id;
-    if (J.Durable && Store) {
-      if (Status S = Store->addToIndex(Key); !S.ok())
-        log("index update failed: " + S.toString());
-      checkpointJob(J);
-    }
+    if (Store)
+      noteStoreWrite(Store->add(Key, Req));
+    Job &J = createJob(Key, std::move(Req));
     CtrJobsAccepted.fetch_add(1, std::memory_order_relaxed);
-    CtrResumed.fetch_add(Resumed, std::memory_order_relaxed);
-    enqueueRR(J);
     queueFrame(C, MsgType::SubmitOk,
-               encodeSubmitOk(Id, static_cast<uint32_t>(J.Cells.size())));
-    log("job " + std::to_string(Id) + " accepted (" +
-        std::to_string(J.Cells.size()) + " cells" +
-        (Resumed ? ", " + std::to_string(Resumed) + " resumed" : "") + ")");
+               encodeSubmitOk(J.Id, static_cast<uint32_t>(J.Cells.size())));
+    log("job " + std::to_string(J.Id) + " accepted (" +
+        std::to_string(J.Cells.size()) + " cells)");
     return;
   }
 
@@ -1194,9 +1111,8 @@ void Server::handleFrame(Conn &C, const Frame &F) {
         log("job " + std::to_string(Id) + " acked; " +
             std::to_string(J->Submitters) + " submitter(s) still to ack");
       } else {
-        if (J->Durable && Store)
-          if (Status S = Store->markAcked(J->ReqKey); !S.ok())
-            log("ack persist failed: " + S.toString());
+        if (Store)
+          noteStoreWrite(Store->remove(J->ReqKey));
         forgetJob(Id);
         log("job " + std::to_string(Id) + " acked");
       }

@@ -67,9 +67,10 @@ struct ServerOptions {
   unsigned MaxCellsPerJob = 256;
   /// Total dispatch attempts per cell across worker crashes.
   unsigned CellAttempts = 3;
-  /// Checkpoint accepted jobs and per-cell progress to the worker pool's
-  /// cache dir (serve::JobStore) so a restarted daemon resumes them.  A
-  /// no-op when the pool runs uncached: durability needs a disk.
+  /// File each accepted request in the worker pool's cache dir
+  /// (serve::JobStore) until it is acked, so a restarted daemon reruns the
+  /// jobs it still owes over the stage cache.  A no-op when the pool runs
+  /// uncached: durability needs a disk.
   bool DurableJobs = true;
   /// When false, one-line operational logs go to stderr.
   bool Quiet = true;
@@ -148,10 +149,9 @@ public:
     uint64_t CellsCompleted = 0;
     uint64_t CellsFailed = 0;
     uint64_t CellsRetried = 0;
-    uint64_t CellsResumed = 0;
     uint64_t WorkerCrashes = 0;
     uint64_t ProtocolErrors = 0;
-    uint64_t Checkpoints = 0;
+    uint64_t Checkpoints = 0; ///< owed-list writes (serve::JobStore)
     // Liveness & overload accounting: every shed and every kill the
     // budgets above cause is visible here (and in the drain log footer).
     uint64_t WorkersHung = 0;       ///< watchdog SIGKILLs
@@ -180,11 +180,8 @@ private:
     uint64_t Seq = 0; ///< GC order for finished-but-unfetched jobs.
     std::vector<CellState> Cells;
     /// Idempotency key (serve::requestKey of the creating SUBMIT): the
-    /// dedup-map entry and, for durable jobs, the record's cache address.
+    /// dedup-map entry and, with a job store, the owed-list entry.
     serialize::Digest ReqKey;
-    /// The submit's deadline budget, kept to rebuild the durable record.
-    double ReqDeadlineSeconds = 0.0;
-    bool Durable = false;
     /// Submits this job answers that have not been acked yet: the creating
     /// submit plus one per deduped submit (a recovered job starts at 0,
     /// until its client's resubmit dedups onto it).  Only the last ack
@@ -267,11 +264,14 @@ private:
   void closeInheritedFdsInChild() const;
   void log(const std::string &Line) const;
 
-  /// Rewrites \p J's durable record (request + every completed cell
-  /// outcome).  Survivable on failure: the job keeps running in memory.
-  void checkpointJob(Job &J);
-  /// Rebuilds in-memory jobs from every indexed (accepted-but-unacked)
-  /// record the previous boot left in the job store.
+  /// Files a new job for \p Req under \p Key (all cells Pending), enters
+  /// it in the dedup map and the rotation queue.
+  Job &createJob(const serialize::Digest &Key, SubmitRequest Req);
+  /// Counts a successful owed-list write; logs a failed one (survivable:
+  /// the job keeps running in memory).
+  void noteStoreWrite(const Status &S);
+  /// Rebuilds in-memory jobs from every request the previous boot left
+  /// owed in the job store.
   void recoverJobs();
   /// Erases \p Id from Jobs and the dedup map (not from the job store).
   void forgetJob(uint64_t Id);
@@ -299,10 +299,10 @@ private:
   uint64_t Epoch = 0;
 
   /// Idempotency map: hex(request key) -> live job id.  Every job is in
-  /// here (dedup works even uncached); durable jobs also have a record in
-  /// the store.
+  /// here (dedup works even uncached); with a store, every unacked job is
+  /// also on its owed list.
   std::map<std::string, uint64_t> ActiveByKey;
-  /// Durable job records + the cache they live in (null when the pool
+  /// The owed-requests list + the cache it lives in (null when the pool
   /// runs uncached or DurableJobs is off).
   std::shared_ptr<serialize::ArtifactCache> StoreCache;
   std::unique_ptr<JobStore> Store;
@@ -315,7 +315,7 @@ private:
   // the loop runs.
   std::atomic<uint64_t> CtrConns{0}, CtrJobsAccepted{0}, CtrJobsRejected{0},
       CtrDeduped{0}, CtrRecovered{0}, CtrDispatched{0}, CtrCompleted{0},
-      CtrFailed{0}, CtrRetried{0}, CtrResumed{0}, CtrCrashes{0},
+      CtrFailed{0}, CtrRetried{0}, CtrCrashes{0},
       CtrProtocolErrors{0}, CtrCheckpoints{0}, CtrWorkersHung{0},
       CtrHeartbeats{0}, CtrReadTimeouts{0}, CtrIdleDrops{0},
       CtrSlowConsumerDrops{0}, CtrConnsShed{0}, CtrConnsRefused{0},

@@ -92,8 +92,7 @@ void WorkerPool::spawn(Slot &S) {
         ::close(Other.Fd);
     if (Options.InChild)
       Options.InChild();
-    workerMain(Pair[1], Options.UseCache ? Options.CacheDir : std::string(),
-               Options.UseCache);
+    workerMain(Pair[1], Options.CacheDir);
   }
   ::close(Pair[1]);
   S = Slot();
@@ -160,8 +159,7 @@ int WorkerPool::idleWorker() const {
   return -1;
 }
 
-void WorkerPool::workerMain(int Fd, const std::string &CacheDir,
-                            bool UseCache) {
+void WorkerPool::workerMain(int Fd, const std::string &CacheDir) {
   // A worker must never die of SIGPIPE (the supervisor vanishing shows up
   // as EOF/EPIPE Status instead) and must not react to the terminal's
   // SIGINT: the supervisor drains it by closing the socketpair.
@@ -184,7 +182,7 @@ void WorkerPool::workerMain(int Fd, const std::string &CacheDir,
   // content-addressed store is what makes the service's cache warm across
   // jobs, clients, and worker generations.
   std::shared_ptr<serialize::ArtifactCache> Cache;
-  if (UseCache && !CacheDir.empty())
+  if (!CacheDir.empty())
     Cache = std::make_shared<serialize::ArtifactCache>(CacheDir);
 
   while (true) {

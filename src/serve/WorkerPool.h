@@ -54,10 +54,9 @@ namespace dmp::serve {
 struct WorkerPoolOptions {
   /// Worker process count; 0 = in-process execution (no forks).
   unsigned Workers = 2;
-  /// Artifact-cache root shared by every worker ("" or UseCache=false
-  /// disables caching).
+  /// Artifact-cache root shared by every worker ("" runs every cell
+  /// uncached).
   std::string CacheDir;
-  bool UseCache = true;
   /// Runs in each freshly forked child before the worker loop starts; the
   /// server registers a closure here that closes its listen/client fds so
   /// a worker never holds a connection open past the server's death.
@@ -125,8 +124,7 @@ public:
   /// The worker-process main loop (never returns; _exit()s on EOF).  Only
   /// called in forked children; public so tests can run a worker directly
   /// over a socketpair they own.
-  [[noreturn]] static void workerMain(int Fd, const std::string &CacheDir,
-                                      bool UseCache);
+  [[noreturn]] static void workerMain(int Fd, const std::string &CacheDir);
 
 private:
   struct Slot {

@@ -14,10 +14,13 @@
 //                      malformed-frame survival, multi-client concurrency,
 //                      drain via SHUTDOWN, submit dedup, and the
 //                      fetch-until-ack result lifecycle.
+//   JobStoreTest       the owed-requests list on its own: reopen, remove,
+//                      and a truncated blob.
 //   ServeDurableTest   a live server with a cache-backed job store (still
-//                      Workers=0, no forks): restart recovery from
-//                      checkpoints, ack tombstones, and epoch changes —
-//                      each asserting digest-identical results.
+//                      Workers=0, no forks): restart recovery that reruns
+//                      owed jobs over the stage cache, ack removal, and
+//                      epoch changes — each asserting digest-identical
+//                      results.
 //   ServeWorkerTest    forked worker processes: socketpair-level worker
 //                      conformance, SIGKILL isolation, and the
 //                      DMP_SERVE_CRASH_TICKET deterministic crash-retry —
@@ -29,6 +32,7 @@
 
 #include "harness/CellRun.h"
 #include "serve/Client.h"
+#include "serve/JobStore.h"
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/WorkerPool.h"
@@ -40,7 +44,9 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -527,7 +533,6 @@ TEST(ServeSunPathTest, ClientConnectRejectsOverlongPath) {
 TEST(ServeSunPathTest, ServerListenRejectsOverlongPath) {
   WorkerPoolOptions PO;
   PO.Workers = 0;
-  PO.UseCache = false;
   WorkerPool Pool(PO);
   ServerOptions Opts;
   Opts.SocketPath = "/tmp/" + std::string(200, 'y') + ".sock";
@@ -552,7 +557,6 @@ class ServeInProcTest : public ::testing::Test {
 protected:
   void start(ServerOptions Extra = {}) {
     PoolOpts.Workers = 0;
-    PoolOpts.UseCache = false;
     Pool = std::make_unique<WorkerPool>(PoolOpts);
     Extra.SocketPath = Socket = freshSocketPath("inproc");
     Srv = std::make_unique<Server>(std::move(Extra), *Pool, &Token);
@@ -975,16 +979,94 @@ TEST_F(ServeInProcTest, SubmitDuringDrainIsRejected) {
 }
 
 //===----------------------------------------------------------------------===//
+// JobStoreTest — the owed-requests list.
+//===----------------------------------------------------------------------===//
+
+TEST(JobStoreTest, OwedListSurvivesReopenRemoveAndTruncation) {
+  const std::string Dir = (std::filesystem::temp_directory_path() /
+                           ("dmp-jobstore-" + std::to_string(::getpid())))
+                              .string();
+  std::filesystem::remove_all(Dir);
+  const auto Open = [&] {
+    return JobStore(std::make_shared<serialize::ArtifactCache>(Dir));
+  };
+  SubmitRequest A, B;
+  A.Cells.push_back(smallSpec("mcf", "all"));
+  B.Cells.push_back(smallSpec("gcc", "freq"));
+  B.Cells.push_back(smallSpec("gcc", "short"));
+  B.DeadlineSeconds = 30.0;
+  {
+    JobStore First = Open();
+    EXPECT_TRUE(First.owed().empty());
+    ASSERT_TRUE(First.add(requestKey(A), A).ok());
+    ASSERT_TRUE(First.add(requestKey(B), B).ok());
+  }
+  {
+    JobStore Second = Open();
+    const auto Owed = Second.owed();
+    ASSERT_EQ(Owed.size(), 2u);
+    EXPECT_NE(Owed[0].first, Owed[1].first);
+    for (const auto &[Key, Req] : Owed) {
+      const SubmitRequest &Want = Key == requestKey(A) ? A : B;
+      EXPECT_EQ(encodeSubmit(Req), encodeSubmit(Want));
+      EXPECT_EQ(requestKey(Req), Key);
+    }
+    ASSERT_TRUE(Second.remove(requestKey(A)).ok());
+  }
+  {
+    const auto Owed = Open().owed();
+    ASSERT_EQ(Owed.size(), 1u);
+    EXPECT_EQ(Owed[0].first, requestKey(B));
+    EXPECT_EQ(encodeSubmit(Owed[0].second), encodeSubmit(B));
+  }
+
+  // The list is the only blob in the store; cut it short.
+  std::vector<std::filesystem::path> Blobs;
+  for (const auto &E : std::filesystem::recursive_directory_iterator(Dir))
+    if (E.path().extension() == ".blob")
+      Blobs.push_back(E.path());
+  ASSERT_EQ(Blobs.size(), 1u);
+  std::filesystem::resize_file(Blobs[0],
+                               std::filesystem::file_size(Blobs[0]) - 1);
+  {
+    JobStore Fresh = Open();
+    EXPECT_TRUE(Fresh.owed().empty()) << "a truncated list owes nothing";
+    ASSERT_TRUE(Fresh.add(requestKey(A), A).ok());
+  }
+  const auto Owed = Open().owed();
+  ASSERT_EQ(Owed.size(), 1u) << "the next add rewrites the list whole";
+  EXPECT_EQ(encodeSubmit(Owed[0].second), encodeSubmit(A));
+  std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
 // ServeDurableTest — cache-backed job store, restart recovery (no forks).
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// A live Workers=0 server whose jobs checkpoint into a per-test cache
-/// directory, with helpers to stop one daemon "boot" and start the next
-/// against the same socket and store — the in-process analogue of
-/// SIGKILL-and-restart (a checkpoint is only ever trusted if it would also
-/// survive a kill; the fork-based chaos matrix covers the kill itself).
+/// Inode of every blob under \p Dir except the owed list.  A store renames
+/// a new file over the old one, so an unchanged map proves nothing was
+/// recomputed and stored again.
+std::map<std::string, ino_t> stageBlobInodes(const std::string &Dir) {
+  const std::string List = JobStore::listKey().hex() + ".blob";
+  std::map<std::string, ino_t> Inodes;
+  for (const auto &E : std::filesystem::recursive_directory_iterator(Dir)) {
+    if (E.path().extension() != ".blob" || E.path().filename() == List)
+      continue;
+    struct stat St;
+    if (::stat(E.path().c_str(), &St) == 0)
+      Inodes[E.path().string()] = St.st_ino;
+  }
+  return Inodes;
+}
+
+/// A live Workers=0 server whose owed requests and stages are stored in a
+/// per-test cache directory, with helpers to stop one daemon "boot" and
+/// start the next against the same socket and store — the in-process
+/// analogue of SIGKILL-and-restart (the store is only ever trusted if it
+/// would also survive a kill; the fork-based chaos matrix covers the kill
+/// itself).
 class ServeDurableTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -1007,7 +1089,6 @@ protected:
 
   void startServer(ServerOptions Extra = {}) {
     PoolOpts.Workers = 0;
-    PoolOpts.UseCache = true;
     PoolOpts.CacheDir = CacheDir;
     Pool = std::make_unique<WorkerPool>(PoolOpts);
     Extra.SocketPath = Socket;
@@ -1055,8 +1136,8 @@ TEST_F(ServeDurableTest, RestartResumesFromCheckpointWithIdenticalDigests) {
     Client C = connected();
     StatusOr<uint64_t> Job = C.submit(Req);
     ASSERT_TRUE(Job.ok()) << Job.status().toString();
-    // Let at least one cell finish (and checkpoint) before the "crash",
-    // so the second boot demonstrably resumes rather than restarts.
+    // Let at least one cell finish (and store its stages) before the
+    // "crash", so the second boot reruns part of the job from the cache.
     while (true) {
       StatusOr<JobStatusReply> S = C.status(*Job);
       ASSERT_TRUE(S.ok()) << S.status().toString();
@@ -1066,13 +1147,11 @@ TEST_F(ServeDurableTest, RestartResumesFromCheckpointWithIdenticalDigests) {
     }
   }
   // Boot two: same socket, same store.  The drain in stopServer() finishes
-  // in-flight cells but the job is still unfetched — recovery must pick it
-  // up from its checkpoint.
+  // in-flight cells but the job is still unfetched and owed — recovery
+  // must pick it up and rerun it.
   stopServer();
   startServer();
   EXPECT_EQ(Srv->counters().JobsRecovered, 1u);
-  EXPECT_GE(Srv->counters().CellsResumed, 1u)
-      << "at least the checkpointed cell must be resumed, not re-run";
   EXPECT_NE(Srv->epoch(), EpochA) << "each boot draws a fresh epoch";
 
   // The client does not know the recovered job's new id; resubmitting the
@@ -1110,18 +1189,21 @@ TEST_F(ServeDurableTest, FinishedUnfetchedJobSurvivesRestart) {
     }
   }
   stopServer();
+  const std::map<std::string, ino_t> Before = stageBlobInodes(CacheDir);
+  ASSERT_FALSE(Before.empty()) << "the first boot stored no stage";
   startServer();
   EXPECT_EQ(Srv->counters().JobsRecovered, 1u);
-  // Everything was checkpointed: recovery resumes the job with all cells
-  // already done, so no cell is ever dispatched again.
+  // The request was still owed: recovery reruns its one cell, and every
+  // stage the first boot computed comes back from the cache.
   Client C = connected();
   StatusOr<FetchReplyData> Reply = C.runCampaign(Req);
   ASSERT_TRUE(Reply.ok()) << Reply.status().toString();
   ASSERT_TRUE(Reply->Cells[0].ok());
   EXPECT_EQ(harness::cellResultDigest(*Reply->Cells[0]).hex(),
             localDigest(Req.Cells[0]).hex());
-  EXPECT_EQ(Srv->counters().CellsDispatched, 0u)
-      << "a fully-checkpointed job must not re-run any cell";
+  EXPECT_EQ(Srv->counters().CellsDispatched, 1u);
+  EXPECT_EQ(stageBlobInodes(CacheDir), Before)
+      << "the rerun recomputed and stored a stage instead of loading it";
 }
 
 TEST_F(ServeDurableTest, AckedJobIsNotResumedAfterRestart) {
@@ -1136,8 +1218,8 @@ TEST_F(ServeDurableTest, AckedJobIsNotResumedAfterRestart) {
   }
   stopServer();
   startServer();
-  // The ack wrote a tombstone: the job is complete business, not an
-  // orphan to resurrect.
+  // The ack removed the request from the owed list: the job is complete
+  // business, not an orphan to resurrect.
   EXPECT_EQ(Srv->counters().JobsRecovered, 0u);
   // And a resubmit of the same request is a fresh run (served from the
   // artifact cache, so still digest-identical — but a new job).
@@ -1186,7 +1268,6 @@ class ServeWorkerTest : public ::testing::Test {
 protected:
   void start(unsigned Workers, ServerOptions Extra = {}) {
     PoolOpts.Workers = Workers;
-    PoolOpts.UseCache = false;
     Pool = std::make_unique<WorkerPool>(PoolOpts);
     ASSERT_EQ(Pool->size(), Workers);
     Extra.SocketPath = Socket = freshSocketPath("worker");
@@ -1230,7 +1311,7 @@ TEST_F(ServeWorkerTest, WorkerExecutesCellOverSocketpair) {
   ASSERT_GE(Pid, 0);
   if (Pid == 0) {
     ::close(Pair[0]);
-    WorkerPool::workerMain(Pair[1], "", false);
+    WorkerPool::workerMain(Pair[1], "");
   }
   ::close(Pair[1]);
 
@@ -1269,7 +1350,7 @@ TEST_F(ServeWorkerTest, WorkerRejectsMalformedSpecWithoutDying) {
   ASSERT_GE(Pid, 0);
   if (Pid == 0) {
     ::close(Pair[0]);
-    WorkerPool::workerMain(Pair[1], "", false);
+    WorkerPool::workerMain(Pair[1], "");
   }
   ::close(Pair[1]);
 
@@ -1424,7 +1505,6 @@ TEST(ServeSoakTest, MultiClientHammerKeepsDigestsStable) {
 
   WorkerPoolOptions PoolOpts;
   PoolOpts.Workers = 3;
-  PoolOpts.UseCache = false;
   WorkerPool Pool(PoolOpts);
   guard::CancelToken Token;
   ServerOptions Opts;

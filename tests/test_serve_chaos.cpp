@@ -149,7 +149,6 @@ class ServeChaosTest : public ::testing::Test {
 protected:
   void startServer() {
     PoolOpts.Workers = 0;
-    PoolOpts.UseCache = false;
     Pool = std::make_unique<WorkerPool>(PoolOpts);
     ServerOptions Opts;
     Opts.SocketPath = Socket = freshSocketPath("upstream");
@@ -278,7 +277,7 @@ namespace {
 /// Forks a real (Workers=0, durable, quiet) daemon process on a shared
 /// socket and job store, kills it with SIGKILL at chosen instants, and
 /// restarts it — the process-level analogue of ServeDurableTest, where
-/// no destructor ever runs and only the checkpoints survive.
+/// no destructor ever runs and only the stored blobs survive.
 class ServeCrashRestartTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -309,7 +308,6 @@ protected:
       ::closefrom(3);
       WorkerPoolOptions PO;
       PO.Workers = 0;
-      PO.UseCache = true;
       PO.CacheDir = CacheDir;
       WorkerPool Pool(PO);
       ServerOptions SO;
@@ -443,8 +441,9 @@ TEST_F(ServeCrashRestartTest, KillDuringSubmitWindowThenRestart) {
 
 TEST_F(ServeCrashRestartTest, KillMidCellExecutionThenRestart) {
   // Let the campaign make real progress, then SIGKILL mid-cell: the
-  // restarted daemon resumes from the last checkpoint and the surviving
-  // client (same process, same Client object) finishes the job.
+  // restarted daemon reruns the owed job over the stages already stored,
+  // and the surviving client (same process, same Client object) finishes
+  // the job.
   SubmitRequest Req;
   for (const char *Algo : {"all", "freq", "every-br", "short"})
     Req.Cells.push_back(smallSpec("mcf", Algo));
@@ -461,8 +460,9 @@ TEST_F(ServeCrashRestartTest, KillMidCellExecutionThenRestart) {
 
 TEST_F(ServeCrashRestartTest, KillAfterCompletionBeforeFetchThenRestart) {
   // The result-loss window the durable store exists for: the job finished,
-  // the daemon died, the client never fetched.  After restart the results
-  // must still be fetchable — without re-running a single cell.
+  // the daemon died, the client never fetched.  After restart the request
+  // is still owed, its cell reruns over the stages the first boot stored,
+  // and the results are fetchable.
   SubmitRequest Req;
   Req.Cells.push_back(smallSpec());
 
@@ -580,7 +580,6 @@ protected:
   /// connection-hygiene attacks use.
   void start(unsigned Workers, ServerOptions Extra = {}) {
     PoolOpts.Workers = Workers;
-    PoolOpts.UseCache = false;
     Pool = std::make_unique<WorkerPool>(PoolOpts);
     Extra.SocketPath = Socket = freshSocketPath("liveness");
     Extra.Quiet = true;

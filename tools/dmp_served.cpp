@@ -27,7 +27,7 @@
 //                        and its cell retried (default 0 = off)
 //   --max-conns=N        accept cap; at the limit new connects shed the
 //                        oldest idle connection or are refused (default 64)
-//   --no-durable         do not checkpoint jobs to the cache; a restart
+//   --no-durable         do not file owed requests in the cache; a restart
 //                        forgets all in-flight work (pre-recovery behavior)
 //   --quiet              suppress the per-event log lines
 //
@@ -159,8 +159,7 @@ int main(int Argc, char **Argv) {
   // is drained by its socketpair closing).
   serve::WorkerPoolOptions PoolOpts;
   PoolOpts.Workers = Opts.Workers;
-  PoolOpts.CacheDir = Opts.CacheDir;
-  PoolOpts.UseCache = Opts.UseCache;
+  PoolOpts.CacheDir = Opts.UseCache ? Opts.CacheDir : std::string();
   serve::WorkerPool Pool(PoolOpts);
 
   guard::installSignalHandlers();
@@ -192,7 +191,7 @@ int main(int Argc, char **Argv) {
   std::fprintf(stderr,
                "[serve] conns=%llu jobs=%llu rejected=%llu deduped=%llu "
                "recovered=%llu dispatched=%llu completed=%llu failed=%llu "
-               "retried=%llu resumed=%llu crashes=%llu protocol-errors=%llu "
+               "retried=%llu crashes=%llu protocol-errors=%llu "
                "checkpoints=%llu hung=%llu heartbeats=%llu "
                "read-timeouts=%llu idle-drops=%llu slow-drops=%llu "
                "shed=%llu refused=%llu accept-errors=%llu\n",
@@ -205,7 +204,6 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(C.CellsCompleted),
                static_cast<unsigned long long>(C.CellsFailed),
                static_cast<unsigned long long>(C.CellsRetried),
-               static_cast<unsigned long long>(C.CellsResumed),
                static_cast<unsigned long long>(C.WorkerCrashes),
                static_cast<unsigned long long>(C.ProtocolErrors),
                static_cast<unsigned long long>(C.Checkpoints),
