@@ -14,9 +14,9 @@
 # --bench to run the perf-regression gate (a bench_throughput smoke
 # re-measurement against the committed BENCH_throughput.json, 3x
 # tolerance; the perf ctest label),
-# --analysis to run the dataflow/meldability tier (the analysis label:
-# solver property tests, emulator-ground-truth soundness over the
-# 17-workload suite and fuzz recipes, and the meld-report golden gate),
+# --analysis to run the dataflow tier (the analysis label: solver
+# property tests and emulator-ground-truth soundness over the 17-workload
+# suite and fuzz recipes),
 # --sanitize to build and test under ASan+UBSan (the sanitize preset),
 # --tsan to build and run the threaded-subsystem tests under TSan, and
 # --tidy to run clang-tidy over src/ and tools/ (skipped with a notice
@@ -91,9 +91,9 @@ elif [[ "$BENCH" -eq 1 ]]; then
   # campaign digest must match it bit for bit.
   ctest --preset perf
 elif [[ "$ANALYSIS" -eq 1 ]]; then
-  # The dataflow tier: solver vs brute-force property tests, the dynamic
-  # soundness differential (no retired instruction may contradict a
-  # definite-assignment or liveness claim), and the meld-report golden.
+  # The dataflow tier: solver vs brute-force property tests and the
+  # dynamic soundness differential (no retired instruction may contradict
+  # a definite-assignment or liveness claim).
   ctest --preset analysis
 elif [[ "$ALL" -eq 1 ]]; then
   ctest --preset "$PRESET"

@@ -19,7 +19,6 @@ AnalysisManager AnalysisManager::standardPipeline() {
   AM.addPass(createIRLintPass());
   AM.addPass(createAnnotationConsistencyPass());
   AM.addPass(createCfmLegalityPass());
-  AM.addPass(createPredicationSafetyPass());
   AM.addPass(createProfileSanityPass());
   return AM;
 }

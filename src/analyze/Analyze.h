@@ -25,11 +25,6 @@
 ///                          hammocks, loop annotations name real loops,
 ///                          and exact-CFM claims survive the side-effect
 ///                          summary cross-check (DF01).
-///   PredicationSafety      dataflow facts as diagnostics (DF02-DF06):
-///                          dead register writes, and per annotated
-///                          hammock the meldability classification (calls,
-///                          side exits, loop-carried recurrences,
-///                          predicated-store counts).
 ///   ProfileSanity          edge counts conserve flow per block; branch
 ///                          totals match; annotated branches executed.
 ///
@@ -84,7 +79,6 @@ public:
 std::unique_ptr<Pass> createIRLintPass();
 std::unique_ptr<Pass> createAnnotationConsistencyPass();
 std::unique_ptr<Pass> createCfmLegalityPass();
-std::unique_ptr<Pass> createPredicationSafetyPass();
 std::unique_ptr<Pass> createProfileSanityPass();
 
 /// Runs a pass pipeline and folds error findings into a Status.
@@ -95,7 +89,7 @@ public:
   void addPass(std::unique_ptr<Pass> P) { Passes.push_back(std::move(P)); }
 
   /// The standard pipeline: IRLint, AnnotationConsistency, CfmLegality,
-  /// PredicationSafety, ProfileSanity (in that order).
+  /// ProfileSanity (in that order).
   static AnalysisManager standardPipeline();
 
   /// Runs every registered pass over \p Input, reporting into \p Sink.

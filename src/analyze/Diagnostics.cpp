@@ -116,16 +116,6 @@ const char *diagCodeName(DiagCode Code) {
     return "PROF04";
   case DiagCode::DfExactCfmImpure:
     return "DF01";
-  case DiagCode::DfHammockCall:
-    return "DF02";
-  case DiagCode::DfHammockSideExit:
-    return "DF03";
-  case DiagCode::DfLoopCarried:
-    return "DF04";
-  case DiagCode::DfDeadWrite:
-    return "DF05";
-  case DiagCode::DfPredStores:
-    return "DF06";
   }
   return "??";
 }
@@ -143,11 +133,6 @@ Severity diagCodeSeverity(DiagCode Code) {
   case DiagCode::CfmNestedConflict:
   case DiagCode::CfmImprobableMerge:
   case DiagCode::ProfAnnotatedNeverExecuted:
-  case DiagCode::DfHammockCall:
-  case DiagCode::DfHammockSideExit:
-  case DiagCode::DfLoopCarried:
-  case DiagCode::DfDeadWrite:
-  case DiagCode::DfPredStores:
     return Severity::Warning;
   default:
     return Severity::Error;

@@ -96,15 +96,9 @@ enum class DiagCode : uint8_t {
   ProfUnknownAddr,            // PROF03
   ProfAnnotatedNeverExecuted, // PROF04 (warning)
 
-  // Dataflow / predication safety (DF01-DF06): facts from dmp::dataflow
-  // cross-checked against the annotations (PredicationSafety pass, plus
-  // the CfmLegality side-effect cross-check for DF01).
-  DfExactCfmImpure,   // DF01
-  DfHammockCall,      // DF02 (warning)
-  DfHammockSideExit,  // DF03 (warning)
-  DfLoopCarried,      // DF04 (warning)
-  DfDeadWrite,        // DF05 (warning)
-  DfPredStores,       // DF06 (warning)
+  // Dataflow (DF01): CfmLegality's cross-check of an exact-CFM claim
+  // against dmp::dataflow's per-block side-effect summary.
+  DfExactCfmImpure, // DF01
 };
 
 /// Stable printed code, e.g. "CFM01".

@@ -92,64 +92,6 @@ DefiniteAssignResult computeDefiniteAssign(const cfg::CFGView &View,
   return R;
 }
 
-ReachingDefsResult computeReachingDefs(const cfg::CFGView &View) {
-  const unsigned N = View.blockCount();
-  ReachingDefsResult R;
-
-  // Number the definition sites densely in layout (== address) order.
-  std::vector<ir::Reg> DefReg;
-  for (unsigned Id = 0; Id < N; ++Id)
-    for (const ir::Instruction &I : View.block(Id)->instructions())
-      if (instrDefs(I) != 0) {
-        R.DefAddrs.push_back(I.Addr);
-        DefReg.push_back(I.Dst);
-      }
-  const unsigned D = R.defCount();
-
-  std::vector<DynBitset> DefsOfReg(ir::NumRegs, DynBitset(D));
-  for (unsigned DefId = 0; DefId < D; ++DefId)
-    DefsOfReg[DefReg[DefId]].set(DefId);
-
-  Problem<DynBitset> Pr;
-  Pr.Dir = Direction::Forward;
-  Pr.MeetKind = Meet::Union;
-  Pr.Interior = DynBitset(D);
-  Pr.Boundary = DynBitset(D);
-  Pr.Transfers.assign(N, Transfer<DynBitset>{DynBitset(D), DynBitset(D)});
-
-  unsigned NextDef = 0;
-  for (unsigned Id = 0; Id < N; ++Id) {
-    Transfer<DynBitset> &T = Pr.Transfers[Id];
-    RegSet Defined = 0;
-    const unsigned FirstDef = NextDef;
-    for (const ir::Instruction &I : View.block(Id)->instructions())
-      if (instrDefs(I) != 0) {
-        Defined |= regBit(I.Dst);
-        ++NextDef;
-      }
-    // Gen: downward-exposed defs — the last def of each register in the
-    // block.  Scan the block's def ids backwards.
-    RegSet Seen = 0;
-    for (unsigned DefId = NextDef; DefId > FirstDef; --DefId) {
-      const ir::Reg Rg = DefReg[DefId - 1];
-      if (!(Seen & regBit(Rg))) {
-        T.Gen.set(DefId - 1);
-        Seen |= regBit(Rg);
-      }
-    }
-    // Kill: every def (anywhere) of a register this block defines.
-    for (unsigned Rg = 0; Rg < ir::NumRegs; ++Rg)
-      if (Defined & regBit(static_cast<ir::Reg>(Rg)))
-        T.Kill |= DefsOfReg[Rg];
-  }
-
-  Solution<DynBitset> S = solve(View, Pr);
-  R.In = std::move(S.In);
-  R.Out = std::move(S.Out);
-  R.Rounds = S.Rounds;
-  return R;
-}
-
 std::vector<BlockEffects> computeBlockEffects(const cfg::CFGView &View) {
   std::vector<BlockEffects> E(View.blockCount());
   for (unsigned Id = 0; Id < View.blockCount(); ++Id)

@@ -13,11 +13,9 @@
 ///                        on *every* path from program entry (the whole-
 ///                        program generalization of IRLint's old IR15
 ///                        maybe-undef sweep).
-///   reaching definitions backward compatible forward/union over one bit
-///                        per register-writing instruction.
 ///   block effects        per-block side-effect summaries (stores, loads,
-///                        calls, halts, rets) consumed by CfmLegality and
-///                        the meldability classifier.
+///                        calls, halts, rets) consumed by CfmLegality's
+///                        exact-CFM cross-check (DF01).
 ///
 /// The per-function primitives take explicit call-boundary summaries (what
 /// a Call uses/defines) so they stay context-free and property-testable;
@@ -45,7 +43,6 @@
 #ifndef DMP_DATAFLOW_DATAFLOW_H
 #define DMP_DATAFLOW_DATAFLOW_H
 
-#include "dataflow/Bitset.h"
 #include "dataflow/Solver.h"
 #include "ir/Program.h"
 
@@ -108,23 +105,6 @@ DefiniteAssignResult computeDefiniteAssign(const cfg::CFGView &View,
                                            RegSet EntryAssigned,
                                            CallEffectFn CallFn = nullptr,
                                            void *CallCtx = nullptr);
-
-/// Reaching definitions over one function.  Definition sites are the
-/// register-writing instructions, numbered densely in address order.
-struct ReachingDefsResult {
-  /// Address of each definition site, indexed by definition id.
-  std::vector<uint32_t> DefAddrs;
-  /// Definition ids reaching block entry / exit, per block id.
-  std::vector<DynBitset> In;
-  std::vector<DynBitset> Out;
-  unsigned Rounds = 0;
-
-  unsigned defCount() const {
-    return static_cast<unsigned>(DefAddrs.size());
-  }
-};
-
-ReachingDefsResult computeReachingDefs(const cfg::CFGView &View);
 
 /// Per-block side-effect summary.
 struct BlockEffects {

@@ -13,8 +13,8 @@
 /// postorder (backward problems) until a fixed point.
 ///
 /// The Set parameter is any value type with |, &, ~ and == — in practice a
-/// raw uint32_t (one bit per architectural register) or a DynBitset (one
-/// bit per definition).  Transfer functions are applied as
+/// raw uint32_t, one bit per architectural register.  Transfer functions
+/// are applied as
 ///
 ///   out = Gen | (in & ~Kill)        (forward; mirrored for backward)
 ///

@@ -1,23 +1,24 @@
-//===- tests/test_dataflow.cpp - Dataflow framework + meldability tests ------===//
+//===- tests/test_dataflow.cpp - Dataflow framework tests -------------------===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
-// The static half of the dataflow test tier (TESTING.md "Dataflow &
-// predication safety"): solver unit tests on hand-built programs, property
-// tests pitting the bitset fixpoint against a brute-force per-path
-// evaluator over check::ProgramGen's random CFGs, convergence on
-// irreducible and loop-heavy shapes, the meldability classifier on the
-// Figure 3 zoo, and the DF01-DF06 diagnostics through the full analyze
-// pipeline (including the IR15 whole-program generalization).  The dynamic
-// half — emulator ground truth — lives in test_dataflow_soundness.cpp.
+// The static half of the dataflow test tier (TESTING.md "Dataflow"):
+// solver unit tests on hand-built programs, property tests pitting the
+// bitset fixpoint against a brute-force per-path evaluator over
+// check::ProgramGen's random CFGs, convergence on irreducible and
+// loop-heavy shapes, and the dataflow-backed diagnostics (DF01, the IR15
+// whole-program generalization) through the full analyze pipeline.  The
+// dynamic half — emulator ground truth — lives in
+// test_dataflow_soundness.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestPrograms.h"
 #include "analyze/Analyze.h"
 #include "check/ProgramGen.h"
+#include "core/AnnotationIO.h"
 #include "dataflow/Dataflow.h"
-#include "dataflow/Meldability.h"
+#include "harness/CellRun.h"
 #include "ir/IRBuilder.h"
 #include "support/Json.h"
 
@@ -25,6 +26,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -133,59 +135,6 @@ void expectDefiniteAssignMatchesBruteForce(const cfg::CFGView &View) {
       ASSERT_EQ(Solver, BruteAssigned)
           << "definite-assignment mismatch: r" << R << " at block '"
           << B->getName() << "' of " << View.getFunction().getName();
-    }
-  }
-}
-
-/// Brute-force reaching definitions for one definition site: BFS forward
-/// from its block (when downward-exposed) through blocks that do not
-/// redefine the register.
-void expectReachingDefsMatchBruteForce(const cfg::CFGView &View) {
-  const dataflow::ReachingDefsResult RD = dataflow::computeReachingDefs(View);
-  // Recover each definition's (block, register, position) from its address.
-  for (unsigned D = 0; D < RD.defCount(); ++D) {
-    const uint32_t Addr = RD.DefAddrs[D];
-    const ir::BasicBlock *Home = nullptr;
-    unsigned Reg = 0;
-    bool Exposed = true; // No later def of Reg in Home after Addr.
-    for (const ir::BasicBlock *B : View.reversePostorder()) {
-      bool Seen = false;
-      for (const ir::Instruction &Inst : B->instructions()) {
-        if (Inst.Addr == Addr) {
-          Home = B;
-          Seen = true;
-          Reg = Inst.Dst;
-          continue;
-        }
-        if (Seen && (dataflow::instrDefs(Inst) & regBit(Reg)))
-          Exposed = false;
-      }
-      if (Home != nullptr)
-        break;
-    }
-    ASSERT_NE(Home, nullptr) << "definition address not in any RPO block";
-    std::set<const ir::BasicBlock *> InReach;
-    if (Exposed) {
-      std::vector<const ir::BasicBlock *> Work;
-      for (const ir::BasicBlock *S : Home->successors())
-        if (InReach.insert(S).second)
-          Work.push_back(S);
-      while (!Work.empty()) {
-        const ir::BasicBlock *B = Work.back();
-        Work.pop_back();
-        if (blockDefines(B, Reg))
-          continue;
-        for (const ir::BasicBlock *S : B->successors())
-          if (InReach.insert(S).second)
-            Work.push_back(S);
-      }
-    }
-    for (const ir::BasicBlock *B : View.reversePostorder()) {
-      const bool Brute = InReach.count(B) != 0;
-      const bool Solver = RD.In[B->getId()].test(D);
-      ASSERT_EQ(Solver, Brute)
-          << "reaching-defs mismatch: def@" << Addr << " (r" << Reg
-          << ") at block '" << B->getName() << "'";
     }
   }
 }
@@ -370,22 +319,12 @@ TEST(DataflowPropertyTest, DefiniteAssignMatchesBruteForceOnRandomPrograms) {
   }
 }
 
-TEST(DataflowPropertyTest, ReachingDefsMatchBruteForceOnRandomPrograms) {
-  for (uint64_t Seed = 0; Seed < 10; ++Seed) {
-    const check::GenProgram G = check::materialize(check::randomRecipe(Seed));
-    ASSERT_TRUE(G.VerifyErrors.empty());
-    for (const auto &F : G.Prog->functions())
-      expectReachingDefsMatchBruteForce(cfg::CFGView(*F));
-  }
-}
-
 TEST(DataflowPropertyTest, IrreducibleCfgConvergesAndMatchesBruteForce) {
   const std::unique_ptr<ir::Program> P = buildIrreducible();
   const ir::Function &F = *P->functions().front();
   const cfg::CFGView View(F);
   expectLivenessMatchesBruteForce(View);
   expectDefiniteAssignMatchesBruteForce(View);
-  expectReachingDefsMatchBruteForce(View);
   const dataflow::LivenessResult L = dataflow::computeLiveness(View, 0);
   EXPECT_LE(L.Rounds, View.blockCount() + 2);
 }
@@ -449,181 +388,7 @@ TEST(DataflowPropertyTest, InterproceduralFixpointConverges) {
 }
 
 //===----------------------------------------------------------------------===//
-// Meldability classification
-//===----------------------------------------------------------------------===//
-
-TEST(MeldabilityTest, SimpleHammockIsMeldable) {
-  const test::ProgramHandles H = test::buildSimpleHammockLoop();
-  const cfg::ProgramAnalysis PA(*H.Prog);
-  const dataflow::ProgramDataflow PD(*H.Prog);
-  core::DivergeMap Map;
-  Map.add(H.BranchAddr, simpleAnnotation(H.Merge->getStartAddr()));
-
-  const dataflow::MeldReport R =
-      dataflow::analyzeMeldability(*H.Prog, PA, Map, PD);
-  ASSERT_EQ(R.Hammocks.size(), 1u);
-  const dataflow::HammockReport &HR = R.Hammocks.front();
-  EXPECT_EQ(HR.BranchAddr, H.BranchAddr);
-  EXPECT_EQ(HR.Kind, core::DivergeKind::SimpleHammock);
-  EXPECT_EQ(HR.RegionBlocks, 2u);
-  EXPECT_EQ(HR.EscapeBlocks, 0u);
-  EXPECT_GT(HR.SelectCount, 0u);
-  EXPECT_EQ(HR.PredStoreCount, 0u);
-  EXPECT_EQ(HR.unsafeCount(), 0u);
-  EXPECT_TRUE(HR.Meldable);
-  // The verdict list covers exactly the region's instructions, in
-  // ascending address order.
-  for (size_t I = 1; I < HR.Instrs.size(); ++I)
-    EXPECT_LT(HR.Instrs[I - 1].Addr, HR.Instrs[I].Addr);
-}
-
-TEST(MeldabilityTest, StoreInLegBecomesPredicatedStore) {
-  auto P = std::make_unique<ir::Program>("store-hammock");
-  ir::Function *F = P->createFunction("main");
-  ir::IRBuilder B(*P);
-  ir::BasicBlock *Entry = F->createBlock("entry");
-  ir::BasicBlock *Then = F->createBlock("then");
-  ir::BasicBlock *Merge = F->createBlock("merge");
-  B.setInsertPoint(Entry);
-  B.loadImm(1, 1);
-  B.loadImm(2, 64);
-  B.condBr(ir::BrCond::Eq, 1, 0, Merge);
-  B.setInsertPoint(Then);
-  B.store(1, 2, 0);
-  B.addI(3, 1, 1);
-  B.jmp(Merge);
-  B.setInsertPoint(Merge);
-  B.halt();
-  P->finalize();
-  test::requireClean(*P);
-  const uint32_t BranchAddr = Entry->getTerminator()->Addr;
-
-  const cfg::ProgramAnalysis PA(*P);
-  const dataflow::ProgramDataflow PD(*P);
-  core::DivergeMap Map;
-  Map.add(BranchAddr, simpleAnnotation(Merge->getStartAddr()));
-  const dataflow::MeldReport R = dataflow::analyzeMeldability(*P, PA, Map, PD);
-  ASSERT_EQ(R.Hammocks.size(), 1u);
-  EXPECT_EQ(R.Hammocks[0].PredStoreCount, 1u);
-  EXPECT_EQ(R.Hammocks[0].unsafeCount(), 0u);
-  EXPECT_TRUE(R.Hammocks[0].Meldable);
-}
-
-TEST(MeldabilityTest, CallInLegIsUnsafe) {
-  auto P = std::make_unique<ir::Program>("call-hammock");
-  ir::Function *Main = P->createFunction("main");
-  ir::Function *Helper = P->createFunction("helper");
-  ir::IRBuilder B(*P);
-  ir::BasicBlock *Entry = Main->createBlock("entry");
-  ir::BasicBlock *Then = Main->createBlock("then");
-  ir::BasicBlock *Merge = Main->createBlock("merge");
-  B.setInsertPoint(Entry);
-  B.loadImm(1, 1);
-  B.condBr(ir::BrCond::Eq, 1, 0, Merge);
-  B.setInsertPoint(Then);
-  B.call(Helper);
-  B.jmp(Merge);
-  B.setInsertPoint(Merge);
-  B.halt();
-  ir::BasicBlock *HE = Helper->createBlock("entry");
-  B.setInsertPoint(HE);
-  B.addI(4, 4, 1);
-  B.ret();
-  P->finalize();
-  test::requireClean(*P);
-  const uint32_t BranchAddr = Entry->getTerminator()->Addr;
-
-  const cfg::ProgramAnalysis PA(*P);
-  const dataflow::ProgramDataflow PD(*P);
-  core::DivergeMap Map;
-  Map.add(BranchAddr, simpleAnnotation(Merge->getStartAddr()));
-  const dataflow::MeldReport R = dataflow::analyzeMeldability(*P, PA, Map, PD);
-  ASSERT_EQ(R.Hammocks.size(), 1u);
-  EXPECT_EQ(R.Hammocks[0].UnsafeCalls, 1u);
-  EXPECT_FALSE(R.Hammocks[0].Meldable);
-}
-
-TEST(MeldabilityTest, FreqHammockRareSideEscapes) {
-  const test::ProgramHandles H = test::buildFreqHammockLoop();
-  const cfg::ProgramAnalysis PA(*H.Prog);
-  const dataflow::ProgramDataflow PD(*H.Prog);
-  core::DivergeMap Map;
-  core::DivergeAnnotation Ann;
-  Ann.Kind = core::DivergeKind::FreqHammock;
-  Ann.Cfms.push_back(core::CfmPoint::atAddress(H.Merge->getStartAddr(), 0.9));
-  Map.add(H.BranchAddr, Ann);
-
-  const dataflow::MeldReport R =
-      dataflow::analyzeMeldability(*H.Prog, PA, Map, PD);
-  ASSERT_EQ(R.Hammocks.size(), 1u);
-  // The rare side bypasses the merge: a side exit or escape blocks must be
-  // reported, and the region is not meldable as-is.
-  EXPECT_GT(R.Hammocks[0].UnsafeSideExits + R.Hammocks[0].EscapeBlocks, 0u);
-  EXPECT_FALSE(R.Hammocks[0].Meldable);
-}
-
-TEST(MeldabilityTest, LoopAnnotationFindsLoopCarriedRecurrence) {
-  const test::ProgramHandles H = test::buildSimpleHammockLoop();
-  // The loop-back branch lives in the merge block.
-  const ir::Instruction *LoopBr = H.Merge->getTerminator();
-  ASSERT_NE(LoopBr, nullptr);
-  ASSERT_EQ(LoopBr->Op, ir::Opcode::CondBr);
-
-  const cfg::ProgramAnalysis PA(*H.Prog);
-  const dataflow::ProgramDataflow PD(*H.Prog);
-  core::DivergeMap Map;
-  core::DivergeAnnotation Ann;
-  Ann.Kind = core::DivergeKind::Loop;
-  Ann.LoopHeaderAddr = H.BranchBlock->getStartAddr();
-  Ann.LoopStayTaken = true;
-  Ann.Cfms.push_back(
-      core::CfmPoint::atAddress(H.BranchBlock->getStartAddr(), 0.9));
-  Map.add(LoopBr->Addr, Ann);
-
-  const dataflow::MeldReport R =
-      dataflow::analyzeMeldability(*H.Prog, PA, Map, PD);
-  ASSERT_EQ(R.Hammocks.size(), 1u);
-  EXPECT_EQ(R.Hammocks[0].Kind, core::DivergeKind::Loop);
-  // The loop index (r1) recurrence at minimum: i = i + 1 with r1 live at
-  // the header.
-  EXPECT_GT(R.Hammocks[0].UnsafeLoopCarried, 0u);
-  EXPECT_FALSE(R.Hammocks[0].Meldable);
-}
-
-TEST(MeldabilityTest, NoCfmAnnotationYieldsEmptyRow) {
-  const test::ProgramHandles H = test::buildSimpleHammockLoop();
-  const cfg::ProgramAnalysis PA(*H.Prog);
-  const dataflow::ProgramDataflow PD(*H.Prog);
-  core::DivergeMap Map;
-  core::DivergeAnnotation Ann;
-  Ann.Kind = core::DivergeKind::NoCfm;
-  Map.add(H.BranchAddr, Ann);
-  const dataflow::MeldReport R =
-      dataflow::analyzeMeldability(*H.Prog, PA, Map, PD);
-  ASSERT_EQ(R.Hammocks.size(), 1u);
-  EXPECT_EQ(R.Hammocks[0].RegionBlocks, 0u);
-  EXPECT_FALSE(R.Hammocks[0].Meldable);
-}
-
-TEST(MeldabilityTest, TsvRendererIsStable) {
-  const test::ProgramHandles H = test::buildSimpleHammockLoop();
-  const cfg::ProgramAnalysis PA(*H.Prog);
-  const dataflow::ProgramDataflow PD(*H.Prog);
-  core::DivergeMap Map;
-  Map.add(H.BranchAddr, simpleAnnotation(H.Merge->getStartAddr()));
-  const dataflow::MeldReport R =
-      dataflow::analyzeMeldability(*H.Prog, PA, Map, PD);
-  const std::string Tsv =
-      dataflow::renderMeldReportTsv(R, {"workload"}, {"hammock"});
-  EXPECT_EQ(Tsv.substr(0, Tsv.find('\n')),
-            "workload\tbranch\tkind\tblocks\tescapes\tselect\tpred_store\t"
-            "unsafe_call\tunsafe_loop\tunsafe_exit\tmeldable");
-  EXPECT_NE(Tsv.find("\nhammock\t"), std::string::npos);
-  EXPECT_EQ(Tsv, dataflow::renderMeldReportTsv(R, {"workload"}, {"hammock"}));
-}
-
-//===----------------------------------------------------------------------===//
-// DF01-DF06 + whole-program IR15 through the analyze pipeline
+// DF01 + whole-program IR15 through the analyze pipeline
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -642,83 +407,7 @@ analyze::DiagnosticSink lintWithAnnotations(const ir::Program &P,
 
 } // namespace
 
-TEST(PredicationSafetyTest, DeadWriteWarnsDF05) {
-  auto P = std::make_unique<ir::Program>("dead-write");
-  ir::Function *F = P->createFunction("main");
-  ir::IRBuilder B(*P);
-  ir::BasicBlock *Entry = F->createBlock("entry");
-  B.setInsertPoint(Entry);
-  B.loadImm(10, 1); // Dead: overwritten before any read.
-  B.loadImm(10, 2);
-  B.addI(11, 10, 1);
-  B.store(11, 0, 0);
-  B.halt();
-  P->finalize();
-
-  core::DivergeMap Empty;
-  const analyze::DiagnosticSink Sink = lintWithAnnotations(*P, Empty);
-  EXPECT_TRUE(Sink.has(analyze::DiagCode::DfDeadWrite));
-  EXPECT_EQ(Sink.errorCount(), 0u);
-}
-
-TEST(PredicationSafetyTest, HammockCallWarnsDF02) {
-  auto P = std::make_unique<ir::Program>("df02");
-  ir::Function *Main = P->createFunction("main");
-  ir::Function *Helper = P->createFunction("helper");
-  ir::IRBuilder B(*P);
-  ir::BasicBlock *Entry = Main->createBlock("entry");
-  ir::BasicBlock *Then = Main->createBlock("then");
-  ir::BasicBlock *Merge = Main->createBlock("merge");
-  B.setInsertPoint(Entry);
-  B.loadImm(1, 1);
-  B.condBr(ir::BrCond::Eq, 1, 0, Merge);
-  B.setInsertPoint(Then);
-  B.call(Helper);
-  B.jmp(Merge);
-  B.setInsertPoint(Merge);
-  B.addI(4, 4, 1);
-  B.store(4, 0, 0);
-  B.halt();
-  ir::BasicBlock *HE = Helper->createBlock("entry");
-  B.setInsertPoint(HE);
-  B.addI(4, 1, 1);
-  B.ret();
-  P->finalize();
-  const uint32_t BranchAddr = Entry->getTerminator()->Addr;
-
-  core::DivergeMap Map;
-  Map.add(BranchAddr, simpleAnnotation(Merge->getStartAddr()));
-  const analyze::DiagnosticSink Sink = lintWithAnnotations(*P, Map);
-  EXPECT_TRUE(Sink.has(analyze::DiagCode::DfHammockCall));
-}
-
-TEST(PredicationSafetyTest, MeldableStoresWarnDF06) {
-  auto P = std::make_unique<ir::Program>("df06");
-  ir::Function *F = P->createFunction("main");
-  ir::IRBuilder B(*P);
-  ir::BasicBlock *Entry = F->createBlock("entry");
-  ir::BasicBlock *Then = F->createBlock("then");
-  ir::BasicBlock *Merge = F->createBlock("merge");
-  B.setInsertPoint(Entry);
-  B.loadImm(1, 1);
-  B.loadImm(2, 64);
-  B.condBr(ir::BrCond::Eq, 1, 0, Merge);
-  B.setInsertPoint(Then);
-  B.store(1, 2, 0);
-  B.jmp(Merge);
-  B.setInsertPoint(Merge);
-  B.halt();
-  P->finalize();
-  const uint32_t BranchAddr = Entry->getTerminator()->Addr;
-
-  core::DivergeMap Map;
-  Map.add(BranchAddr, simpleAnnotation(Merge->getStartAddr()));
-  const analyze::DiagnosticSink Sink = lintWithAnnotations(*P, Map);
-  EXPECT_TRUE(Sink.has(analyze::DiagCode::DfPredStores));
-  EXPECT_EQ(Sink.errorCount(), 0u);
-}
-
-TEST(PredicationSafetyTest, ExactCfmWithHaltInRegionErrorsDF01) {
+TEST(CfmLegalityTest, ExactCfmWithHaltInRegionErrorsDF01) {
   auto P = std::make_unique<ir::Program>("df01");
   ir::Function *F = P->createFunction("main");
   ir::IRBuilder B(*P);
@@ -799,13 +488,35 @@ TEST(IRLintWholeProgramTest, MainOnlyProgramKeepsLegacyIR15Verdicts) {
 
 #ifdef DMP_TEST_LINT_TOOL
 TEST(LintJsonTest, SnapshotParsesAndCarriesDiagnostics) {
+  // gzip's own selection lints clean, so hand dmp_lint that selection with
+  // its first `branch` line written twice: ANN07, a warning (exit stays 0).
+  harness::CellSpec Cell;
+  Cell.Benchmark = "gzip";
+  Cell.ProfileInstrs = 120000;
+  harness::BenchContext Bench(*workloads::findBenchmark(Cell.Benchmark),
+                              harness::cellOptions(Cell, nullptr));
+  const std::string Text = core::serializeDivergeMap(
+      harness::findSelectionPreset(Cell.Algo)->Select(Bench,
+                                                      Cell.ProfileInput));
+  const size_t Line = Text.find("\nbranch ");
+  ASSERT_NE(Line, std::string::npos) << Text;
+  const size_t End = Text.find('\n', Line + 1);
+  const std::string MapText =
+      Text.substr(0, End) + Text.substr(Line, End - Line) + Text.substr(End);
+  const std::string MapFile = ::testing::TempDir() + "lint_snapshot.map";
+  {
+    std::ofstream(MapFile) << MapText;
+  }
+
   const std::string Out = ::testing::TempDir() + "lint_snapshot.json";
   const std::string Cmd = std::string(DMP_TEST_LINT_TOOL) +
-                          " gzip --json --profile-instrs=120000 > " + Out;
+                          " gzip --json --profile-instrs=120000 --map=" +
+                          MapFile + " > " + Out;
   ASSERT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
 
   const StatusOr<json::Value> Parsed = json::parseFile(Out);
   std::remove(Out.c_str());
+  std::remove(MapFile.c_str());
   ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
   const json::Value &Root = Parsed.value();
 
@@ -824,11 +535,15 @@ TEST(LintJsonTest, SnapshotParsesAndCarriesDiagnostics) {
   ASSERT_NE(W.findNumber("warnings"), nullptr);
   const json::Value *Diags = W.find("diagnostics");
   ASSERT_NE(Diags, nullptr);
+  ASSERT_FALSE(Diags->asArray().empty());
   // Every diagnostic element carries the machine-format fields.
+  bool SawAnn07 = false;
   for (const json::Value &D : Diags->asArray()) {
     ASSERT_NE(D.findString("code"), nullptr);
     ASSERT_NE(D.findString("severity"), nullptr);
     ASSERT_NE(D.findString("message"), nullptr);
+    SawAnn07 |= D.findString("code")->asString() == "ANN07";
   }
+  EXPECT_TRUE(SawAnn07);
 }
 #endif // DMP_TEST_LINT_TOOL

@@ -31,9 +31,6 @@
 //   --max-instr=<n>              selection MAX_INSTR threshold (default 50)
 //   --min-merge-prob=<p>         selection MIN_MERGE_PROB (default 0.01)
 //   --werror                     exit non-zero on warnings too
-//   --meld-report                print the dataflow meldability TSV (one
-//                                row per annotated branch, a leading
-//                                workload column) instead of linting
 //   --json                       print one machine-readable JSON snapshot
 //                                of all diagnostics to stdout (round-trips
 //                                through dmp::json)
@@ -47,7 +44,6 @@
 #include "analyze/Analyze.h"
 #include "bench/BenchJson.h"
 #include "core/AnnotationIO.h"
-#include "dataflow/Meldability.h"
 #include "harness/CellRun.h"
 #include "support/ExitCodes.h"
 #include "support/StringUtils.h"
@@ -73,7 +69,6 @@ struct CliOptions {
   std::string MapFile;
   bool MachineFormat = false;
   bool WarningsAsErrors = false;
-  bool MeldReport = false;
   bool Json = false;
   bool Help = false;
 };
@@ -83,8 +78,8 @@ void usage() {
                "usage: dmp_lint [benchmark...] [--all] [--algo=...] "
                "[--profile-input=run|train] [--map=FILE] "
                "[--format=text|machine] [--profile-instrs=N] "
-               "[--max-instr=N] [--min-merge-prob=P] [--werror] "
-               "[--meld-report] [--json] [--help]\n"
+               "[--max-instr=N] [--min-merge-prob=P] [--werror] [--json] "
+               "[--help]\n"
                "  --algo=<%s> (default all)\n",
                harness::selectionPresetNames().c_str());
 }
@@ -97,7 +92,7 @@ void help() {
       "default), profile them, run diverge-branch selection, and lint the\n"
       "program + profile + annotations through the standard analyze pass\n"
       "pipeline (IRLint, AnnotationConsistency, CfmLegality,\n"
-      "PredicationSafety, ProfileSanity).\n"
+      "ProfileSanity).\n"
       "\n"
       "Options:\n"
       "  --all                        lint every benchmark of the suite\n"
@@ -115,11 +110,6 @@ void help() {
       "  --min-merge-prob=<p>         selection MIN_MERGE_PROB (default\n"
       "                               0.01)\n"
       "  --werror                     warnings gate the exit code too\n"
-      "  --meld-report                print the meldability TSV (one row\n"
-      "                               per annotated branch, leading\n"
-      "                               workload column) to stdout instead\n"
-      "                               of linting; always exits 0 unless a\n"
-      "                               usage error occurs\n"
       "  --json                       print one JSON snapshot of every\n"
       "                               diagnostic to stdout (schema\n"
       "                               dmp-bench/1, bench \"lint\"); replaces\n"
@@ -170,8 +160,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Cell.ProfileInstrs = U;
     } else if (Arg == "--werror") {
       Opts.WarningsAsErrors = true;
-    } else if (Arg == "--meld-report") {
-      Opts.MeldReport = true;
     } else if (Arg == "--json") {
       Opts.Json = true;
     } else if (Arg == "--help" || Arg == "-h") {
@@ -189,12 +177,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   if (!Opts.MapFile.empty() && (Opts.All || Opts.Benchmarks.size() != 1)) {
     std::fprintf(stderr,
                  "error: --map requires exactly one named benchmark\n");
-    return false;
-  }
-  if (Opts.MeldReport && Opts.Json) {
-    std::fprintf(stderr,
-                 "error: --meld-report and --json both claim stdout; "
-                 "pick one\n");
     return false;
   }
   return true;
@@ -229,10 +211,10 @@ void appendJsonWorkload(bench::BenchJson &Json,
 
 /// Lints one benchmark; returns false when diagnostics gate (errors, or
 /// warnings under --werror).  With \p Json the snapshot element replaces
-/// the stdout/stderr report; \p First gates the --meld-report header line.
+/// the stdout/stderr report.
 bool lintBenchmark(const workloads::BenchmarkSpec &Spec,
                    const CliOptions &Opts, bool &UsageError,
-                   bench::BenchJson *Json, bool First) {
+                   bench::BenchJson *Json) {
   const harness::CellSpec &Cell = Opts.Cell;
   harness::BenchContext Bench(Spec, harness::cellOptions(Cell, nullptr));
 
@@ -262,19 +244,6 @@ bool lintBenchmark(const workloads::BenchmarkSpec &Spec,
     // parseCellFlags admits only preset names.
     Map = harness::findSelectionPreset(Cell.Algo)->Select(Bench,
                                                           Cell.ProfileInput);
-  }
-
-  if (Opts.MeldReport) {
-    const ir::Program &P = *Bench.workload().Prog;
-    const dataflow::ProgramDataflow PD(P);
-    const dataflow::MeldReport Report =
-        dataflow::analyzeMeldability(P, Bench.analysis(), Map, PD);
-    std::string Tsv =
-        dataflow::renderMeldReportTsv(Report, {"workload"}, {Spec.Name});
-    if (!First)
-      Tsv.erase(0, Tsv.find('\n') + 1);
-    std::fputs(Tsv.c_str(), stdout);
-    return true;
   }
 
   analyze::AnalysisInput Input;
@@ -340,15 +309,13 @@ int main(int Argc, char **Argv) {
   }
 
   bool AllClean = true;
-  bool First = true;
   for (const workloads::BenchmarkSpec *Spec : Specs) {
     bool UsageError = false;
-    if (!lintBenchmark(*Spec, Opts, UsageError, Json.get(), First)) {
+    if (!lintBenchmark(*Spec, Opts, UsageError, Json.get())) {
       if (UsageError)
         return exitcode::Usage;
       AllClean = false;
     }
-    First = false;
   }
 
   if (Json != nullptr) {
