@@ -8,7 +8,7 @@
 
 #include "support/StringUtils.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <sstream>
 #include <unordered_map>
 
@@ -113,17 +113,18 @@ void lintDivergeMapText(const std::string &Text, DiagnosticSink &Sink) {
       continue;
     // Parse just the address token; full validation is parseDivergeMap's
     // job — a malformed line is its Corrupt, not our ANN07.
-    char *End = nullptr;
-    const unsigned long Addr = std::strtoul(Line.c_str() + 7, &End, 10);
-    if (End == Line.c_str() + 7)
+    uint64_t Addr = 0;
+    if (!parseU64(Line.substr(7, Line.find(' ', 7) - 7), Addr) ||
+        Addr > UINT32_MAX)
       continue;
     auto [It, Inserted] = Seen.emplace(static_cast<uint32_t>(Addr), LineNo);
     if (!Inserted)
       Sink.report(
           DiagCode::AnnDuplicateEntry, DiagLocation::program(),
-          formatString("duplicate entry for branch %lu on line %u shadows "
+          formatString("duplicate entry for branch %llu on line %u shadows "
                        "the entry on line %u",
-                       Addr, LineNo, It->second));
+                       static_cast<unsigned long long>(Addr), LineNo,
+                       It->second));
   }
 }
 

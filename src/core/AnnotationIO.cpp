@@ -8,8 +8,7 @@
 
 #include "support/StringUtils.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <cstdint>
 
 using namespace dmp;
 using namespace dmp::core;
@@ -50,26 +49,20 @@ std::string core::serializeDivergeMap(const DivergeMap &Map) {
 }
 
 /// Strict u32 parse: the whole token must be a decimal number that fits,
-/// so garbage like "12x" or "99999999999" is a diagnostic, not a silent 0.
-static bool parseU32Strict(const std::string &Token, uint32_t &Out) {
-  if (Token.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  const unsigned long long V = std::strtoull(Token.c_str(), &End, 10);
-  if (End == Token.c_str() || *End != '\0' || errno == ERANGE ||
-      V > 0xFFFFFFFFULL)
+/// so garbage like "12x", "+12" or "99999999999" is a diagnostic, not a
+/// silent 0.
+static bool parseU32(const std::string &Token, uint32_t &Out) {
+  uint64_t V = 0;
+  if (!parseU64(Token, V) || V > UINT32_MAX)
     return false;
   Out = static_cast<uint32_t>(V);
   return true;
 }
 
-static bool parseProbStrict(const std::string &Token, double &Out) {
-  if (Token.empty())
-    return false;
-  char *End = nullptr;
-  const double V = std::strtod(Token.c_str(), &End);
-  if (End == Token.c_str() || *End != '\0' || !(V >= 0.0) || !(V <= 1.0))
+/// A probability in [0, 1], in the strict form parseF64 takes.
+static bool parseProb(const std::string &Token, double &Out) {
+  double V = 0.0;
+  if (!parseF64(Token, V) || V > 1.0)
     return false;
   Out = V;
   return true;
@@ -101,7 +94,7 @@ Status core::parseDivergeMap(const std::string &Text, DivergeMap &Map) {
                                LineNo + 1));
     DivergeAnnotation Ann;
     uint32_t Addr = 0;
-    if (!parseU32Strict(Tokens[1], Addr))
+    if (!parseU32(Tokens[1], Addr))
       return Fail(formatString("line %zu: invalid branch address '%s'",
                                LineNo + 1, Tokens[1].c_str()));
 
@@ -122,11 +115,11 @@ Status core::parseDivergeMap(const std::string &Text, DivergeMap &Map) {
       } else if (Key == "always") {
         Ann.AlwaysPredicate = (Value == "1");
       } else if (Key == "header") {
-        if (!parseU32Strict(Value, Ann.LoopHeaderAddr))
+        if (!parseU32(Value, Ann.LoopHeaderAddr))
           return Fail(formatString("line %zu: invalid header '%s'",
                                    LineNo + 1, Value.c_str()));
       } else if (Key == "selects") {
-        if (!parseU32Strict(Value, Ann.LoopSelectUops))
+        if (!parseU32(Value, Ann.LoopSelectUops))
           return Fail(formatString("line %zu: invalid selects '%s'",
                                    LineNo + 1, Value.c_str()));
       } else if (Key == "stay") {
@@ -136,11 +129,11 @@ Status core::parseDivergeMap(const std::string &Text, DivergeMap &Map) {
         double Prob = 0.0;
         uint32_t CfmAddr = 0;
         if (Parts.size() == 2 && Parts[0] == "ret" &&
-            parseProbStrict(Parts[1], Prob)) {
+            parseProb(Parts[1], Prob)) {
           Ann.Cfms.push_back(CfmPoint::atReturn(Prob));
         } else if (Parts.size() == 3 && Parts[0] == "addr" &&
-                   parseU32Strict(Parts[1], CfmAddr) &&
-                   parseProbStrict(Parts[2], Prob)) {
+                   parseU32(Parts[1], CfmAddr) &&
+                   parseProb(Parts[2], Prob)) {
           Ann.Cfms.push_back(CfmPoint::atAddress(CfmAddr, Prob));
         } else {
           return Fail(formatString("line %zu: malformed cfm '%s'", LineNo + 1,

@@ -134,13 +134,3 @@ std::vector<Status> TaskGraph::runAll(ThreadPool &Pool,
   start(Pool);
   return std::move(Statuses);
 }
-
-void dmp::exec::parallelFor(ThreadPool &Pool, size_t Count,
-                            const std::function<void(size_t)> &Fn) {
-  if (Count == 0)
-    return;
-  TaskGraph Graph;
-  for (size_t I = 0; I < Count; ++I)
-    Graph.add([&Fn, I] { Fn(I); });
-  Graph.run(Pool);
-}

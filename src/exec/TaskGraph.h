@@ -126,22 +126,6 @@ private:
   std::vector<Status> Statuses;
 };
 
-/// Runs Fn(0..Count-1) across the pool and waits; rethrows the first
-/// exception.  Iteration-to-thread assignment is unspecified, so Fn must
-/// only touch per-index state.
-void parallelFor(ThreadPool &Pool, size_t Count,
-                 const std::function<void(size_t)> &Fn);
-
-/// parallelFor that collects return values: Result[i] = Fn(i), in index
-/// order regardless of scheduling.
-template <typename R>
-std::vector<R> parallelMap(ThreadPool &Pool, size_t Count,
-                           const std::function<R(size_t)> &Fn) {
-  std::vector<R> Results(Count);
-  parallelFor(Pool, Count, [&](size_t I) { Results[I] = Fn(I); });
-  return Results;
-}
-
 } // namespace dmp::exec
 
 #endif // DMP_EXEC_TASKGRAPH_H

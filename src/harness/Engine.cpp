@@ -179,15 +179,6 @@ BenchContext &ExperimentEngine::contextFor(const workloads::BenchmarkSpec &Spec)
   return *It->second;
 }
 
-RNG ExperimentEngine::cellRng(const workloads::BenchmarkSpec &Spec,
-                              size_t Config) {
-  // Two rounds of forking decorrelate the per-cell streams from the
-  // workload builder's own use of Spec.Seed.
-  RNG Base(Spec.Seed ^ 0xD1B54A32D192ED03ULL);
-  RNG Mixer(Base.next() + 0x9E3779B97F4A7C15ULL * (Config + 1));
-  return Mixer.fork();
-}
-
 void ExperimentEngine::noteComputed() {
   bool Raise = false;
   {

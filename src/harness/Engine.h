@@ -14,21 +14,21 @@
 ///                 └──> baseline sim ──┴──> ...
 ///
 /// so independent cells of different benchmarks overlap freely.  Results
-/// land in a pre-allocated [benchmark][config] matrix of StatusOr slots,
-/// and every cell gets its own RNG stream derived from the workload seed
-/// and config index — which is why results are bit-identical for any
-/// --jobs value.
+/// land in a pre-allocated [benchmark][config] matrix of StatusOr slots:
+/// each cell writes only its own slot and computes a pure function of its
+/// benchmark and config index, which is why results are bit-identical for
+/// any --jobs value.
 ///
 /// Failure semantics (DESIGN.md "Failure semantics"): campaigns run to
 /// completion.  A failing cell records its Status in its slot instead of
 /// poisoning the graph; Transient failures (e.g. injected faults, resource
 /// blips) are retried a bounded, deterministic number of times — attempts
-/// are indexed, never wall-clock-timed, and each retry re-derives the same
-/// per-cell RNG stream, so a retried cell is bit-identical to an
-/// undisturbed one.  The artifact cache is the campaign's only checkpoint:
-/// every profile, trace, baseline and DMP simulation a cell computes is
-/// stored there as it completes, so an interrupted campaign rerun on the
-/// same cache recomputes only what had not finished.
+/// are indexed, never wall-clock-timed, and a cell is deterministic, so a
+/// retried cell is bit-identical to an undisturbed one.  The artifact cache
+/// is the campaign's only checkpoint: every profile, trace, baseline and
+/// DMP simulation a cell computes is stored there as it completes, so an
+/// interrupted campaign rerun on the same cache recomputes only what had
+/// not finished.
 ///
 /// Shutdown and deadlines (DESIGN.md "Shutdown, deadlines, and crash
 /// recovery"): the engine drains on guard::processToken() — after a SIGINT
@@ -54,7 +54,6 @@
 #include "fault/Fault.h"
 #include "guard/Guard.h"
 #include "harness/Experiment.h"
-#include "support/RNG.h"
 #include "support/Status.h"
 
 #include <atomic>
@@ -110,10 +109,6 @@ struct EngineOptions {
 struct Cell {
   BenchContext &Bench;
   size_t Config; ///< Column index in the result matrix.
-  /// Deterministic per-cell stream: a pure function of the workload seed
-  /// and config index, independent of scheduling, thread count, and retry
-  /// attempt.
-  RNG Rng;
 };
 
 /// Which pipeline stages the engine should complete before cells run.
@@ -238,9 +233,6 @@ public:
   /// driver footers.
   std::string failureLines() const;
 
-  /// The deterministic RNG stream of cell (\p Spec, \p Config).
-  static RNG cellRng(const workloads::BenchmarkSpec &Spec, size_t Config);
-
   /// Ok while the campaign should keep launching cells; otherwise the
   /// drain token's or deadline's Status (origin "guard").
   Status cancelStatus() const;
@@ -276,9 +268,7 @@ private:
           if (!Injected.ok())
             throw StatusError(std::move(Injected));
         }
-        // The cell RNG is re-derived per attempt, so a retried cell
-        // computes on exactly the stream an undisturbed run would use.
-        Cell Unit{Bench, C, cellRng(Spec, C)};
+        Cell Unit{Bench, C};
         Slot = CellFn(Unit);
         noteComputed();
         return;

@@ -48,7 +48,7 @@ std::string simConfigKey(const sim::SimConfig &C, SimStage Stage) {
   for (uint64_t V :
        {uint64_t(C.Predictor), uint64_t(C.BtbEntries), uint64_t(C.RasEntries),
         uint64_t(C.ConfIndexBits), uint64_t(C.ConfHistoryBits),
-        uint64_t(C.ConfThreshold), C.Memory.IL1Size, uint64_t(C.Memory.IL1Assoc),
+        C.Memory.IL1Size, uint64_t(C.Memory.IL1Assoc),
         uint64_t(C.Memory.IL1Latency), C.Memory.DL1Size,
         uint64_t(C.Memory.DL1Assoc), uint64_t(C.Memory.DL1Latency),
         C.Memory.L2Size, uint64_t(C.Memory.L2Assoc),
@@ -58,9 +58,11 @@ std::string simConfigKey(const sim::SimConfig &C, SimStage Stage) {
     Put(V);
   if (Stage == SimStage::Trace)
     return Key;
-  // The core the baseline replays the trace through.
+  // The core the baseline replays the trace through (the confidence
+  // threshold reads the trace's counters into the LowConf* stats).
   for (unsigned V : {C.FetchWidth, C.MaxNotTakenBranchesPerFetch,
-                     C.FrontEndDepth, C.IssueWidth, C.RetireWidth, C.RobSize})
+                     C.FrontEndDepth, C.IssueWidth, C.RetireWidth, C.RobSize,
+                     C.ConfThreshold})
     Put(V);
   if (Stage == SimStage::Dmp) // dpred-mode
     for (unsigned V : {C.MaxDpredInstrs, C.MaxLoopDpredIters})
@@ -200,7 +202,6 @@ BenchContext::BenchContext(const workloads::BenchmarkSpec &Spec,
                            const ExperimentOptions &Options)
     : Options(Options), Spec(Spec), W(workloads::buildBenchmark(Spec)) {
   PA = std::make_unique<cfg::ProgramAnalysis>(*W.Prog);
-  RunImage = W.buildImage(workloads::InputSetKind::Run);
   for (SimStage Stage : {SimStage::Trace, SimStage::Baseline, SimStage::Dmp})
     OwnConfigKeys[static_cast<int>(Stage)] = simConfigKey(Options.Sim, Stage);
 }
@@ -278,8 +279,7 @@ BenchContext::profileData(workloads::InputSetKind Kind) {
       std::string(1, IsRun ? kRunProfileKey : kTrainProfileKey),
       [&] { return profileCacheKey(Spec, Kind, Options.Profile); },
       [&] {
-        return profile::collectProfile(*W.Prog, *PA,
-                                       IsRun ? RunImage : W.buildImage(Kind),
+        return profile::collectProfile(*W.Prog, *PA, W.buildImage(Kind),
                                        Options.Profile);
       });
 }
@@ -293,7 +293,8 @@ BenchContext::trace(const sim::SimConfig &Config) const {
       [&] { return simKey(Spec, MemoKey, serialize::kCacheSchemaVersion); },
       [&] {
         Traces.fetch_add(1, std::memory_order_relaxed);
-        return sim::recordCorrectPath(*W.Prog, RunImage, Config);
+        return sim::recordCorrectPath(
+            *W.Prog, W.buildImage(workloads::InputSetKind::Run), Config);
       });
 }
 

@@ -9,7 +9,9 @@
 /// its CFG analyses, lazily collected profiles for both input sets, the
 /// recorded correct path of the run input, and a cached baseline
 /// simulation.  All benches and examples run through this, so identical
-/// stages are computed once per benchmark.
+/// stages are computed once per benchmark.  A context keeps no memory
+/// image: a profile or trace that misses both the memo and the cache
+/// builds its input's image for that computation only.
 ///
 /// The canonical paper pipeline is:
 ///   profile(input) -> selectDivergeBranches(...) -> simulateDmp(run input)
@@ -213,7 +215,6 @@ private:
   workloads::BenchmarkSpec Spec;
   workloads::Workload W;
   std::unique_ptr<cfg::ProgramAnalysis> PA;
-  std::vector<int64_t> RunImage;
   /// The key bytes of options().Sim for each SimStage, computed once so a
   /// memo hit under the context's own config builds none.
   std::string OwnConfigKeys[3];

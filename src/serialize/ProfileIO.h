@@ -48,7 +48,7 @@ constexpr uint32_t kFormatVersion = 2;
 /// payload-encoding change (kFormatVersion bump), a new field in SimStats,
 /// or a semantic fix in the profiler/simulator.  Old entries then miss
 /// instead of being misread as current results.
-constexpr uint32_t kCacheSchemaVersion = 3;
+constexpr uint32_t kCacheSchemaVersion = 4;
 
 /// Payload kind tags (first u32 of every payload).
 enum class ArtifactKind : uint32_t {

@@ -536,18 +536,7 @@ void Server::dispatch() {
       // cannot undo the bookkeeping above — do it here, or the cell is
       // stuck Running forever and drain never completes.
       Tickets.erase(Ticket);
-      if (C.Attempts < Opts.CellAttempts) {
-        C.Phase = CellPhase::Pending;
-        CtrRetried.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        recordOutcome(*J, Idx,
-                      Status::transient("worker crashed on every attempt (" +
-                                            std::to_string(C.Attempts) +
-                                            " of " +
-                                            std::to_string(Opts.CellAttempts) +
-                                            ")",
-                                        "serve::Server"));
-      }
+      retryOrFail(*J, Idx);
       handleWorkerCrash(static_cast<unsigned>(W));
       enqueueRR(*J, /*Front=*/true);
       continue;
@@ -653,21 +642,25 @@ void Server::handleWorkerCrash(unsigned W) {
   Job *J = findJob(JobId);
   if (!J || J->Cells[CellIdx].Phase != CellPhase::Running)
     return;
-  CellState &C = J->Cells[CellIdx];
   if (Draining) {
     recordOutcome(*J, CellIdx,
                   Status::cancelled("server draining", "serve::Server"));
     return;
   }
+  retryOrFail(*J, CellIdx);
+}
+
+void Server::retryOrFail(Job &J, size_t CellIdx) {
+  CellState &C = J.Cells[CellIdx];
   if (C.Attempts < Opts.CellAttempts) {
     // Deterministic cells make the retried result bit-identical, so a
     // crash is invisible in the job's outcome.
     C.Phase = CellPhase::Pending;
     CtrRetried.fetch_add(1, std::memory_order_relaxed);
-    enqueueRR(*J, /*Front=*/true);
+    enqueueRR(J, /*Front=*/true);
     return;
   }
-  recordOutcome(*J, CellIdx,
+  recordOutcome(J, CellIdx,
                 Status::transient("worker crashed on every attempt (" +
                                       std::to_string(C.Attempts) + " of " +
                                       std::to_string(Opts.CellAttempts) + ")",

@@ -252,6 +252,10 @@ private:
   void checkWorkerLiveness();
   void recordOutcome(Job &J, size_t CellIdx,
                      StatusOr<harness::CellResult> Outcome);
+  /// A cell whose ticket was lost to a dead worker: back to Pending at the
+  /// front of the round robin while it has attempts left, else failed
+  /// Transient.
+  void retryOrFail(Job &J, size_t CellIdx);
 
   void dispatch();
   Job *nextRRJob();

@@ -51,8 +51,8 @@ sim::recordCorrectPath(const Program &P,
   profile::Emulator Emu(P, MemoryImage);
   const std::unique_ptr<uarch::BranchPredictor> Predictor =
       uarch::createPredictor(Config.Predictor);
-  uarch::ConfidenceEstimator Confidence(
-      Config.ConfIndexBits, Config.ConfHistoryBits, Config.ConfThreshold);
+  uarch::ConfidenceEstimator Confidence(Config.ConfIndexBits,
+                                        Config.ConfHistoryBits);
   uarch::BTB Btb(Config.BtbEntries);
   uarch::ReturnAddressStack Ras(Config.RasEntries);
   uarch::MemoryHierarchy Memory(Config.Memory);
@@ -88,13 +88,12 @@ sim::recordCorrectPath(const Program &P,
     bool PredictedTaken = false;
     if (Op == Opcode::CondBr) {
       PredictedTaken = Predictor->predict(D.Addr);
-      uint8_t Bits = 0;
+      uint8_t Bits = static_cast<uint8_t>(Confidence.counter(D.Addr)
+                                          << CorrectPathTrace::kConfShift);
       if (D.Taken)
         Bits |= CorrectPathTrace::Taken;
       if (PredictedTaken)
         Bits |= CorrectPathTrace::Predicted;
-      if (Confidence.isLowConfidence(D.Addr))
-        Bits |= CorrectPathTrace::LowConf;
       if (Predictor->update(D.Addr, D.Taken))
         Bits |= CorrectPathTrace::Trained;
       Confidence.update(D.Addr, PredictedTaken == D.Taken, D.Taken);

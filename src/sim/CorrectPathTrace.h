@@ -16,8 +16,11 @@
 /// machine, and recordCorrectPath() captures them in a compact trace:
 ///
 ///  - one byte per conditional branch: resolved direction, predicted
-///    direction, low-confidence estimate, and whether the predictor trained
-///    (the bit the replay's live predictor needs to stay exact);
+///    direction, whether the predictor trained (the bit the replay's live
+///    predictor needs to stay exact) and, in the high nibble, the JRS
+///    confidence counter before the branch updated it, which the replay
+///    compares with its own SimConfig::ConfThreshold, so one trace serves
+///    every threshold;
 ///  - one packed event per exceptional instruction: an I-cache miss served
 ///    by L2 or memory, a load served by L2 or memory, a BTB miss on a taken
 ///    transfer, a return-address mispredict;
@@ -48,13 +51,14 @@ namespace dmp::sim {
 enum class EmuMode { Fast, Reference };
 
 struct CorrectPathTrace {
-  /// Bits of one Branches byte.
+  /// Bits of one Branches byte; bits kConfShift and up hold the branch's
+  /// confidence counter.
   enum BranchBit : uint8_t {
     Taken = 1,
     Predicted = 2,
-    LowConf = 4,
-    Trained = 8,
+    Trained = 4,
   };
+  static constexpr unsigned kConfShift = 4;
 
   /// Event codes, the low 8 bits of one Events word.
   enum EventCode : uint8_t {
@@ -74,7 +78,8 @@ struct CorrectPathTrace {
 
   /// Retired (correct-path) instructions.
   uint64_t Instrs = 0;
-  /// One byte of BranchBit flags per retired conditional branch, in order.
+  /// One byte of BranchBit flags and confidence counter per retired
+  /// conditional branch, in order.
   std::vector<uint8_t> Branches;
   /// Events in retirement order, each `gap << 8 | code`, where gap is the
   /// instruction-index distance from the previous word (from index 0 for
@@ -87,12 +92,13 @@ struct CorrectPathTrace {
 
 /// Runs \p P on \p MemoryImage until Halt or Config.MaxInstrs through the
 /// functional emulator and the correct-path front end of \p Config (the
-/// predictor, confidence estimator, BTB, RAS and caches), and returns the
-/// trace every timing run replays.  When \p FinalStateOut is non-null it
-/// receives the retired architectural state (registers, memory fingerprint,
-/// and the in-order retired-store sequence), with Config.InjectFault
-/// applied.  Honours Config's watchdog, Cancel and Progress at the same
-/// retired-instruction counts as the replay, throwing StatusError.
+/// predictor, confidence estimator, BTB, RAS and caches; ConfThreshold is
+/// read by the replay only), and returns the trace every timing run
+/// replays.  When \p FinalStateOut is non-null it receives the retired
+/// architectural state (registers, memory fingerprint, and the in-order
+/// retired-store sequence), with Config.InjectFault applied.  Honours
+/// Config's watchdog, Cancel and Progress at the same retired-instruction
+/// counts as the replay, throwing StatusError.
 CorrectPathTrace recordCorrectPath(const ir::Program &P,
                                    const std::vector<int64_t> &MemoryImage,
                                    const SimConfig &Config,

@@ -35,6 +35,7 @@ DmpCore::DmpCore(const Program &P, const core::DivergeMap &Diverge,
       FetchWidth(Config.FetchWidth), RetireWidth(Config.RetireWidth),
       MaxNtBranches(Config.MaxNotTakenBranchesPerFetch),
       FrontEndDepth(Config.FrontEndDepth), RobSize(Config.RobSize),
+      ConfThreshold(Config.ConfThreshold),
       FetchL2Penalty(Config.Memory.L2Latency),
       FetchMemPenalty(Config.Memory.L2Latency + Config.Memory.MemoryLatency),
       LoadL2Latency(Config.Memory.DL1Latency + Config.Memory.L2Latency),
@@ -473,7 +474,7 @@ bool DmpCore::countBranch(uint8_t Bits) {
   const bool Mispredicted = Taken != bool(Bits & CorrectPathTrace::Predicted);
   if (Mispredicted)
     ++Stats.Mispredictions;
-  if (Bits & CorrectPathTrace::LowConf) {
+  if (lowConfidence(Bits)) {
     ++Stats.LowConfBranches;
     if (Mispredicted)
       ++Stats.LowConfMispredicted;

@@ -116,7 +116,7 @@ private:
   struct Retired {
     uint32_t Addr = 0;
     const profile::DecodedInstr *D = nullptr;
-    /// CondBr only: its CorrectPathTrace::BranchBit flags.
+    /// CondBr only: its CorrectPathTrace::Branches byte.
     uint8_t Bits = 0;
 
     bool taken() const { return Bits & CorrectPathTrace::Taken; }
@@ -205,12 +205,17 @@ private:
   const core::DivergeAnnotation *annotationAt(uint32_t Addr) const {
     return NeedsPredictor ? AnnotationAt[Addr] : nullptr;
   }
-  /// Whether a branch with \p Ann and trace flags \p Bits enters dpred-mode
-  /// (outside an episode).
-  static bool entersDpred(const core::DivergeAnnotation &Ann, uint8_t Bits) {
-    return (Bits & CorrectPathTrace::LowConf) || Ann.AlwaysPredicate;
+  /// Whether the trace byte \p Bits rates its branch low-confidence: its
+  /// confidence counter is below the threshold.
+  bool lowConfidence(uint8_t Bits) const {
+    return (Bits >> CorrectPathTrace::kConfShift) < ConfThreshold;
   }
-  /// Counts a conditional branch with trace flags \p Bits in the branch
+  /// Whether a branch with \p Ann and trace byte \p Bits enters dpred-mode
+  /// (outside an episode).
+  bool entersDpred(const core::DivergeAnnotation &Ann, uint8_t Bits) const {
+    return lowConfidence(Bits) || Ann.AlwaysPredicate;
+  }
+  /// Counts a conditional branch with trace byte \p Bits in the branch
   /// statistics; returns whether it was mispredicted.
   DMP_ALWAYS_INLINE bool countBranch(uint8_t Bits);
   /// A conditional branch that does not enter dpred-mode: counts it,
@@ -291,6 +296,7 @@ private:
   const unsigned MaxNtBranches;
   const unsigned FrontEndDepth;
   const uint32_t RobSize;
+  const unsigned ConfThreshold;
   /// Extra fetch cycles of an I-cache miss served by L2 / by memory.
   const unsigned FetchL2Penalty;
   const unsigned FetchMemPenalty;

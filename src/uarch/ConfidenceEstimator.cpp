@@ -6,18 +6,12 @@
 
 #include "uarch/ConfidenceEstimator.h"
 
-#include <cassert>
-
 using namespace dmp;
 using namespace dmp::uarch;
 
 ConfidenceEstimator::ConfidenceEstimator(unsigned IndexBits,
-                                         unsigned HistoryBits,
-                                         unsigned Threshold)
-    : IndexBits(IndexBits), HistoryBits(HistoryBits), Threshold(Threshold),
-      Table(1u << IndexBits) {
-  assert(Threshold <= SaturatingCounter<4>::Max &&
-         "threshold exceeds counter range");
+                                         unsigned HistoryBits)
+    : IndexBits(IndexBits), HistoryBits(HistoryBits), Table(1u << IndexBits) {
   // Counters start saturated (high confidence).  Hardware resets to zero,
   // but simulation runs here are orders of magnitude shorter than SPEC
   // runs; starting warm reproduces the steady-state behavior the paper's
@@ -33,19 +27,9 @@ unsigned ConfidenceEstimator::indexFor(uint32_t Addr) const {
   return static_cast<unsigned>((Addr ^ (History & HistMask)) & IdxMask);
 }
 
-bool ConfidenceEstimator::isLowConfidence(uint32_t Addr) const {
-  return Table[indexFor(Addr)].get() < Threshold;
-}
-
 void ConfidenceEstimator::update(uint32_t Addr, bool PredictedCorrectly,
                                  bool Taken) {
   SaturatingCounter<4> &MDC = Table[indexFor(Addr)];
-  const bool WasLowConf = MDC.get() < Threshold;
-  if (WasLowConf) {
-    ++LowConfTotal;
-    if (!PredictedCorrectly)
-      ++LowConfMispredicted;
-  }
   if (PredictedCorrectly)
     MDC.increment();
   else
@@ -57,13 +41,4 @@ void ConfidenceEstimator::reset() {
   for (auto &MDC : Table)
     MDC.reset(SaturatingCounter<4>::Max);
   History = 0;
-  LowConfTotal = 0;
-  LowConfMispredicted = 0;
-}
-
-double ConfidenceEstimator::measuredAccConf() const {
-  if (LowConfTotal == 0)
-    return 0.0;
-  return static_cast<double>(LowConfMispredicted) /
-         static_cast<double>(LowConfTotal);
 }

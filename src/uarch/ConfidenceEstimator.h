@@ -9,9 +9,12 @@
 /// enhancements per Grunwald et al. ISCA-25): Table 1's "2KB (12-bit
 /// history, threshold 14) enhanced JRS confidence estimator".
 ///
-/// DMP enters dpred-mode only for *low-confidence* diverge branches; the
-/// accuracy of this estimator (PVN) is the Acc_Conf input of the paper's
-/// cost-benefit model (Section 4.1).
+/// DMP enters dpred-mode only for *low-confidence* diverge branches: the
+/// correct-path recorder stores each branch's counter() and the replay
+/// compares it with SimConfig::ConfThreshold, so the estimator itself holds
+/// no threshold.  The accuracy of that estimate (PVN) is the Acc_Conf input
+/// of the paper's cost-benefit model (Section 4.1), measured by
+/// sim::SimStats::accConf().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,16 +32,14 @@ namespace dmp::uarch {
 class ConfidenceEstimator {
 public:
   /// \p IndexBits selects table size (4096 entries = 2KB of 4-bit MDCs),
-  /// \p HistoryBits the amount of local history XORed into the index,
-  /// \p Threshold the MDC value at or above which a branch is deemed
-  /// high-confidence.
+  /// \p HistoryBits the amount of local history XORed into the index.
   explicit ConfidenceEstimator(unsigned IndexBits = 12,
-                               unsigned HistoryBits = 12,
-                               unsigned Threshold = 14);
+                               unsigned HistoryBits = 12);
 
-  /// True when the branch at \p Addr is currently low-confidence: the
-  /// trigger condition for entering dpred-mode.
-  bool isLowConfidence(uint32_t Addr) const;
+  /// The miss-distance counter the branch at \p Addr currently reads (0 to
+  /// 15): correct predictions since its last misprediction, saturating.  A
+  /// branch is low-confidence when it is below the threshold.
+  unsigned counter(uint32_t Addr) const { return Table[indexFor(Addr)].get(); }
 
   /// Updates with the resolved outcome: correct predictions increment the
   /// miss distance counter, mispredictions reset it.  Also advances the
@@ -47,26 +48,13 @@ public:
 
   void reset();
 
-  /// Measured PVN (predictive value of a negative/low-confidence estimate):
-  /// the fraction of low-confidence estimates that were actually
-  /// mispredicted.  This is the paper's Acc_Conf, "usually between
-  /// 15%-50%" (Section 4.1).
-  double measuredAccConf() const;
-
-  uint64_t lowConfidenceCount() const { return LowConfTotal; }
-
 private:
   unsigned indexFor(uint32_t Addr) const;
 
   unsigned IndexBits;
   unsigned HistoryBits;
-  unsigned Threshold;
   std::vector<SaturatingCounter<4>> Table;
   uint64_t History = 0;
-
-  // PVN bookkeeping.
-  uint64_t LowConfTotal = 0;
-  uint64_t LowConfMispredicted = 0;
 };
 
 } // namespace dmp::uarch

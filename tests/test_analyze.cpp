@@ -305,6 +305,16 @@ TEST(AnnotationConsistencyTest, DuplicateSerializedEntries) {
   EXPECT_EQ(Sink.errorCount(), 0u);
 }
 
+// An address beyond 32 bits is not branch 12 wrapped around: it is
+// parseDivergeMap's Corrupt, so the lint reports no duplicate.
+TEST(AnnotationConsistencyTest, OversizedAddressIsNotADuplicate) {
+  DiagnosticSink Sink;
+  analyze::lintDivergeMapText(
+      "branch 12 kind=simple always=1\nbranch 4294967308 kind=simple\n",
+      Sink);
+  EXPECT_FALSE(Sink.has(DiagCode::AnnDuplicateEntry)) << Sink.renderText();
+}
+
 TEST(AnnotationConsistencyTest, SerializedRealMapHasNoDuplicates) {
   const test::ProgramHandles H = test::buildSimpleHammockLoop();
   core::DivergeMap Map;

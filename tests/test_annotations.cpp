@@ -161,6 +161,21 @@ TEST(AnnotationIOTest, RejectsOversizedNumbers) {
   EXPECT_EQ(Map.size(), 0u);
 }
 
+// Numbers are plain decimal: a sign or a hex float is a Corrupt, not a
+// value strtoull/strtod would have read.
+TEST(AnnotationIOTest, RejectsSignedAndHexNumbers) {
+  for (const char *Line :
+       {"branch +12 kind=simple", "branch 12 kind=simple cfm=ret:+0.5",
+        "branch 12 kind=simple cfm=ret:0x1p-1",
+        "branch 12 kind=simple cfm=addr:+3:0.5"}) {
+    DivergeMap Map;
+    const Status S =
+        parseDivergeMap(std::string("# dmp-diverge-map v1\n") + Line, Map);
+    EXPECT_EQ(S.code(), ErrorCode::Corrupt) << Line;
+    EXPECT_EQ(Map.size(), 0u) << Line;
+  }
+}
+
 TEST(AnnotationIOTest, GarbageBytesYieldDiagnosticsNotCrashes) {
   // Deterministic pseudo-random garbage, including NULs and high bytes.
   RNG Rng(0xA110C);

@@ -5,7 +5,7 @@
 // Direct unit tests for uarch::ConfidenceEstimator beyond the integration
 // coverage in test_uarch.cpp: counter saturation behavior, the
 // reset-on-misprediction MDC semantics, reset() on pipeline flush, and
-// bounds on the measured Acc_Conf statistic.  HistoryBits=0 makes the
+// the Acc_Conf statistic measured from counters read before each update.  HistoryBits=0 makes the
 // table index a pure function of the branch address, so expectations are
 // exact.
 //
@@ -23,9 +23,34 @@ namespace {
 constexpr uint32_t Addr = 0x5;
 constexpr unsigned Threshold = 14;
 
-ConfidenceEstimator makeEstimator(unsigned Thresh = Threshold) {
-  return ConfidenceEstimator(/*IndexBits=*/6, /*HistoryBits=*/0, Thresh);
+ConfidenceEstimator makeEstimator() {
+  return ConfidenceEstimator(/*IndexBits=*/6, /*HistoryBits=*/0);
 }
+
+/// Table 1's low-confidence estimate: the counter is below threshold 14.
+bool lowConf(const ConfidenceEstimator &CE, uint32_t A) {
+  return CE.counter(A) < Threshold;
+}
+
+/// Acc_Conf (PVN) over a stream of updates, the way the replay measures it
+/// (sim::SimStats::accConf): each branch's counter is read before its
+/// update.
+struct PvnMeter {
+  uint64_t LowConf = 0;
+  uint64_t LowConfMispredicted = 0;
+
+  void update(ConfidenceEstimator &CE, uint32_t A, bool PredictedCorrectly,
+              bool Taken) {
+    if (lowConf(CE, A)) {
+      ++LowConf;
+      LowConfMispredicted += !PredictedCorrectly;
+    }
+    CE.update(A, PredictedCorrectly, Taken);
+  }
+  double accConf() const {
+    return LowConf ? double(LowConfMispredicted) / double(LowConf) : 0.0;
+  }
+};
 } // namespace
 
 TEST(ConfidenceEstimatorTest, StartsWarmAtCounterMax) {
@@ -33,21 +58,22 @@ TEST(ConfidenceEstimatorTest, StartsWarmAtCounterMax) {
   // Counters initialize saturated, so a cold table is high-confidence
   // everywhere (documented deviation from reset-to-zero hardware).
   for (uint32_t A = 0; A < 64; ++A)
-    EXPECT_FALSE(CE.isLowConfidence(A));
+    EXPECT_EQ(CE.counter(A), SaturatingCounter<4>::Max);
 }
 
 TEST(ConfidenceEstimatorTest, MispredictionResetsCounterToZero) {
   ConfidenceEstimator CE = makeEstimator();
   CE.update(Addr, /*PredictedCorrectly=*/false, /*Taken=*/true);
-  EXPECT_TRUE(CE.isLowConfidence(Addr));
+  EXPECT_EQ(CE.counter(Addr), 0u);
   // One misprediction must zero the MDC, not just decrement it: with
   // threshold 14 even 13 subsequent correct predictions stay low-conf.
   for (unsigned I = 0; I < Threshold - 1; ++I) {
     CE.update(Addr, /*PredictedCorrectly=*/true, /*Taken=*/true);
-    EXPECT_TRUE(CE.isLowConfidence(Addr)) << "after " << (I + 1);
+    EXPECT_EQ(CE.counter(Addr), I + 1);
+    EXPECT_TRUE(lowConf(CE, Addr)) << "after " << (I + 1);
   }
   CE.update(Addr, /*PredictedCorrectly=*/true, /*Taken=*/true);
-  EXPECT_FALSE(CE.isLowConfidence(Addr));
+  EXPECT_FALSE(lowConf(CE, Addr));
 }
 
 TEST(ConfidenceEstimatorTest, CounterSaturatesAtMax) {
@@ -56,45 +82,41 @@ TEST(ConfidenceEstimatorTest, CounterSaturatesAtMax) {
   // Far more correct updates than the 4-bit range can represent...
   for (unsigned I = 0; I < 10 * SaturatingCounter<4>::Max; ++I)
     CE.update(Addr, true, true);
-  EXPECT_FALSE(CE.isLowConfidence(Addr));
+  EXPECT_EQ(CE.counter(Addr), SaturatingCounter<4>::Max);
   // ...must not wrap: still exactly one misprediction from low confidence.
   CE.update(Addr, false, true);
-  EXPECT_TRUE(CE.isLowConfidence(Addr));
+  EXPECT_EQ(CE.counter(Addr), 0u);
 }
 
 TEST(ConfidenceEstimatorTest, ResetRestoresWarmStateAndClearsStats) {
   ConfidenceEstimator CE = makeEstimator();
   for (uint32_t A = 0; A < 8; ++A)
     CE.update(A, /*PredictedCorrectly=*/false, /*Taken=*/false);
-  for (uint32_t A = 0; A < 8; ++A) {
-    EXPECT_TRUE(CE.isLowConfidence(A));
-    CE.update(A, /*PredictedCorrectly=*/false, /*Taken=*/false);
-  }
-  EXPECT_GT(CE.lowConfidenceCount(), 0u);
-  EXPECT_GT(CE.measuredAccConf(), 0.0);
+  for (uint32_t A = 0; A < 8; ++A)
+    EXPECT_EQ(CE.counter(A), 0u);
 
   CE.reset();
   for (uint32_t A = 0; A < 64; ++A)
-    EXPECT_FALSE(CE.isLowConfidence(A));
-  EXPECT_EQ(CE.lowConfidenceCount(), 0u);
-  EXPECT_EQ(CE.measuredAccConf(), 0.0);
+    EXPECT_EQ(CE.counter(A), SaturatingCounter<4>::Max);
 }
 
 TEST(ConfidenceEstimatorTest, AccConfIsExactLowConfMispredictionRate) {
   ConfidenceEstimator CE = makeEstimator();
+  PvnMeter Meter;
   // The initial misprediction happens at high confidence: not counted.
-  CE.update(Addr, /*PredictedCorrectly=*/false, /*Taken=*/true);
-  EXPECT_EQ(CE.lowConfidenceCount(), 0u);
+  Meter.update(CE, Addr, /*PredictedCorrectly=*/false, /*Taken=*/true);
+  EXPECT_EQ(Meter.LowConf, 0u);
   // Three correct + one mispredicted update, all while low-confidence.
   for (int I = 0; I < 3; ++I)
-    CE.update(Addr, /*PredictedCorrectly=*/true, /*Taken=*/true);
-  CE.update(Addr, /*PredictedCorrectly=*/false, /*Taken=*/true);
-  EXPECT_EQ(CE.lowConfidenceCount(), 4u);
-  EXPECT_DOUBLE_EQ(CE.measuredAccConf(), 0.25);
+    Meter.update(CE, Addr, /*PredictedCorrectly=*/true, /*Taken=*/true);
+  Meter.update(CE, Addr, /*PredictedCorrectly=*/false, /*Taken=*/true);
+  EXPECT_EQ(Meter.LowConf, 4u);
+  EXPECT_DOUBLE_EQ(Meter.accConf(), 0.25);
 }
 
 TEST(ConfidenceEstimatorTest, AccConfStaysWithinUnitInterval) {
-  ConfidenceEstimator CE(/*IndexBits=*/4, /*HistoryBits=*/4, Threshold);
+  ConfidenceEstimator CE(/*IndexBits=*/4, /*HistoryBits=*/4);
+  PvnMeter Meter;
   // Pseudo-random but deterministic outcome stream over aliasing branches.
   uint64_t X = 0x9E3779B97F4A7C15ull;
   uint64_t Updates = 0;
@@ -103,21 +125,22 @@ TEST(ConfidenceEstimatorTest, AccConfStaysWithinUnitInterval) {
     X ^= X >> 7;
     X ^= X << 17;
     const uint32_t A = static_cast<uint32_t>(X & 0xFF);
-    CE.update(A, /*PredictedCorrectly=*/(X >> 8) & 1, /*Taken=*/(X >> 9) & 1);
+    ASSERT_LE(CE.counter(A), SaturatingCounter<4>::Max);
+    Meter.update(CE, A, /*PredictedCorrectly=*/(X >> 8) & 1,
+                 /*Taken=*/(X >> 9) & 1);
     ++Updates;
-    const double Acc = CE.measuredAccConf();
-    ASSERT_GE(Acc, 0.0);
-    ASSERT_LE(Acc, 1.0);
-    ASSERT_LE(CE.lowConfidenceCount(), Updates);
+    ASSERT_GE(Meter.accConf(), 0.0);
+    ASSERT_LE(Meter.accConf(), 1.0);
+    ASSERT_LE(Meter.LowConf, Updates);
   }
-  EXPECT_GT(CE.lowConfidenceCount(), 0u);
+  EXPECT_GT(Meter.LowConf, 0u);
 }
 
 TEST(ConfidenceEstimatorTest, BranchesAliasOnlyWithinTableIndex) {
   ConfidenceEstimator CE = makeEstimator();
   // 6 index bits: address 0x45 aliases 0x5; 0x9 does not.
   CE.update(Addr, /*PredictedCorrectly=*/false, /*Taken=*/true);
-  EXPECT_TRUE(CE.isLowConfidence(Addr));
-  EXPECT_TRUE(CE.isLowConfidence(Addr + 64));
-  EXPECT_FALSE(CE.isLowConfidence(0x9));
+  EXPECT_EQ(CE.counter(Addr), 0u);
+  EXPECT_EQ(CE.counter(Addr + 64), 0u);
+  EXPECT_EQ(CE.counter(0x9), SaturatingCounter<4>::Max);
 }

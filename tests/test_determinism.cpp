@@ -109,17 +109,3 @@ TEST(DeterminismTest, CacheReplayIsBitIdentical) {
   std::filesystem::remove_all(Dir, EC);
 }
 
-TEST(DeterminismTest, CellRngIndependentOfSchedule) {
-  const workloads::BenchmarkSpec &Spec = workloads::specSuite().front();
-  RNG A = harness::ExperimentEngine::cellRng(Spec, 5);
-  RNG B = harness::ExperimentEngine::cellRng(Spec, 5);
-  for (int I = 0; I < 32; ++I)
-    EXPECT_EQ(A.next(), B.next());
-  // Distinct cells get decorrelated streams.
-  RNG C = harness::ExperimentEngine::cellRng(Spec, 6);
-  RNG D = harness::ExperimentEngine::cellRng(Spec, 5);
-  int Same = 0;
-  for (int I = 0; I < 64; ++I)
-    Same += (C.next() == D.next());
-  EXPECT_LT(Same, 2);
-}

@@ -175,23 +175,6 @@ TEST(TaskGraphTest, ManyRoundsOnSharedPool) {
   }
 }
 
-TEST(ParallelForTest, CoversEveryIndexOnce) {
-  ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Hits(500);
-  parallelFor(Pool, Hits.size(), [&Hits](size_t I) { Hits[I].fetch_add(1); });
-  for (auto &H : Hits)
-    EXPECT_EQ(H.load(), 1);
-}
-
-TEST(ParallelMapTest, ResultsInIndexOrder) {
-  ThreadPool Pool(4);
-  const std::vector<size_t> Squares = parallelMap<size_t>(
-      Pool, 100, [](size_t I) { return I * I; });
-  ASSERT_EQ(Squares.size(), 100u);
-  for (size_t I = 0; I < Squares.size(); ++I)
-    EXPECT_EQ(Squares[I], I * I);
-}
-
 //===----------------------------------------------------------------------===//
 // runAll(): the run-to-completion policy (see TaskGraph.h for the contract)
 //===----------------------------------------------------------------------===//
@@ -278,14 +261,4 @@ TEST(TaskGraphRunAllTest, EmptyGraphReturnsNoStatuses) {
   ThreadPool Pool(2);
   TaskGraph Graph;
   EXPECT_TRUE(Graph.runAll(Pool).empty());
-}
-
-TEST(ParallelForTest, ExceptionPropagates) {
-  ThreadPool Pool(2);
-  EXPECT_THROW(parallelFor(Pool, 10,
-                           [](size_t I) {
-                             if (I == 3)
-                               throw std::runtime_error("index 3");
-                           }),
-               std::runtime_error);
 }

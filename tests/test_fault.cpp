@@ -314,7 +314,7 @@ TEST(FaultCampaignTest, TransientCellFaultsAreRetriedAndCounted) {
 
   const auto Matrix = Engine.runMatrix<double>(
       miniSuite(), 2,
-      [](harness::Cell &C) { return static_cast<double>(C.Rng.next()); },
+      [](harness::Cell &C) { return static_cast<double>(C.Config); },
       harness::CellNeeds{false, false, false});
   for (const auto &Row : Matrix)
     for (const auto &Cell : Row)
@@ -341,7 +341,7 @@ TEST(FaultCampaignTest, PermanentCellFaultIsIsolatedNotFatal) {
         if (C.Bench.spec().Name == BadBench && C.Config == 1)
           throw StatusError(
               Status::invariant("simulated permanent defect", "test"));
-        return static_cast<double>(C.Rng.next());
+        return static_cast<double>(C.Config);
       },
       harness::CellNeeds{false, false, false});
 

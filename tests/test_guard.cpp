@@ -315,7 +315,7 @@ TEST(EngineDrainTest, ExternalTokenShedsCellsAsCancelledNotFailed) {
 
   const auto Matrix = Engine.runMatrix<double>(
       miniSuite(), 2,
-      [](harness::Cell &C) { return static_cast<double>(C.Rng.next()); },
+      [](harness::Cell &C) { return static_cast<double>(C.Config); },
       harness::CellNeeds{false, false, false});
   for (const auto &Row : Matrix)
     for (const auto &Cell : Row) {
@@ -347,7 +347,7 @@ TEST(EngineDrainTest, ExpiredDeadlineDrainsTheCampaign) {
 
   const auto Matrix = Engine.runMatrix<double>(
       miniSuite(), 2,
-      [](harness::Cell &C) { return static_cast<double>(C.Rng.next()); },
+      [](harness::Cell &C) { return static_cast<double>(C.Config); },
       harness::CellNeeds{false, false, false});
   for (const auto &Row : Matrix)
     for (const auto &Cell : Row)

@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <functional>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <tuple>
 
@@ -396,8 +397,8 @@ TEST(BenchContextMemo, EmptyViewIsTheBaseline) {
 
 // A simulator sweep runs on one context: each stage is keyed by the
 // SimConfig fields it reads, so a dpred-mode budget shares the trace and
-// the baseline, and a confidence threshold, which the recorder reads,
-// records a trace of its own.
+// the baseline, and a confidence threshold, which only the replay reads,
+// shares the trace but not the baseline.
 TEST(BenchContextMemo, SimVariantsShareWhatTheyDoNotRead) {
   const workloads::BenchmarkSpec &Spec = specFor("gcc");
   BenchContext Bench(Spec, fastOptions());
@@ -436,7 +437,8 @@ TEST(BenchContextMemo, SimVariantsShareWhatTheyDoNotRead) {
         I % 2 ? Bench.baseline(ConfOptions.Sim)
               : Bench.simulateWith(Map, ConfOptions.Sim));
   });
-  EXPECT_EQ(Bench.traces(), 2u);
+  EXPECT_EQ(Bench.traces(), 1u);
+  EXPECT_EQ(&Bench.trace(ConfOptions.Sim), &Bench.trace());
   EXPECT_EQ(Bench.dmpSims(), 3u);
   EXPECT_NE(Conf[1], Base[0]);
   BenchContext FreshConf(Spec, ConfOptions);
@@ -450,7 +452,9 @@ TEST(BenchContextMemo, SimVariantsShareWhatTheyDoNotRead) {
 // Every stage's memo and disk key covers every SimConfig field the stage
 // reads: one mutator per field, and wherever a mutation changes the trace,
 // the baseline or an All-best-cost DMP simulation, the matching key
-// changes too and the memo answers with the mutated result.
+// changes too and the memo answers with the mutated result.  The
+// confidence threshold is read by the replay only: it changes the
+// baseline but neither the trace nor its key.
 TEST(StageKeys, ChangeWithEveryFieldTheStageReads) {
   using Mutator =
       std::pair<const char *, std::function<void(sim::SimConfig &)>>;
@@ -535,6 +539,11 @@ TEST(StageKeys, ChangeWithEveryFieldTheStageReads) {
           serialize::encodeCorrectPathTrace(Bench.trace(Config)),
           serialize::encodeSimStats(Bench.baseline(Config)),
           serialize::encodeSimStats(Bench.simulateWith(Map, Config))};
+      if (std::string_view(Field) == "ConfThreshold") {
+        EXPECT_EQ(Bytes[0], BaseBytes[0]) << Name;
+        EXPECT_EQ(Keys[0], BaseKeys[0]) << Name;
+        EXPECT_NE(Bytes[1], BaseBytes[1]) << Name;
+      }
       const char *Stages[3] = {"trace", "baseline", "dmp"};
       for (unsigned S = 0; S < 3; ++S) {
         EXPECT_EQ(Memo[S], Bytes[S])

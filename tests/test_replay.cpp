@@ -14,10 +14,13 @@
 //     workloads x {baseline, all-best-cost} on seven non-default machines
 //     (one fetch, issue or retire port, a 16-wide fetch with one not-taken
 //     branch per cycle, a 32-entry ROB, a 1KB IL1, a 50-instruction dpred
-//     window); and, written by the simulator before the straight-line
-//     replay runs, the 17 workloads x {baseline, all-best-cost} with the
-//     trace cut at 1, 2, 3, 17, 1000 and 123457 instructions, plus a check
-//     that Progress beats leave the statistics unchanged;
+//     window) and four confidence thresholds (4, 8, 12, 15; written when
+//     each threshold recorded a trace of its own, now replayed from the
+//     default machine's one trace); and, written by the simulator before
+//     the straight-line replay runs, the 17 workloads x {baseline,
+//     all-best-cost} with the trace cut at 1, 2, 3, 17, 1000 and 123457
+//     instructions, plus a check that Progress beats leave the statistics
+//     unchanged;
 //   * the timing oracle: the default machine enters dpred-mode at annotated
 //     branches and is the baseline without any, and the baseline is
 //     invariant under the dpred-only SimConfig fields (but not under the
@@ -52,6 +55,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string_view>
 #include <thread>
 
 #include <unistd.h>
@@ -242,16 +246,24 @@ std::vector<std::pair<const char *, sim::SimConfig>> goldenMachines() {
   // 16 lines: I-cache misses to L2 and memory are dense in every workload.
   Add("il1-1k", [](sim::SimConfig &C) { C.Memory.IL1Size = 1024; });
   Add("dpred50", [](sim::SimConfig &C) { C.MaxDpredInstrs = 50; });
+  // The threshold is read by the replay only: these share one trace.
+  Add("conf4", [](sim::SimConfig &C) { C.ConfThreshold = 4; });
+  Add("conf8", [](sim::SimConfig &C) { C.ConfThreshold = 8; });
+  Add("conf12", [](sim::SimConfig &C) { C.ConfThreshold = 12; });
+  Add("conf15", [](sim::SimConfig &C) { C.ConfThreshold = 15; });
   return Machines;
 }
 
 } // namespace
 
 // Every workload on each non-default machine, baseline and with its
-// all-best-cost map (selected under ExperimentOptions defaults).
+// all-best-cost map (selected under ExperimentOptions defaults).  A
+// confidence threshold records the default machine's trace.
 TEST(ReplayGolden, NonDefaultMachinesMatchDigests) {
   std::vector<std::string> Actual;
   const auto Machines = goldenMachines();
+  sim::SimConfig Default = harness::ExperimentOptions().Sim;
+  Default.MaxInstrs = 400'000;
   for (const workloads::BenchmarkSpec &Spec : workloads::specSuite()) {
     harness::BenchContext Ctx(Spec, harness::ExperimentOptions());
     const core::DivergeMap Map =
@@ -259,9 +271,15 @@ TEST(ReplayGolden, NonDefaultMachinesMatchDigests) {
     const ir::Program &P = *Ctx.workload().Prog;
     const std::vector<int64_t> Image =
         Ctx.workload().buildImage(InputSetKind::Run);
+    const std::vector<uint8_t> DefaultTrace = serialize::encodeCorrectPathTrace(
+        sim::recordCorrectPath(P, Image, Default));
     for (const auto &[Name, Cfg] : Machines) {
       const sim::CorrectPathTrace Trace =
           sim::recordCorrectPath(P, Image, Cfg);
+      if (std::string_view(Name).starts_with("conf")) {
+        EXPECT_EQ(serialize::encodeCorrectPathTrace(Trace), DefaultTrace)
+            << Spec.Name << " " << Name;
+      }
       Actual.push_back(
           std::string(Spec.Name) + " " + Name + " " +
           digestOf(sim::simulateDmp(P, NoDiverge, Trace, Cfg)) + " " +

@@ -98,35 +98,35 @@ TEST(GShareTest, ResetClearsState) {
 
 TEST(ConfidenceTest, StartsHighConfidence) {
   ConfidenceEstimator C;
-  EXPECT_FALSE(C.isLowConfidence(123));
+  EXPECT_EQ(C.counter(123), 15u);
 }
 
 TEST(ConfidenceTest, MispredictionDropsConfidence) {
-  ConfidenceEstimator C(/*IndexBits=*/12, /*HistoryBits=*/0,
-                        /*Threshold=*/14);
+  ConfidenceEstimator C(/*IndexBits=*/12, /*HistoryBits=*/0);
   C.update(50, /*PredictedCorrectly=*/false, /*Taken=*/true);
-  EXPECT_TRUE(C.isLowConfidence(50));
+  EXPECT_LT(C.counter(50), 14u);
   // 13 correct predictions: still below threshold 14.
   for (int I = 0; I < 13; ++I)
     C.update(50, true, true);
-  EXPECT_TRUE(C.isLowConfidence(50));
+  EXPECT_LT(C.counter(50), 14u);
   C.update(50, true, true);
-  EXPECT_FALSE(C.isLowConfidence(50));
+  EXPECT_EQ(C.counter(50), 14u);
 }
 
 TEST(ConfidenceTest, MeasuresPVN) {
-  ConfidenceEstimator C(/*IndexBits=*/12, /*HistoryBits=*/0,
-                        /*Threshold=*/14);
-  // Make branch low-confidence, then resolve 1 misprediction and 3 correct
-  // while low confidence.
-  C.update(9, false, true);
-  C.update(9, false, true);
-  C.update(9, true, true);
-  C.update(9, true, true);
-  // Low-conf events: the second misp + 2 correct + ... verify PVN in (0,1).
-  EXPECT_GT(C.measuredAccConf(), 0.0);
-  EXPECT_LT(C.measuredAccConf(), 1.0);
-  EXPECT_GT(C.lowConfidenceCount(), 0u);
+  ConfidenceEstimator C(/*IndexBits=*/12, /*HistoryBits=*/0);
+  // Make branch low-confidence, then resolve 1 misprediction and 2 correct
+  // while low confidence (counter read before each update, threshold 14).
+  uint64_t LowConf = 0, LowConfMispredicted = 0;
+  for (const bool Correct : {false, false, true, true}) {
+    if (C.counter(9) < 14) {
+      ++LowConf;
+      LowConfMispredicted += !Correct;
+    }
+    C.update(9, Correct, true);
+  }
+  EXPECT_EQ(LowConf, 3u);
+  EXPECT_EQ(LowConfMispredicted, 1u);
 }
 
 TEST(BTBTest, HitAfterUpdate) {
