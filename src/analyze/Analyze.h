@@ -1,36 +1,38 @@
-//===- analyze/Analyze.h - Pass-based static checker --------------*- C++ -*-===//
+//===- analyze/Analyze.h - The static checker -------------------*- C++ -*-===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The static-checker pass framework: an AnalysisInput bundling a Program
-/// with the optional artifacts the passes can cross-check it against (CFG
-/// analyses, an edge profile, a diverge-annotation map), a Pass interface,
-/// and an AnalysisManager that runs a pipeline and converts error-severity
+/// The static checker: an AnalysisInput bundling a Program with the
+/// optional artifacts the checks cross-check it against (CFG analyses, an
+/// edge profile, a diverge-annotation map) and the two entry points that
+/// run the four checks (analyze/Checks.h) and convert error-severity
 /// findings into a dmp::Status.
 ///
-/// Shipped passes (see DESIGN.md "Static analysis" for the full code
+/// The checks (see DESIGN.md "Static analysis" for the full code
 /// registry):
 ///
-///   IRLint                 structural and semantic IR validity; subsumes
-///                          the legacy ir::Verifier checks and adds
-///                          dataflow (maybe-undef reads), reachability,
-///                          call-graph and register-range checks.
-///   AnnotationConsistency  every annotation references a live conditional
-///                          branch / block start of this exact program.
-///   CfmLegality            CFM points post-dominate their diverge branch
-///                          (for exact kinds), simple hammocks really are
-///                          hammocks, loop annotations name real loops,
-///                          and exact-CFM claims survive the side-effect
-///                          summary cross-check (DF01).
-///   ProfileSanity          edge counts conserve flow per block; branch
-///                          totals match; annotated branches executed.
+///   checkIR                     structural and semantic IR validity:
+///                               dataflow (maybe-undef reads),
+///                               reachability, call-graph and
+///                               register-range checks.
+///   checkAnnotationConsistency  every annotation references a live
+///                               conditional branch / block start of this
+///                               exact program.
+///   checkCfmLegality            CFM points post-dominate their diverge
+///                               branch (for exact kinds), simple hammocks
+///                               really are hammocks, loop annotations name
+///                               real loops, and exact-CFM claims survive
+///                               the side-effect summary cross-check (DF01).
+///   checkProfileSanity          edge counts conserve flow per block;
+///                               branch totals match; annotated branches
+///                               executed.
 ///
-/// The manager always runs IRLint first and short-circuits the remaining
-/// passes when it finds error-severity problems: the later passes (and the
-/// cfg:: analyses they build) assume a structurally valid program.
+/// lintAll runs checkIR first and stops when it finds error-severity
+/// problems: the later checks (and the cfg:: analyses they read) assume a
+/// structurally valid program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,70 +46,30 @@
 #include "ir/Program.h"
 #include "support/Status.h"
 
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace dmp::analyze {
 
-/// What a pipeline run checks.  Only the program is mandatory; passes that
-/// need an absent artifact become no-ops (ProfileSanity without a profile,
-/// CfmLegality without annotations, ...).
+/// What a lint run checks.  Only the program is mandatory; a check whose
+/// artifact is absent does nothing (checkProfileSanity without a profile,
+/// the annotation checks without annotations).
 struct AnalysisInput {
   const ir::Program *P = nullptr;
-  /// CFG analyses for \p P.  When null the manager builds its own (only if
-  /// the program passed IRLint — the analyses assert on malformed IR).
+  /// CFG analyses for \p P.  When null lintAll builds its own (only if the
+  /// program passed checkIR: the analyses assert on malformed IR).
   const cfg::ProgramAnalysis *PA = nullptr;
   const cfg::EdgeProfile *Profile = nullptr;
   const core::DivergeMap *Annotations = nullptr;
 };
 
-/// One checker pass.
-class Pass {
-public:
-  virtual ~Pass() = default;
-
-  virtual const char *name() const = 0;
-
-  /// True when run() dereferences Input.PA (the manager then guarantees a
-  /// ProgramAnalysis, building one on demand).
-  virtual bool needsAnalysis() const { return false; }
-
-  virtual void run(const AnalysisInput &Input, DiagnosticSink &Sink) = 0;
-};
-
-std::unique_ptr<Pass> createIRLintPass();
-std::unique_ptr<Pass> createAnnotationConsistencyPass();
-std::unique_ptr<Pass> createCfmLegalityPass();
-std::unique_ptr<Pass> createProfileSanityPass();
-
-/// Runs a pass pipeline and folds error findings into a Status.
-class AnalysisManager {
-public:
-  AnalysisManager() = default;
-
-  void addPass(std::unique_ptr<Pass> P) { Passes.push_back(std::move(P)); }
-
-  /// The standard pipeline: IRLint, AnnotationConsistency, CfmLegality,
-  /// ProfileSanity (in that order).
-  static AnalysisManager standardPipeline();
-
-  /// Runs every registered pass over \p Input, reporting into \p Sink.
-  /// IRLint (when registered) runs first; if it reports error-severity
-  /// findings the remaining passes are skipped, since they require a
-  /// well-formed program.  Returns ok when no error-severity diagnostics
-  /// were produced, otherwise Status::invariant (origin "analyze").
-  Status run(const AnalysisInput &Input, DiagnosticSink &Sink) const;
-
-private:
-  std::vector<std::unique_ptr<Pass>> Passes;
-};
-
-/// Lints just the IR (the ir::Verifier replacement).  When \p Sink is null
-/// a local sink is used and the first error lands in the Status message.
+/// Runs checkIR over \p P.  Returns ok when no error-severity diagnostic
+/// was produced, otherwise Status::invariant (origin "analyze") naming the
+/// first.  When \p Sink is null a local sink is used.
 Status lintProgram(const ir::Program &P, DiagnosticSink *Sink = nullptr);
 
-/// Runs the standard pipeline over \p Input.
+/// Runs checkIR, then (when it found no error) checkAnnotationConsistency,
+/// checkCfmLegality and checkProfileSanity, building a ProgramAnalysis
+/// when \p Input has none.  Status as lintProgram.
 Status lintAll(const AnalysisInput &Input, DiagnosticSink *Sink = nullptr);
 
 /// Lints the *serialized text* of a diverge map for duplicate/shadowed

@@ -166,25 +166,6 @@ std::string Diagnostic::renderText() const {
   return Out;
 }
 
-std::string Diagnostic::renderMachine() const {
-  std::string Out = diagCodeName(Code);
-  Out += '\t';
-  Out += severityName(Sev);
-  Out += '\t';
-  Out += Loc.Function.empty() ? "-" : Loc.Function;
-  Out += '\t';
-  Out += Loc.Block.empty() ? "-" : Loc.Block;
-  Out += '\t';
-  Out += Loc.Addr == ir::InvalidAddr ? "-" : std::to_string(Loc.Addr);
-  Out += '\t';
-  Out += Message;
-  for (const std::string &N : Notes) {
-    Out += '\t';
-    Out += N;
-  }
-  return Out;
-}
-
 Diagnostic &DiagnosticSink::report(DiagCode Code, DiagLocation Loc,
                                    std::string Message) {
   Diagnostic D;
@@ -209,15 +190,6 @@ std::string DiagnosticSink::renderText() const {
   std::string Out;
   for (const Diagnostic &D : Diags) {
     Out += D.renderText();
-    Out += '\n';
-  }
-  return Out;
-}
-
-std::string DiagnosticSink::renderMachine() const {
-  std::string Out;
-  for (const Diagnostic &D : Diags) {
-    Out += D.renderMachine();
     Out += '\n';
   }
   return Out;

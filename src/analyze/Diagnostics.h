@@ -8,17 +8,18 @@
 /// The diagnostics engine of the static checker (src/analyze): a stable
 /// registry of diagnostic codes, a Diagnostic value type carrying code,
 /// severity, location and message, and a DiagnosticSink that collects
-/// findings and renders them as human-readable text or a machine-readable
-/// line format.
+/// findings and renders them as human-readable text (dmp_lint --json is
+/// the machine-readable rendering).
 ///
 /// Codes are stable identifiers ("IR04", "CFM01", "PROF01", ...): tests,
 /// scripts, and golden files key on them, so a code is never renumbered or
 /// reused once shipped.  The full registry with meanings lives in DESIGN.md
 /// ("Static analysis").
 ///
-/// Severity policy: Error findings make AnalysisManager::run return a
-/// non-ok Status (and gate simulation / fuzz oracles); Warning findings are
-/// reported but never gate; Note is reserved for attachments to a primary
+/// Severity policy: Error findings make lintProgram and lintAll return a
+/// non-ok Status (and fail dmp_lint, the tier-1 lint tests and the fuzz
+/// oracle's lint leg); Warning findings are reported but gate only under
+/// dmp_lint --werror; Note is reserved for attachments to a primary
 /// diagnostic.
 ///
 //===----------------------------------------------------------------------===//
@@ -38,7 +39,7 @@ enum class Severity : uint8_t { Note, Warning, Error };
 
 const char *severityName(Severity Sev);
 
-/// Every diagnostic the checker can produce.  Grouped by pass; the printed
+/// Every diagnostic the checker can produce.  Grouped by check; the printed
 /// code (diagCodeName) is the stable external identifier.
 enum class DiagCode : uint8_t {
   // IRLint (IR01-IR20): structure and semantics of the IR itself.
@@ -142,13 +143,9 @@ struct Diagnostic {
   /// parts are omitted; a program-scope location renders as "-"); notes
   /// follow on "  note: ..." lines.
   std::string renderText() const;
-
-  /// One tab-separated line: code, severity, function, block, addr,
-  /// message, then one field per note.  Missing parts render as "-".
-  std::string renderMachine() const;
 };
 
-/// Collects diagnostics in emission order (passes iterate their subjects
+/// Collects diagnostics in emission order (checks iterate their subjects
 /// deterministically, so the order is stable run-to-run).
 class DiagnosticSink {
 public:
@@ -166,9 +163,6 @@ public:
 
   /// All diagnostics as text, one finding per entry (renderText lines).
   std::string renderText() const;
-
-  /// All diagnostics in the machine format, one line each.
-  std::string renderMachine() const;
 
   /// "2 errors, 1 warning" (or "clean").
   std::string summaryLine() const;

@@ -1,27 +1,19 @@
-//===- analyze/AnalysisManager.cpp - Pass pipeline driver ---------------===//
+//===- analyze/Lint.cpp - The lint entry points ---------------------------===//
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
 //===----------------------------------------------------------------------===//
 
-#include "analyze/Analyze.h"
+#include "analyze/Checks.h"
 
 #include "support/StringUtils.h"
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 
 namespace dmp::analyze {
-
-AnalysisManager AnalysisManager::standardPipeline() {
-  AnalysisManager AM;
-  AM.addPass(createIRLintPass());
-  AM.addPass(createAnnotationConsistencyPass());
-  AM.addPass(createCfmLegalityPass());
-  AM.addPass(createProfileSanityPass());
-  return AM;
-}
 
 static Status statusFromSink(const DiagnosticSink &Sink) {
   if (Sink.errorCount() == 0)
@@ -44,61 +36,36 @@ static Status statusFromSink(const DiagnosticSink &Sink) {
       "analyze");
 }
 
-Status AnalysisManager::run(const AnalysisInput &Input,
-                            DiagnosticSink &Sink) const {
-  if (Input.P == nullptr)
-    return Status::invariant("analysis input has no program", "analyze");
-
-  // IRLint first: everything downstream (including cfg::ProgramAnalysis
-  // construction) assumes a structurally valid program.
-  const size_t ErrorsBefore = Sink.errorCount();
-  bool RanIrLint = false;
-  for (const auto &P : Passes) {
-    if (std::string(P->name()) == "IRLint") {
-      P->run(Input, Sink);
-      RanIrLint = true;
-      break;
-    }
-  }
-  if (RanIrLint && Sink.errorCount() > ErrorsBefore)
-    return statusFromSink(Sink);
-
-  // Build a local ProgramAnalysis when a later pass needs one and the
-  // caller didn't supply it.  Safe now: IRLint passed (or wasn't
-  // registered, in which case the caller vouches for the program).
-  AnalysisInput Local = Input;
-  std::unique_ptr<cfg::ProgramAnalysis> OwnedPA;
-  for (const auto &P : Passes) {
-    if (std::string(P->name()) != "IRLint" && P->needsAnalysis() &&
-        Local.PA == nullptr) {
-      OwnedPA = std::make_unique<cfg::ProgramAnalysis>(*Input.P);
-      Local.PA = OwnedPA.get();
-      break;
-    }
-  }
-
-  for (const auto &P : Passes) {
-    if (std::string(P->name()) == "IRLint")
-      continue;
-    P->run(Local, Sink);
-  }
-  return statusFromSink(Sink);
-}
-
 Status lintProgram(const ir::Program &P, DiagnosticSink *Sink) {
   DiagnosticSink LocalSink;
   DiagnosticSink &S = Sink ? *Sink : LocalSink;
-  AnalysisManager AM;
-  AM.addPass(createIRLintPass());
-  AnalysisInput Input;
-  Input.P = &P;
-  return AM.run(Input, S);
+  checkIR(P, S);
+  return statusFromSink(S);
 }
 
 Status lintAll(const AnalysisInput &Input, DiagnosticSink *Sink) {
+  if (Input.P == nullptr)
+    return Status::invariant("analysis input has no program", "analyze");
   DiagnosticSink LocalSink;
   DiagnosticSink &S = Sink ? *Sink : LocalSink;
-  return AnalysisManager::standardPipeline().run(Input, S);
+
+  // checkIR first: everything downstream (cfg::ProgramAnalysis
+  // construction included) assumes a structurally valid program.
+  const size_t ErrorsBefore = S.errorCount();
+  checkIR(*Input.P, S);
+  if (S.errorCount() > ErrorsBefore)
+    return statusFromSink(S);
+
+  AnalysisInput Local = Input;
+  std::unique_ptr<cfg::ProgramAnalysis> OwnedPA;
+  if (Local.PA == nullptr) {
+    OwnedPA = std::make_unique<cfg::ProgramAnalysis>(*Input.P);
+    Local.PA = OwnedPA.get();
+  }
+  checkAnnotationConsistency(Local, S);
+  checkCfmLegality(Local, S);
+  checkProfileSanity(Local, S);
+  return statusFromSink(S);
 }
 
 void lintDivergeMapText(const std::string &Text, DiagnosticSink &Sink) {

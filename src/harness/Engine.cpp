@@ -229,39 +229,17 @@ std::string ExperimentEngine::statsLine() const {
       Traces += Context->traces();
     }
   }
-  char Line[768];
-  if (const serialize::ArtifactCache *C = Options.Cache.get()) {
-    std::snprintf(
-        Line, sizeof(Line),
-        "jobs=%u cache=%s hits=%llu misses=%llu stores=%llu corrupt=%llu "
-        "store-failures=%llu orphans-reaped=%llu evicted=%llu "
-        "lock-contention=%llu retries=%llu failed-cells=%llu "
-        "cancelled=%llu sims=%llu memo-hits=%llu traces=%llu",
-        Pool.threadCount(), C->dir().c_str(),
-        static_cast<unsigned long long>(C->hits()),
-        static_cast<unsigned long long>(C->misses()),
-        static_cast<unsigned long long>(C->stores()),
-        static_cast<unsigned long long>(C->corruptDeletes()),
-        static_cast<unsigned long long>(C->failedStores()),
-        static_cast<unsigned long long>(C->orphansReaped()),
-        static_cast<unsigned long long>(C->evictions()),
-        static_cast<unsigned long long>(C->lockContention()),
-        static_cast<unsigned long long>(Counters.TransientRetries),
-        static_cast<unsigned long long>(Counters.CellsFailed),
-        static_cast<unsigned long long>(Counters.CellsCancelled), Sims,
-        MemoHits, Traces);
-  } else {
-    std::snprintf(
-        Line, sizeof(Line),
-        "jobs=%u cache=off retries=%llu failed-cells=%llu cancelled=%llu "
-        "sims=%llu memo-hits=%llu traces=%llu",
-        Pool.threadCount(),
-        static_cast<unsigned long long>(Counters.TransientRetries),
-        static_cast<unsigned long long>(Counters.CellsFailed),
-        static_cast<unsigned long long>(Counters.CellsCancelled), Sims,
-        MemoHits, Traces);
-  }
-  return Line;
+  const serialize::ArtifactCache *C = Options.Cache.get();
+  const std::string Cache =
+      C ? "cache=" + C->dir() + " " + C->countersLine() : "cache=off";
+  return formatString(
+      "jobs=%u %s retries=%llu failed-cells=%llu cancelled=%llu sims=%llu "
+      "memo-hits=%llu traces=%llu",
+      Pool.threadCount(), Cache.c_str(),
+      static_cast<unsigned long long>(Counters.TransientRetries),
+      static_cast<unsigned long long>(Counters.CellsFailed),
+      static_cast<unsigned long long>(Counters.CellsCancelled), Sims,
+      MemoHits, Traces);
 }
 
 std::string ExperimentEngine::failureLines() const {

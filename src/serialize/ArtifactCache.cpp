@@ -7,6 +7,7 @@
 #include "serialize/ArtifactCache.h"
 
 #include "serialize/ByteStream.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -367,4 +368,18 @@ Status ArtifactCache::store(const Digest &Key,
     releaseShared();
   Stores.fetch_add(1, std::memory_order_relaxed);
   return Status();
+}
+
+std::string ArtifactCache::countersLine() const {
+  return formatString(
+      "hits=%llu misses=%llu stores=%llu corrupt=%llu store-failures=%llu "
+      "orphans-reaped=%llu evicted=%llu lock-contention=%llu",
+      static_cast<unsigned long long>(hits()),
+      static_cast<unsigned long long>(misses()),
+      static_cast<unsigned long long>(stores()),
+      static_cast<unsigned long long>(corruptDeletes()),
+      static_cast<unsigned long long>(failedStores()),
+      static_cast<unsigned long long>(orphansReaped()),
+      static_cast<unsigned long long>(evictions()),
+      static_cast<unsigned long long>(lockContention()));
 }

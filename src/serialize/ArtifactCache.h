@@ -124,6 +124,9 @@ public:
   uint64_t lockContention() const {
     return LockContention.load(std::memory_order_relaxed);
   }
+  /// The eight counters above as "hits=H misses=M ... lock-contention=L",
+  /// the one rendering every report footer prints.
+  std::string countersLine() const;
 
 private:
   std::string blobPath(const Digest &Key) const;

@@ -186,15 +186,10 @@ StatusOr<PongLoad> Client::serverLoad(uint64_t *EpochOut) {
                            "serve::Client");
   uint64_t Epoch = 0;
   PongLoad Load;
-  bool HasLoad = false;
-  if (Status S = decodePong(R->Payload, Epoch, &Load, &HasLoad); !S.ok())
+  if (Status S = decodePong(R->Payload, Epoch, &Load); !S.ok())
     return S;
   if (EpochOut)
     *EpochOut = Epoch;
-  if (!HasLoad)
-    return Status::notFound("server PONG carries no load snapshot "
-                            "(pre-load daemon)",
-                            "serve::Client");
   return Load;
 }
 
@@ -302,8 +297,8 @@ StatusOr<FetchReplyData> Client::runCampaign(const SubmitRequest &Req,
           return H.status();
         continue; // the daemon died again under the ping; reconnect
       }
-      if (Epoch == 0 || *H == 0 || *H != Epoch)
-        HaveJob = false; // restarted (or unknowable): resubmit idempotently
+      if (*H != Epoch)
+        HaveJob = false; // restarted (or never read): resubmit idempotently
       Epoch = *H;
     }
 

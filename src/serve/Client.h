@@ -105,12 +105,11 @@ public:
 
   Status ping();
   /// PING decoded as a health check: returns the server's per-boot epoch
-  /// (0 from a pre-epoch server).  A changed epoch means the daemon
-  /// restarted and in-memory job ids from before are dead.
+  /// (never 0).  A changed epoch means the daemon restarted and in-memory
+  /// job ids from before are dead.
   StatusOr<uint64_t> health();
   /// PING decoded as a load probe: the daemon's jobs/cells in flight and
-  /// shed counters (PongLoad), plus the epoch via \p EpochOut.  NotFound
-  /// from a pre-load daemon whose PONG carries only the epoch.
+  /// shed counters (PongLoad), plus the epoch via \p EpochOut.
   StatusOr<PongLoad> serverLoad(uint64_t *EpochOut = nullptr);
   /// The retry-after-ms hint carried by the most recent server Error reply
   /// (0 when the last error had none, or the last reply succeeded).  The

@@ -346,12 +346,6 @@ Status serve::decodeStatusPayload(const std::vector<uint8_t> &Payload,
   return Status();
 }
 
-std::vector<uint8_t> serve::encodePong(uint64_t Epoch) {
-  serialize::ByteWriter W;
-  W.writeU64(Epoch);
-  return W.take();
-}
-
 std::vector<uint8_t> serve::encodePong(uint64_t Epoch,
                                        const PongLoad &Load) {
   serialize::ByteWriter W;
@@ -364,36 +358,20 @@ std::vector<uint8_t> serve::encodePong(uint64_t Epoch,
 }
 
 Status serve::decodePong(const std::vector<uint8_t> &Payload,
-                         uint64_t &Epoch, PongLoad *Load, bool *HasLoad) {
-  if (Load)
-    *Load = PongLoad();
-  if (HasLoad)
-    *HasLoad = false;
-  if (Payload.empty()) {
-    // A pre-epoch server answers PING with an empty PONG; treat that as
-    // epoch 0 ("unknown") instead of a decode failure.
-    Epoch = 0;
-    return Status();
-  }
+                         uint64_t &Epoch, PongLoad *Load) {
   serialize::ByteReader R(Payload);
-  Epoch = R.readU64();
-  if (R.ok() && !R.atEnd()) {
-    // The load snapshot rides behind the epoch; an epoch-only payload from
-    // a pre-load server decodes with HasLoad false.
-    PongLoad L;
-    L.JobsActive = R.readU64();
-    L.CellsRunning = R.readU64();
-    L.JobsShed = R.readU64();
-    L.ConnsShed = R.readU64();
-    if (Status S = finishDecode(R, "pong"); !S.ok())
-      return S;
-    if (Load)
-      *Load = L;
-    if (HasLoad)
-      *HasLoad = true;
-    return Status();
-  }
-  return finishDecode(R, "pong");
+  const uint64_t E = R.readU64();
+  PongLoad L;
+  L.JobsActive = R.readU64();
+  L.CellsRunning = R.readU64();
+  L.JobsShed = R.readU64();
+  L.ConnsShed = R.readU64();
+  if (Status S = finishDecode(R, "pong"); !S.ok())
+    return S;
+  Epoch = E;
+  if (Load)
+    *Load = L;
+  return Status();
 }
 
 namespace {

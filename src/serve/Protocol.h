@@ -216,14 +216,12 @@ struct PongLoad {
 
 /// PONG carries the server's per-boot epoch so a reconnecting client can
 /// tell a connection blip (same epoch: in-memory job ids still valid) from
-/// a daemon restart (new epoch: resubmit through the idempotency key).  An
-/// empty payload decodes as epoch 0 for pre-epoch peers; the load snapshot
-/// rides behind the epoch, and an epoch-only payload decodes with
-/// \p HasLoad false so pre-load peers stay compatible.
-std::vector<uint8_t> encodePong(uint64_t Epoch);
+/// a daemon restart (new epoch: resubmit through the idempotency key),
+/// then the load snapshot.  Any other payload, an empty or epoch-only one
+/// included, is Corrupt.
 std::vector<uint8_t> encodePong(uint64_t Epoch, const PongLoad &Load);
 Status decodePong(const std::vector<uint8_t> &Payload, uint64_t &Epoch,
-                  PongLoad *Load = nullptr, bool *HasLoad = nullptr);
+                  PongLoad *Load = nullptr);
 
 std::vector<uint8_t> encodeRunCell(uint64_t Ticket,
                                    const harness::CellSpec &Spec);

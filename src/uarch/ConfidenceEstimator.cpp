@@ -36,9 +36,3 @@ void ConfidenceEstimator::update(uint32_t Addr, bool PredictedCorrectly,
     MDC.reset(0);
   History = (History << 1) | (Taken ? 1 : 0);
 }
-
-void ConfidenceEstimator::reset() {
-  for (auto &MDC : Table)
-    MDC.reset(SaturatingCounter<4>::Max);
-  History = 0;
-}

@@ -46,8 +46,6 @@ public:
   /// internal outcome history.
   void update(uint32_t Addr, bool PredictedCorrectly, bool Taken);
 
-  void reset();
-
 private:
   unsigned indexFor(uint32_t Addr) const;
 

@@ -227,12 +227,16 @@ void ChaosProxy::run() {
       }
     }
 
+    // Only the links polled above have slots (two each, after the stop pipe
+    // and the listener); a link accepted in this iteration waits for the
+    // next poll.
     uint8_t Buf[4096];
-    size_t P = 2;
-    for (Link &L : Links) {
+    const size_t Polled = (Polls.size() - 2) / 2;
+    for (size_t I = 0; I < Polled; ++I) {
+      Link &L = Links[I];
       bool Cut = false;
-      for (int Dir = 0; Dir < 2 && !Cut; ++Dir, ++P) {
-        if (!(Polls[P].revents & (POLLIN | POLLHUP | POLLERR)))
+      for (int Dir = 0; Dir < 2 && !Cut; ++Dir) {
+        if (!(Polls[2 + 2 * I + Dir].revents & (POLLIN | POLLHUP | POLLERR)))
           continue;
         const int From = Dir == 0 ? L.Client : L.Upstream;
         const int To = Dir == 0 ? L.Upstream : L.Client;
@@ -246,9 +250,6 @@ void ChaosProxy::run() {
           Cut = true;
         }
       }
-      // Skip the second poll slot if Dir loop exited early via Cut.
-      while ((P - 2) % 2 != 0)
-        ++P;
       if (Cut)
         CloseLink(L);
     }

@@ -3,10 +3,10 @@
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
 // Tests for src/analyze: the diagnostics engine (rendering, severity
-// registry, sink accounting), each checker pass against targeted
-// corruptions that must yield their specific stable code, the
-// AnalysisManager's Status semantics, and golden files pinning the exact
-// text/machine rendering of a deterministic corrupt scenario.
+// registry, sink accounting), each check against targeted
+// corruptions that must yield their specific stable code, the Status
+// semantics of lintProgram/lintAll, and a golden file pinning the exact
+// text rendering of a deterministic corrupt scenario.
 //
 // Corrupt programs are produced by building a valid program and then
 // mutating instruction fields in place: finalize() freezes storage, so
@@ -60,7 +60,7 @@ void compareToGolden(const std::string &Name, const std::string &Actual) {
          "and review the diff";
 }
 
-/// Runs the full standard pipeline with whichever artifacts are given.
+/// Runs lintAll with whichever artifacts are given.
 Status lintWith(const ir::Program &P, const core::DivergeMap *Map,
                 const cfg::EdgeProfile *Profile, DiagnosticSink &Sink) {
   const cfg::ProgramAnalysis PA(P);
@@ -102,18 +102,6 @@ TEST(DiagnosticsTest, ProgramScopeRendersDashes) {
   const analyze::Diagnostic &D = Sink.report(
       DiagCode::AnnBranchAddrOutOfRange, DiagLocation::program(), "gone");
   EXPECT_EQ(D.renderText(), "error[ANN01] -: gone");
-  // Machine format: code, severity, function, block, addr, message.
-  EXPECT_EQ(D.renderMachine(), "ANN01\terror\t-\t-\t-\tgone");
-}
-
-TEST(DiagnosticsTest, MachineRenderingFields) {
-  DiagnosticSink Sink;
-  analyze::Diagnostic &D =
-      Sink.report(DiagCode::IrUnreachableBlock,
-                  DiagLocation::inBlock("f", "orphan", 9), "never runs");
-  D.Notes.push_back("note one");
-  EXPECT_EQ(D.renderMachine(),
-            "IR14\twarning\tf\torphan\t9\tnever runs\tnote one");
 }
 
 TEST(DiagnosticsTest, SeverityRegistry) {
@@ -534,10 +522,10 @@ TEST(ProfileSanityTest, AnnotatedBranchNeverExecutedIsWarning) {
 }
 
 //===----------------------------------------------------------------------===//
-// AnalysisManager / Status semantics
+// lintProgram / lintAll Status semantics
 //===----------------------------------------------------------------------===//
 
-TEST(AnalysisManagerTest, ErrorStatusCarriesOriginAndFirstFinding) {
+TEST(LintStatusTest, ErrorStatusCarriesOriginAndFirstFinding) {
   const test::ProgramHandles H = test::buildSimpleHammockLoop();
   H.Merge->instructions().front().Dst = ir::RegZero;
   const Status S = analyze::lintProgram(*H.Prog);
@@ -546,14 +534,14 @@ TEST(AnalysisManagerTest, ErrorStatusCarriesOriginAndFirstFinding) {
   EXPECT_NE(S.toString().find("IR06"), std::string::npos) << S.toString();
 }
 
-TEST(AnalysisManagerTest, IrLintErrorsShortCircuitLaterPasses) {
+TEST(LintStatusTest, IrLintErrorsShortCircuitLaterPasses) {
   ir::Program P("unfinalized");
   ir::Function *F = P.createFunction("main");
   ir::IRBuilder B(P);
   B.setInsertPoint(F->createBlock("entry"));
   B.halt();
-  // No finalize(): IRLint must stop the pipeline before the annotation
-  // passes touch (and assert on) the unfinalized program.
+  // No finalize(): checkIR's errors must stop lintAll before the
+  // annotation checks touch (and assert on) the unfinalized program.
   core::DivergeMap Map;
   Map.add(999999, core::DivergeAnnotation());
   analyze::AnalysisInput Input;
@@ -565,7 +553,7 @@ TEST(AnalysisManagerTest, IrLintErrorsShortCircuitLaterPasses) {
   EXPECT_FALSE(Sink.has(DiagCode::AnnBranchAddrOutOfRange));
 }
 
-TEST(AnalysisManagerTest, WarningsDoNotGate) {
+TEST(LintStatusTest, WarningsDoNotGate) {
   ir::Program P("warn-only");
   ir::Function *F = P.createFunction("main");
   ir::IRBuilder B(P);
@@ -589,7 +577,7 @@ TEST(AnalysisManagerTest, WarningsDoNotGate) {
 
 /// lintProgram (which replaced the removed ir::Verifier shim) must report
 /// error-severity findings as a non-ok Status with rendered IR codes.
-TEST(AnalysisManagerTest, LintProgramReportsErrors) {
+TEST(LintStatusTest, LintProgramReportsErrors) {
   const test::ProgramHandles H = test::buildSimpleHammockLoop();
   H.Merge->instructions().front().Dst = ir::RegZero;
   analyze::DiagnosticSink Sink;
@@ -605,7 +593,7 @@ TEST(AnalysisManagerTest, LintProgramReportsErrors) {
 
 namespace {
 
-/// A deterministic corrupt scenario exercising one finding per pass tier:
+/// A deterministic corrupt scenario exercising one finding per check:
 /// an out-of-range annotation (ANN01), a mid-instruction CFM (ANN04), an
 /// exact CFM that does not post-dominate (CFM01), and an out-of-range merge
 /// probability (CFM08).
@@ -631,7 +619,3 @@ TEST(GoldenDiagnosticsTest, TextRendering) {
   compareToGolden("analyze_diagnostics.txt", lintCorruptScenario().renderText());
 }
 
-TEST(GoldenDiagnosticsTest, MachineRendering) {
-  compareToGolden("analyze_diagnostics.tsv",
-                  lintCorruptScenario().renderMachine());
-}

@@ -4,10 +4,10 @@
 //
 // Direct unit tests for uarch::ConfidenceEstimator beyond the integration
 // coverage in test_uarch.cpp: counter saturation behavior, the
-// reset-on-misprediction MDC semantics, reset() on pipeline flush, and
-// the Acc_Conf statistic measured from counters read before each update.  HistoryBits=0 makes the
-// table index a pure function of the branch address, so expectations are
-// exact.
+// reset-on-misprediction MDC semantics, and the Acc_Conf statistic
+// measured from counters read before each update.  HistoryBits=0 makes
+// the table index a pure function of the branch address, so expectations
+// are exact.
 //
 //===----------------------------------------------------------------------===//
 
@@ -86,18 +86,6 @@ TEST(ConfidenceEstimatorTest, CounterSaturatesAtMax) {
   // ...must not wrap: still exactly one misprediction from low confidence.
   CE.update(Addr, false, true);
   EXPECT_EQ(CE.counter(Addr), 0u);
-}
-
-TEST(ConfidenceEstimatorTest, ResetRestoresWarmStateAndClearsStats) {
-  ConfidenceEstimator CE = makeEstimator();
-  for (uint32_t A = 0; A < 8; ++A)
-    CE.update(A, /*PredictedCorrectly=*/false, /*Taken=*/false);
-  for (uint32_t A = 0; A < 8; ++A)
-    EXPECT_EQ(CE.counter(A), 0u);
-
-  CE.reset();
-  for (uint32_t A = 0; A < 64; ++A)
-    EXPECT_EQ(CE.counter(A), SaturatingCounter<4>::Max);
 }
 
 TEST(ConfidenceEstimatorTest, AccConfIsExactLowConfMispredictionRate) {

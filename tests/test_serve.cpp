@@ -404,17 +404,18 @@ TEST(ServeProtocolTest, RequestKeyIsDeterministicAndSensitive) {
 TEST(ServeProtocolTest, PongPayloadRoundTripsTheEpoch) {
   const uint64_t Epoch = 0x0123456789ABCDEFull;
   uint64_t Decoded = 0;
-  ASSERT_TRUE(decodePong(encodePong(Epoch), Decoded).ok());
+  ASSERT_TRUE(decodePong(encodePong(Epoch, PongLoad()), Decoded).ok());
   EXPECT_EQ(Decoded, Epoch);
-  // A pre-epoch daemon sends an empty Pong: decodes as the "unknown"
-  // epoch 0, not an error (backward compatibility).
+  // Every peer sends the one payload: an empty PONG is Corrupt, and a
+  // failed decode leaves the epoch alone.
   Decoded = 99;
-  ASSERT_TRUE(decodePong({}, Decoded).ok());
-  EXPECT_EQ(Decoded, 0u);
-  // Trailing garbage is still rejected.
-  std::vector<uint8_t> Long = encodePong(Epoch);
+  const Status Empty = decodePong({}, Decoded);
+  EXPECT_EQ(Empty.code(), ErrorCode::Corrupt) << Empty.toString();
+  EXPECT_EQ(Decoded, 99u);
+  // Trailing garbage is rejected.
+  std::vector<uint8_t> Long = encodePong(Epoch, PongLoad());
   Long.push_back(0);
-  EXPECT_FALSE(decodePong(Long, Decoded).ok());
+  EXPECT_EQ(decodePong(Long, Decoded).code(), ErrorCode::Corrupt);
 }
 
 TEST(ServeProtocolTest, PongLoadRidesBehindTheEpoch) {
@@ -427,34 +428,20 @@ TEST(ServeProtocolTest, PongLoadRidesBehindTheEpoch) {
 
   uint64_t E = 0;
   PongLoad Out;
-  bool HasLoad = false;
-  ASSERT_TRUE(decodePong(encodePong(Epoch, In), E, &Out, &HasLoad).ok());
+  ASSERT_TRUE(decodePong(encodePong(Epoch, In), E, &Out).ok());
   EXPECT_EQ(E, Epoch);
-  EXPECT_TRUE(HasLoad);
   EXPECT_EQ(Out.JobsActive, 3u);
   EXPECT_EQ(Out.CellsRunning, 17u);
   EXPECT_EQ(Out.JobsShed, 5u);
   EXPECT_EQ(Out.ConnsShed, 11u);
 
-  // An epoch-only PONG (a pre-load daemon) decodes cleanly with HasLoad
-  // false; an empty PONG (pre-epoch daemon) likewise.  Neither is an
-  // error: the snapshot is additive, compatible in both directions.
-  HasLoad = true;
-  Out = PongLoad();
-  ASSERT_TRUE(decodePong(encodePong(Epoch), E, &Out, &HasLoad).ok());
-  EXPECT_EQ(E, Epoch);
-  EXPECT_FALSE(HasLoad);
-  HasLoad = true;
-  ASSERT_TRUE(decodePong({}, E, &Out, &HasLoad).ok());
-  EXPECT_EQ(E, 0u);
-  EXPECT_FALSE(HasLoad);
-  // A load-free decoder reading a load-carrying PONG also succeeds (it
-  // ignores what it did not ask for); trailing garbage is still rejected.
-  ASSERT_TRUE(decodePong(encodePong(Epoch, In), E).ok());
-  EXPECT_EQ(E, Epoch);
-  std::vector<uint8_t> Long = encodePong(Epoch, In);
-  Long.push_back(0);
-  EXPECT_FALSE(decodePong(Long, E, &Out, &HasLoad).ok());
+  // The load is not optional: an epoch-only PONG is truncated, as is any
+  // prefix of the payload.
+  const std::vector<uint8_t> Full = encodePong(Epoch, In);
+  for (const size_t Len : {size_t(8), Full.size() - 1}) {
+    const std::vector<uint8_t> Cut(Full.begin(), Full.begin() + Len);
+    EXPECT_EQ(decodePong(Cut, E, &Out).code(), ErrorCode::Corrupt) << Len;
+  }
 }
 
 TEST(ServeProtocolTest, CellProgressRoundTrip) {

@@ -2,13 +2,15 @@
 //
 // Part of the dmp-dpred project (CGO 2007 DMP compiler reproduction).
 //
-// Batch front end for the analyze:: static checker: build one or more
+// The one front end of the analyze:: static checker: build one or more
 // synthetic workloads, profile them, run diverge-branch selection, and lint
-// the program + profile + annotations through the standard pass pipeline
-// (IRLint, AnnotationConsistency, CfmLegality, ProfileSanity).  With
-// --map=FILE the annotations are read from a serialized diverge map
-// instead of running selection, which is how externally produced (or
-// corrupted) annotation files are vetted before simulation.
+// the program + profile + annotations with analyze::lintAll (IR,
+// annotation consistency, CFM legality, profile sanity).  With --map=FILE
+// the annotations are read from a serialized diverge map instead of
+// running selection, which is how externally produced (or corrupted)
+// annotation files are vetted before simulation.  No other tool lints: a
+// selection's legality is a tier-1 test (dmp_lint_every_preset), not a
+// run-time step.
 //
 // Usage:
 //   dmp_lint [benchmark...] [options]
@@ -22,10 +24,6 @@
 //   --map=FILE                   lint FILE as the annotation set for the
 //                                (single) named benchmark; also checks the
 //                                serialized text for duplicate entries
-//   --format=<text|machine>      diagnostic rendering (default text;
-//                                machine is one tab-separated line per
-//                                diagnostic: code, severity, function,
-//                                block, addr, message)
 //   --profile-instrs=<n>         profiler instruction budget (default
 //                                4000000; lower for quick smoke lints)
 //   --max-instr=<n>              selection MAX_INSTR threshold (default 50)
@@ -67,7 +65,6 @@ struct CliOptions {
   /// --profile-instrs; the benchmark comes from Benchmarks.
   harness::CellSpec Cell;
   std::string MapFile;
-  bool MachineFormat = false;
   bool WarningsAsErrors = false;
   bool Json = false;
   bool Help = false;
@@ -77,7 +74,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: dmp_lint [benchmark...] [--all] [--algo=...] "
                "[--profile-input=run|train] [--map=FILE] "
-               "[--format=text|machine] [--profile-instrs=N] "
+               "[--profile-instrs=N] "
                "[--max-instr=N] [--min-merge-prob=P] [--werror] [--json] "
                "[--help]\n"
                "  --algo=<%s> (default all)\n",
@@ -90,9 +87,8 @@ void help() {
       "\n"
       "Build the named synthetic workloads (all of them with --all, the\n"
       "default), profile them, run diverge-branch selection, and lint the\n"
-      "program + profile + annotations through the standard analyze pass\n"
-      "pipeline (IRLint, AnnotationConsistency, CfmLegality,\n"
-      "ProfileSanity).\n"
+      "program + profile + annotations (IR, annotation consistency, CFM\n"
+      "legality, profile sanity).  Diagnostics go to stderr as text.\n"
       "\n"
       "Options:\n"
       "  --all                        lint every benchmark of the suite\n"
@@ -101,9 +97,6 @@ void help() {
       "  --profile-input=<run|train>  profiling input set (default run)\n"
       "  --map=FILE                   lint FILE as the annotation set for\n"
       "                               the (single) named benchmark\n"
-      "  --format=<text|machine>      stderr diagnostic rendering (default\n"
-      "                               text; machine is one tab-separated\n"
-      "                               line per diagnostic)\n"
       "  --profile-instrs=<n>         profiler instruction budget (default\n"
       "                               4000000)\n"
       "  --max-instr=<n>              selection MAX_INSTR (default 50)\n"
@@ -141,14 +134,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.MapFile = Arg.substr(6);
       if (Opts.MapFile.empty()) {
         std::fprintf(stderr, "error: empty --map value\n");
-        return false;
-      }
-    } else if (Arg.rfind("--format=", 0) == 0) {
-      const std::string V = Arg.substr(9);
-      if (V == "machine")
-        Opts.MachineFormat = true;
-      else if (V != "text") {
-        std::fprintf(stderr, "error: invalid --format '%s'\n", V.c_str());
         return false;
       }
     } else if (Arg.rfind("--profile-instrs=", 0) == 0) {
@@ -257,9 +242,7 @@ bool lintBenchmark(const workloads::BenchmarkSpec &Spec,
     appendJsonWorkload(*Json, Spec, Map, Sink);
   } else {
     if (!Sink.empty())
-      std::fprintf(stderr, "%s",
-                   Opts.MachineFormat ? Sink.renderMachine().c_str()
-                                      : Sink.renderText().c_str());
+      std::fprintf(stderr, "%s", Sink.renderText().c_str());
     std::printf("%-10s %zu annotations: %s\n", Spec.Name, Map.size(),
                 Sink.summaryLine().c_str());
   }

@@ -22,12 +22,6 @@
 //   --emit-map                    print the serialized diverge map
 //   --dump-program                print the program listing
 //   --simulate                    run baseline and DMP simulations
-//   --lint                        run the static checker (IR lint +
-//                                 annotation/CFM legality + profile sanity)
-//                                 over the selection and exit; non-zero on
-//                                 any error-severity diagnostic
-//   --no-lint                     skip the implicit lint gate that
-//                                 otherwise runs before --simulate/--verify
 //   --verify                      run the differential oracle (reference
 //                                 emulator vs baseline/DMP-selected/
 //                                 DMP-adversarial simulator legs) and exit
@@ -58,9 +52,12 @@
 // a non-zero exit, so scripted sweeps fail loudly instead of silently
 // running the default configuration.
 //
+// dmpc does not lint its selection: `dmp_lint <benchmark> --algo=<name>`
+// does, and the tier-1 test dmp_lint_every_preset lints every map dmpc can
+// select, so a local --simulate runs what --remote runs.
+//
 //===----------------------------------------------------------------------===//
 
-#include "analyze/Analyze.h"
 #include "cfg/DotExport.h"
 #include "check/Oracle.h"
 #include "core/AnnotationIO.h"
@@ -93,8 +90,6 @@ struct CliOptions {
   bool DumpProgram = false;
   bool DumpDot = false;
   bool Simulate = false;
-  bool LintOnly = false;
-  bool LintGate = true;
   bool Verify = false;
   unsigned InjectFault = 0;
   unsigned Jobs = exec::ThreadPool::defaultThreadCount();
@@ -108,8 +103,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: dmpc <benchmark> [--algo=...] [--profile-input=...] "
                "[--max-instr=N] [--min-merge-prob=P] [--2d-filter] "
-               "[--emit-map] [--dump-program] [--simulate] [--lint] "
-               "[--no-lint] [--verify] "
+               "[--emit-map] [--dump-program] [--simulate] [--verify] "
                "[--inject-fault=0|1|2] [--sim-instrs=N] "
                "[--jobs=N] [--cache-dir=DIR] [--no-cache] "
                "[--remote=SOCKET [--ping]] | --list\n"
@@ -170,10 +164,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.DumpDot = true;
     } else if (Arg == "--simulate") {
       Opts.Simulate = true;
-    } else if (Arg == "--lint") {
-      Opts.LintOnly = true;
-    } else if (Arg == "--no-lint") {
-      Opts.LintGate = false;
     } else if (Arg == "--verify") {
       Opts.Verify = true;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
@@ -220,8 +210,7 @@ void printSimReport(const sim::SimStats &Base, const sim::SimStats &Dmp) {
 }
 
 /// `dmpc --remote=SOCKET --ping`: one PING round trip, rendered as the
-/// daemon's epoch, its load snapshot (when the daemon is new enough to
-/// send one), and the measured RTT.
+/// daemon's epoch, its load snapshot and the measured RTT.
 int runPing(const CliOptions &Opts) {
   serve::Client Client;
   if (Status S = Client.connect(Opts.RemoteSocket); !S.ok()) {
@@ -235,21 +224,18 @@ int runPing(const CliOptions &Opts) {
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - T0)
           .count();
-  if (!Load.ok() && Load.status().code() != ErrorCode::NotFound) {
+  if (!Load.ok()) {
     std::fprintf(stderr, "error: %s\n", Load.status().toString().c_str());
     return exitcode::Failure;
   }
   std::printf("pong: epoch=%llu rtt=%.3fms\n",
               static_cast<unsigned long long>(Epoch), RttMs);
-  if (Load.ok())
-    std::printf("load: jobs-active=%llu cells-running=%llu "
-                "jobs-shed=%llu conns-shed=%llu\n",
-                static_cast<unsigned long long>(Load->JobsActive),
-                static_cast<unsigned long long>(Load->CellsRunning),
-                static_cast<unsigned long long>(Load->JobsShed),
-                static_cast<unsigned long long>(Load->ConnsShed));
-  else
-    std::printf("load: unavailable (daemon predates the load snapshot)\n");
+  std::printf("load: jobs-active=%llu cells-running=%llu "
+              "jobs-shed=%llu conns-shed=%llu\n",
+              static_cast<unsigned long long>(Load->JobsActive),
+              static_cast<unsigned long long>(Load->CellsRunning),
+              static_cast<unsigned long long>(Load->JobsShed),
+              static_cast<unsigned long long>(Load->ConnsShed));
   return exitcode::Ok;
 }
 
@@ -328,10 +314,10 @@ int main(int Argc, char **Argv) {
     // Remote mode runs exactly one profile->select->simulate cell on the
     // daemon; the local-only analysis/report modes don't ship.
     if (Opts.TwoDFilter || Opts.EmitMap || Opts.DumpProgram || Opts.DumpDot ||
-        Opts.LintOnly || Opts.Verify) {
+        Opts.Verify) {
       std::fprintf(stderr,
                    "error: --remote supports only the simulate pipeline "
-                   "(no --2d-filter/--emit-map/--dump-*/--lint/--verify)\n");
+                   "(no --2d-filter/--emit-map/--dump-*/--verify)\n");
       return exitcode::Usage;
     }
     return runRemote(Opts);
@@ -372,39 +358,6 @@ int main(int Argc, char **Argv) {
     DotOpts.Diverge = &Map;
     for (const auto &F : Bench.workload().Prog->functions())
       std::printf("%s\n", cfg::exportFunctionDot(*F, DotOpts).c_str());
-  }
-
-  // Static checker: with --lint, check and exit; otherwise gate the
-  // expensive oracle/simulation phases on a clean lint (--no-lint skips).
-  if (Opts.LintOnly ||
-      (Opts.LintGate && (Opts.Simulate || Opts.Verify))) {
-    analyze::AnalysisInput LintInput;
-    LintInput.P = Bench.workload().Prog.get();
-    LintInput.PA = &Bench.analysis();
-    LintInput.Profile = &Bench.profileData(Cell.ProfileInput).Edges;
-    LintInput.Annotations = &Map;
-    analyze::DiagnosticSink Sink;
-    const Status LintStatus = analyze::lintAll(LintInput, &Sink);
-    // The implicit pre-simulation gate stays quiet unless something gates;
-    // --lint is the reporting mode and prints warnings too.
-    if (Opts.LintOnly) {
-      if (!Sink.empty())
-        std::fprintf(stderr, "%s", Sink.renderText().c_str());
-      std::printf("lint: %s %s\n", Cell.Benchmark.c_str(),
-                  Sink.summaryLine().c_str());
-      return LintStatus.ok() ? exitcode::Ok : exitcode::Failure;
-    }
-    if (!LintStatus.ok()) {
-      for (const analyze::Diagnostic &D : Sink.diagnostics())
-        if (D.Sev == analyze::Severity::Error)
-          std::fprintf(stderr, "%s\n", D.renderText().c_str());
-    }
-    if (!LintStatus.ok()) {
-      std::fprintf(stderr,
-                   "lint: refusing to simulate a selection with error "
-                   "diagnostics (use --no-lint to bypass)\n");
-      return exitcode::Failure;
-    }
   }
 
   // Phase boundaries double as interrupt points: a first SIGINT lets the
@@ -464,17 +417,6 @@ int main(int Argc, char **Argv) {
   }
 
   if (const serialize::ArtifactCache *Cache = Options.Cache.get())
-    std::fprintf(stderr,
-                 "[cache] hits=%llu misses=%llu stores=%llu corrupt=%llu "
-                 "store-failures=%llu orphans-reaped=%llu evicted=%llu "
-                 "lock-contention=%llu\n",
-                 static_cast<unsigned long long>(Cache->hits()),
-                 static_cast<unsigned long long>(Cache->misses()),
-                 static_cast<unsigned long long>(Cache->stores()),
-                 static_cast<unsigned long long>(Cache->corruptDeletes()),
-                 static_cast<unsigned long long>(Cache->failedStores()),
-                 static_cast<unsigned long long>(Cache->orphansReaped()),
-                 static_cast<unsigned long long>(Cache->evictions()),
-                 static_cast<unsigned long long>(Cache->lockContention()));
+    std::fprintf(stderr, "[cache] %s\n", Cache->countersLine().c_str());
   return guard::interrupted() ? exitcode::Interrupted : exitcode::Ok;
 }
